@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 from scipy.special import ive
 
 from .model import PotentialParams, angular_mode, effective_ell
@@ -302,8 +301,9 @@ def quartic_moment_check(a: float) -> float:
     return a**-2.5 * abs(diff)
 
 
-def _slice_matrix(p: PotentialParams, ell: float, grid: np.ndarray, eps: float) -> np.ndarray:
-    """One-slice Euclidean kernel on the grid, flat-measure normalization.
+def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+    """One-slice Euclidean kernel between row points x and column points y,
+    flat-measure normalization.
 
     The centrifugal part of the sliced radial action is resummed into the
     exact free-radial slice (mu/hbar eps) sqrt(r r') I_{ell+1/2}(mu r r'/hbar eps)
@@ -313,28 +313,23 @@ def _slice_matrix(p: PotentialParams, ell: float, grid: np.ndarray, eps: float) 
     degrades the Trotter order from eps^2 to eps^(3/2) and loses the
     second-order convergence signature the ratio checks rely on.
     """
-    v_smooth = -p.v0 + 0.5 * p.mu * p.omega**2 * grid**2
-    z = p.mu * grid[:, None] * grid[None, :] / (p.hbar * eps)
-    dr = grid[:, None] - grid[None, :]
+    vx = -p.v0 + 0.5 * p.mu * p.omega**2 * x**2
+    vy = -p.v0 + 0.5 * p.mu * p.omega**2 * y**2
+    z = p.mu * x[:, None] * y[None, :] / (p.hbar * eps)
+    dr = x[:, None] - y[None, :]
     log_t = (
-        np.log(p.mu * np.sqrt(grid[:, None] * grid[None, :]) / (p.hbar * eps))
+        np.log(p.mu * np.sqrt(x[:, None] * y[None, :]) / (p.hbar * eps))
         + np.log(ive(ell + 0.5, z))
         - p.mu * dr * dr / (2 * p.hbar * eps)
-        - eps * (v_smooth[:, None] + v_smooth[None, :]) / (2 * p.hbar)
+        - eps * (vx[:, None] + vy[None, :]) / (2 * p.hbar)
     )
     return np.exp(log_t)
 
 
-def lattice_kernel_grid(
+def _lattice_setup(
     p: PotentialParams, n_theta: int, m: int, tau: float, spec: LatticeSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composed N-slice kernel on the whole lattice grid.
-
-    Returns (grid, K) where K[i, j] approximates the radial kernel between
-    grid[i] and grid[j] in the r^2 dr normalization. The one-slice matrices
-    are chained with trapezoidal quadrature weights; the composed flat-measure
-    kernel is divided by r_i r_j at the end.
-    """
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Validate a lattice query; return (ell, eps, grid, trapezoid weights)."""
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     ell = effective_ell(p, n_theta, m)
@@ -356,13 +351,38 @@ def lattice_kernel_grid(
                 f"slice kernel width {sigma:.3e} spans the grid [{spec.r_min}, {spec.r_max}]; "
                 "increase n_slices or widen the grid"
             )
-    t = _slice_matrix(p, ell, grid, eps)
     w = np.full(spec.n_grid, h)
     w[0] = w[-1] = 0.5 * h
-    composed = t
-    for _ in range(spec.n_slices - 1):
-        composed = (composed * w[None, :]) @ t
-    return grid, composed / (grid[:, None] * grid[None, :])
+    return ell, eps, grid, w
+
+
+def lattice_kernel_grid(
+    p: PotentialParams, n_theta: int, m: int, tau: float, spec: LatticeSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composed N-slice kernel on the whole lattice grid.
+
+    Returns (grid, K) where K[i, j] approximates the radial kernel between
+    grid[i] and grid[j] in the r^2 dr normalization. The chain
+    T (W T)^(N-1) of one-slice matrices T and trapezoid weights W equals
+    W^-1/2 S^N W^-1/2 with the symmetric S = W^1/2 T W^1/2, so S^N is taken
+    by binary powering (about log2 N products instead of N-1). Every factor
+    is entrywise positive, which keeps each entry accurate to rounding. The
+    composed flat-measure kernel is divided by r_i r_j at the end.
+    """
+    ell, eps, grid, w = _lattice_setup(p, n_theta, m, tau, spec)
+    root_w = np.sqrt(w)
+    s = root_w[:, None] * _slice_matrix(p, ell, grid, grid, eps) * root_w[None, :]
+    power = None
+    n = spec.n_slices
+    while True:
+        if n & 1:
+            power = s if power is None else power @ s
+        n >>= 1
+        if not n:
+            break
+        s = s @ s
+    scale = 1.0 / (root_w * grid)
+    return grid, scale[:, None] * power * scale[None, :]
 
 
 def lattice_radial_kernel(
@@ -370,16 +390,26 @@ def lattice_radial_kernel(
 ) -> float:
     """Transfer-matrix estimate of the radial kernel at endpoints (ra, rb).
 
-    Composes the one-slice Euclidean kernel over n_slices and reads the
-    (ra, rb) entry from a bicubic interpolant of the composed grid kernel;
-    endpoints on grid nodes are reproduced exactly. Converges to
-    radial_kernel_closed at second order in tau/n_slices.
+    The two end slices are evaluated at the endpoints themselves and one
+    vector is propagated through the N-2 interior slices on the grid, so
+    any (ra, rb) in [r_min, r_max] gets the N-slice lattice value, and grid
+    nodes reproduce lattice_kernel_grid. Converges to radial_kernel_closed
+    at second order in tau/n_slices.
     """
     if not (spec.r_min <= ra <= spec.r_max and spec.r_min <= rb <= spec.r_max):
         raise ValueError("endpoints must lie inside [r_min, r_max]")
-    grid, kernel = lattice_kernel_grid(p, n_theta, m, tau, spec)
-    spline = RectBivariateSpline(grid, grid, kernel, kx=3, ky=3)
-    return float(spline(rb, ra)[0, 0])
+    ell, eps, grid, w = _lattice_setup(p, n_theta, m, tau, spec)
+    a, b = np.array([ra], dtype=float), np.array([rb], dtype=float)
+    if spec.n_slices == 1:
+        flat = float(_slice_matrix(p, ell, b, a, eps)[0, 0])
+    else:
+        vec = _slice_matrix(p, ell, grid, a, eps)[:, 0]
+        if spec.n_slices > 2:
+            t = _slice_matrix(p, ell, grid, grid, eps)
+            for _ in range(spec.n_slices - 2):
+                vec = t @ (w * vec)
+        flat = float(_slice_matrix(p, ell, b, grid, eps)[0] @ (w * vec))
+    return flat / (ra * rb)
 
 
 def _panel_gauss(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -145,6 +145,20 @@ def _sector_floor(p: PotentialParams, n_theta: int, m: int) -> float | None:
     return (math.sqrt(radicand) + 1.0) * p.hbar * p.omega - p.v0
 
 
+def _first_admissible_ntheta(p: PotentialParams, m: int) -> int:
+    """A lower bound, exact up to rounding, on the first n_theta whose
+    radicand (k + lambda + 2 n_theta + 1)^2 + alpha - beta reaches 1/4.
+
+    Strongly attractive couplings (alpha - beta << 0) make thousands of
+    low n_theta inadmissible; starting here skips them in O(1).
+    """
+    need = 0.25 - (p.alpha - p.beta)
+    if need <= 0:
+        return 0
+    base = angular_k(p) + angular_lambda(p, m) + 1
+    return max(0, math.floor((math.sqrt(need) - base) / 2) - 1)
+
+
 def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[EigenState]:
     """All admissible states with |m| <= m_max and energy <= e_max.
 
@@ -165,7 +179,7 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     for m in range(0, m_max + 1):
         if p.beta + m * m < 0:
             continue
-        for n_theta in itertools.count(0):
+        for n_theta in itertools.count(_first_admissible_ntheta(p, m)):
             floor = _sector_floor(p, n_theta, m)
             if floor is None:
                 continue

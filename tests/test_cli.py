@@ -7,16 +7,20 @@ installed `ncosc` executable is on PATH, that is checked too.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ncosc
 from ncosc import cli
+from ncosc.model import PotentialParams, QuantumNumbers
+from ncosc.spectrum import _sector_floor, energy, enumerate_states
 
 try:
     import tomllib
@@ -103,6 +107,87 @@ def test_spectrum_explicit_m_cap(capsys):
                         "--no-timestamp")
     _, rows = csv_rows(out)
     assert {r[2] for r in rows} <= {"-1", "0", "1"}
+
+
+def _scan_m_max(p, e_max):
+    # the sector-by-sector scan the closed-form cutoff replaced: stop at the
+    # first bound sector whose lowest admissible level exceeds e_max
+    m = 0
+    while True:
+        if p.beta + m * m >= 0:
+            floor = None
+            for n_theta in range(200):
+                try:
+                    floor = energy(p, QuantumNumbers(0, n_theta, m))
+                    break
+                except ValueError:
+                    continue
+            if floor is not None and floor > e_max:
+                return max(0, m - 1), floor
+        m += 1
+
+
+COUPLING_GRID = [
+    (PotentialParams(alpha=a, beta=b, gamma=g), e_max)
+    for a in (-2.0, -0.5, 0.0, 1.5)
+    for b in (-3.0, -0.5, 0.0, 0.5, 4.0)
+    for g in (-0.2, 0.0, 2.0)
+    for e_max in (1.0, 3.0, 6.0, 15.0)
+]
+
+
+def test_derived_m_cap_matches_scan_where_floor_is_monotone():
+    # where n_theta = 0 is admissible in every bound sector up to where the
+    # scan stops, the sector floor is the closed-form bound and rises with |m|
+    compared = 0
+    for p, e_max in COUPLING_GRID:
+        m_scan, _ = _scan_m_max(p, e_max)
+        m_low = math.ceil(math.sqrt(max(-p.beta, 0.0)))
+        if any(_sector_floor(p, 0, m) is None for m in range(m_low, m_scan + 2)):
+            continue
+        assert cli._derive_m_max(p, e_max) == m_scan, (p, e_max)
+        compared += 1
+    assert compared >= len(COUPLING_GRID) // 2
+
+
+def test_derived_m_cap_keeps_every_state():
+    # beta just below -4: sqrt(-beta) rounds to 2, yet beta + 4 < 0
+    for p, e_max in COUPLING_GRID + [(PotentialParams(beta=-4.000000000000001), 8.0)]:
+        m_max = cli._derive_m_max(p, e_max)
+        wider = enumerate_states(p, e_max=e_max, m_max=m_max + 8)
+        assert all(abs(s.qn.m) <= m_max for s in wider), (p, e_max)
+
+
+def test_spectrum_strong_attraction_lists_every_state(capsys):
+    # at alpha = -1e4 the lowest admissible n_theta falls with |m|, so the
+    # sector floor is not monotone; m = 0 alone has no state below 15
+    code, out, _ = run_cli(capsys, "spectrum", "--alpha=-1e4", "--emax", "15", "--no-timestamp")
+    assert code == 0
+    m_max = int(out.split("mmax=")[1].split()[0])
+    _, rows = csv_rows(out)
+    assert {int(r[2]) for r in rows} >= {-5, -3, -1, 1, 3, 5}
+    assert float(rows[0][-1]) == pytest.approx(11.0125, abs=1e-4)
+    p = PotentialParams(alpha=-1e4)
+    want = enumerate_states(p, e_max=15.0, m_max=m_max + 50)
+    assert len(rows) == len(want)
+    assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == [
+        (s.qn.n, s.qn.n_theta, s.qn.m) for s in want
+    ]
+
+
+def test_spectrum_extreme_attraction_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spectrum", "--alpha=-1e8", "--emax", "15", "--no-timestamp")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    # half-integer bases put every level at or above E = 101
+    assert csv_rows(out)[1] == []
+
+
+def test_spectrum_cutoff_past_scan_limit_asks_for_m(capsys):
+    code, _, err = run_cli(capsys, "spectrum", "--emax", "1e6", "--no-timestamp")
+    assert code == 2
+    assert "pass --m" in err
 
 
 def test_spectrum_rejects_fall_to_center(capsys):

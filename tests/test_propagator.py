@@ -2,14 +2,20 @@
 plus the generating-identity and moment checks they rest on."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ncosc.model import PotentialParams
+import ncosc
+from ncosc.model import PotentialParams, effective_ell
 from ncosc.propagator import (
     LatticeSpec,
     PropagatorQuery,
+    _slice_matrix,
     angular_kernel_spectral,
     full_kernel_spectral,
     hille_hardy_residual,
@@ -137,6 +143,73 @@ def test_lattice_semigroup_property():
     composed = (k_half * (w * g * g)[None, :]) @ k_half
     ia, ib = 39, 59  # nodes at r = 0.8 and 1.2
     assert composed[ia, ib] == pytest.approx(k_full[ia, ib], rel=1e-6)
+
+
+def _reference_chain(p, tau, spec):
+    # the N-slice kernel as the plain chain T (W T)^(N-1), divided by r_i r_j
+    grid = np.linspace(spec.r_min, spec.r_max, spec.n_grid)
+    h = grid[1] - grid[0]
+    w = np.full(spec.n_grid, h)
+    w[0] = w[-1] = 0.5 * h
+    t = _slice_matrix(p, effective_ell(p, 0, 0), grid, grid, tau / spec.n_slices)
+    composed = t
+    for _ in range(spec.n_slices - 1):
+        composed = (composed * w[None, :]) @ t
+    return grid, composed / (grid[:, None] * grid[None, :])
+
+
+def test_lattice_grid_powering_matches_reference_chain():
+    # powers of two and other slice counts; the 200-point grid resolves
+    # the 64-slice width at tau = 1
+    p = PotentialParams()
+    for n_slices in (1, 2, 3, 5, 16, 17, 64):
+        spec = LatticeSpec(n_slices=n_slices, r_min=0.02, r_max=8.0, n_grid=200)
+        g, kern = lattice_kernel_grid(p, 0, 0, 1.0, spec)
+        g_ref, ref = _reference_chain(p, 1.0, spec)
+        assert np.array_equal(g, g_ref)
+        assert np.all(kern > 0), n_slices
+        assert np.max(np.abs(kern / ref - 1)) <= 1e-12, n_slices
+
+
+def test_lattice_endpoints_on_nodes_equal_grid_entries():
+    p = PotentialParams()
+    for n_slices in (1, 2, 3, 16, 64):
+        spec = LatticeSpec(n_slices=n_slices, r_min=0.02, r_max=8.0, n_grid=200)
+        g, kern = lattice_kernel_grid(p, 0, 0, 1.0, spec)
+        for ia, ib in ((19, 29), (29, 19), (0, 199), (50, 50)):
+            val = lattice_radial_kernel(p, 0, 0, float(g[ia]), float(g[ib]), 1.0, spec)
+            assert val == pytest.approx(kern[ib, ia], rel=1e-13, abs=0), (n_slices, ia, ib)
+
+
+def test_lattice_off_grid_endpoints_are_lattice_values():
+    # no interpolation between nodes: an off-grid pair carries the same
+    # Trotter error as a nearby node pair at the same slice count
+    p = PotentialParams()
+    for n_slices in (16, 32, 64):
+        spec = LatticeSpec(n_slices=n_slices, r_min=0.02, r_max=8.0, n_grid=400)
+        node_err = abs(lattice_radial_kernel(p, 0, 0, 0.8, 1.2, 0.5, spec)
+                       / radial_kernel_closed(p, 0, 0, 0.8, 1.2, 0.5) - 1)
+        off_err = abs(lattice_radial_kernel(p, 0, 0, 0.81, 1.234, 0.5, spec)
+                      / radial_kernel_closed(p, 0, 0, 0.81, 1.234, 0.5) - 1)
+        assert off_err <= node_err, n_slices
+    # two slices: one trapezoid sum over the intermediate point
+    spec = LatticeSpec(n_slices=2, r_min=0.02, r_max=8.0, n_grid=400)
+    g = np.linspace(0.02, 8.0, 400)
+    w = np.full(400, g[1] - g[0])
+    w[0] = w[-1] = 0.5 * (g[1] - g[0])
+    ell = effective_ell(p, 0, 0)
+    ra, rb = np.array([0.81]), np.array([1.234])
+    want = float(_slice_matrix(p, ell, rb, g, 0.25)[0] @ (w * _slice_matrix(p, ell, g, ra, 0.25)[:, 0]))
+    val = lattice_radial_kernel(p, 0, 0, 0.81, 1.234, 0.5, spec)
+    assert val == pytest.approx(want / (0.81 * 1.234), rel=1e-13)
+
+
+def test_import_leaves_spline_module_unloaded():
+    src = Path(ncosc.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ncosc; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_angular_kernel_filters_eigenmodes():
