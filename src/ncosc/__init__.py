@@ -12,102 +12,10 @@ on the upper half-space, together with independent finite-difference and
 quadrature oracles that validate every closed form numerically.
 """
 
-from .model import (
-    AngularMode,
-    PotentialParams,
-    QuantumNumbers,
-    RadialMode,
-    angular_k,
-    angular_lambda,
-    angular_mode,
-    effective_ell,
-    potential_cartesian,
-    potential_spherical,
-    radial_mode,
-)
-from .oracle import (
-    GridSpec,
-    QuadratureResult,
-    angular_eigenvalues_fd,
-    default_angular_grid,
-    default_radial_grid,
-    inner_product_angular,
-    inner_product_radial,
-    radial_eigenvalues_fd,
-)
-from .propagator import (
-    LatticeSpec,
-    PropagatorQuery,
-    SpectralKernel,
-    angular_kernel_spectral,
-    full_kernel_spectral,
-    hille_hardy_residual,
-    integrated_diagonal_kernel,
-    lattice_kernel_grid,
-    lattice_radial_kernel,
-    quartic_moment_check,
-    radial_kernel_closed,
-    radial_kernel_spectral,
-)
-from .spectrum import (
-    EigenState,
-    angular_energy,
-    angular_wavefunction,
-    eigenstate,
-    energy,
-    enumerate_states,
-    full_wavefunction,
-    radial_profiles,
-    radial_wavefunction,
-)
-from .verify import CheckResult, SUITE_NAMES, run_check, run_suite
+from . import model, oracle, propagator, specfun, spectrum, verify  # noqa: F401  (loaded on import)
+from .model import PotentialParams, QuantumNumbers
+from .verify import run_check
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PotentialParams",
-    "QuantumNumbers",
-    "AngularMode",
-    "RadialMode",
-    "potential_spherical",
-    "potential_cartesian",
-    "angular_lambda",
-    "angular_k",
-    "effective_ell",
-    "angular_mode",
-    "radial_mode",
-    "EigenState",
-    "energy",
-    "angular_energy",
-    "angular_wavefunction",
-    "radial_wavefunction",
-    "radial_profiles",
-    "full_wavefunction",
-    "eigenstate",
-    "enumerate_states",
-    "PropagatorQuery",
-    "LatticeSpec",
-    "SpectralKernel",
-    "radial_kernel_closed",
-    "radial_kernel_spectral",
-    "angular_kernel_spectral",
-    "full_kernel_spectral",
-    "integrated_diagonal_kernel",
-    "hille_hardy_residual",
-    "quartic_moment_check",
-    "lattice_radial_kernel",
-    "lattice_kernel_grid",
-    "GridSpec",
-    "QuadratureResult",
-    "default_radial_grid",
-    "default_angular_grid",
-    "radial_eigenvalues_fd",
-    "angular_eigenvalues_fd",
-    "inner_product_radial",
-    "inner_product_angular",
-    "CheckResult",
-    "SUITE_NAMES",
-    "run_check",
-    "run_suite",
-]
+__all__ = ["__version__", "PotentialParams", "QuantumNumbers", "run_check"]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle, propagator, spectrum, verify
-from .model import PotentialParams, QuantumNumbers, angular_k
+from .model import PotentialParams, QuantumNumbers, energy_floor
 
 __all__ = ["main", "build_parser"]
 
@@ -104,40 +104,24 @@ def _param_comment(p: PotentialParams) -> str:
 _M_SCAN_LIMIT = 100000
 
 
-def _sector_energy_bound(p: PotentialParams, m: int) -> float:
-    """Lower bound hbar omega (sqrt(max(c^2 + alpha - beta, 1/4)) + 1) - v0 on
-    every energy of the bound sector m, with c = k + lambda + 1 its
-    n_theta = 0 base.
-
-    It is the sector floor whenever n_theta = 0 is admissible, and it never
-    decreases with |m|.
-    """
-    floor = spectrum._sector_floor(p, 0, m)
-    return 1.5 * p.hbar * p.omega - p.v0 if floor is None else floor
-
-
 def _derive_m_max(p: PotentialParams, e_max: float) -> int:
     """Smallest |m| cutoff that already includes every state below e_max.
 
-    The sector energy bound is monotone in |m|, so the first bound sector
-    whose bound exceeds e_max is found by solving the bound for |m| and
-    correcting the rounding by a step or two; the cutoff is one below it.
+    energy_floor never decreases with |m|, so the first |m| whose floor
+    exceeds e_max is found by bisection; the cutoff is one below it. Every
+    floor counts as above a NaN e_max, which gives 0 for enumerate_states
+    to reject.
     """
-    m_low = 0 if p.beta >= 0 else math.ceil(math.sqrt(-p.beta))
-    if p.beta + m_low * m_low < 0:
-        m_low += 1
-    # bound > e_max  <=>  c^2 > s^2 - alpha + beta, s = (e_max + v0)/(hbar omega) - 1 >= 1/2
-    s = (e_max + p.v0) / (p.hbar * p.omega) - 1
-    u = math.sqrt(max(s * s - p.alpha + p.beta, 0.0)) - angular_k(p) - 1 if s >= 0.5 else -1.0
-    estimate = math.sqrt(u * u - p.beta) if u > 0 and u * u > p.beta else 0.0
-    m = max(m_low, math.floor(min(estimate, _M_SCAN_LIMIT)))
-    while m > m_low and _sector_energy_bound(p, m - 1) > e_max:
-        m -= 1
-    while m < _M_SCAN_LIMIT and _sector_energy_bound(p, m) <= e_max:
-        m += 1
-    if m >= _M_SCAN_LIMIT:
+    lo, hi = -1, _M_SCAN_LIMIT - 1
+    if energy_floor(p, hi) <= e_max:
         raise CliError(f"the |m| cutoff for emax={e_max} is {_M_SCAN_LIMIT} or more; pass --m to set it")
-    return max(0, m - 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if not energy_floor(p, mid) <= e_max:
+            hi = mid
+        else:
+            lo = mid
+    return max(0, hi - 1)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

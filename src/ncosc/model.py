@@ -27,6 +27,7 @@ modeled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,12 @@ __all__ = [
     "potential_cartesian",
     "angular_lambda",
     "angular_k",
+    "admissible_ell",
     "effective_ell",
+    "admissible_sectors",
+    "energy_floor",
+    "ladder_energy",
+    "radial_log_norm",
     "angular_mode",
     "radial_mode",
 ]
@@ -177,44 +183,113 @@ def angular_k(p: PotentialParams) -> float:
     return math.sqrt(p.gamma + 0.25)
 
 
+def _sector(p: PotentialParams, n_theta: int, m: int) -> tuple[float, float, float, float]:
+    """(lam, k, base, radicand) of the (n_theta, m) sector.
+
+    base = k + lam + 2 n_theta + 1 fixes the angular eigenvalue and
+    radicand = base^2 + alpha - beta fixes ell_tilde = sqrt(radicand) - 1/2.
+    Raises ValueError for n_theta < 0 or a non-bound angular sector.
+    """
+    if n_theta < 0:
+        raise ValueError(f"n_theta must be >= 0, got {n_theta}")
+    lam, k = angular_lambda(p, m), angular_k(p)
+    base = k + lam + 2 * n_theta + 1
+    return lam, k, base, base * base + (p.alpha - p.beta)
+
+
+def admissible_ell(p: PotentialParams, n_theta: int, m: int) -> float | None:
+    """ell_tilde of the (n_theta, m) sector, or None when it holds no bound state.
+
+    The one admissibility test of the package: the angular sector must be
+    bound (beta + m^2 >= 0) and the radicand must reach 1/4, which rules out
+    both the fall-to-center regime and ell_tilde < 0.
+    """
+    if p.beta + m * m < 0:
+        return None
+    radicand = _sector(p, n_theta, m)[3]
+    return math.sqrt(radicand) - 0.5 if radicand >= 0.25 else None
+
+
 def effective_ell(p: PotentialParams, n_theta: int, m: int) -> float:
     """Effective orbital quantum number ell_tilde of the reduced radial problem.
 
     Raises:
-        ValueError: negative radicand (fall-to-center regime) or
+        ValueError: with the reason admissible_ell rejects the sector:
+            beta + m^2 < 0, negative radicand (fall-to-center regime) or
             ell_tilde < 0 (state not normalizable at the origin).
     """
-    if n_theta < 0:
-        raise ValueError(f"n_theta must be >= 0, got {n_theta}")
-    base = angular_k(p) + angular_lambda(p, m) + 2 * n_theta + 1
-    radicand = base * base + (p.alpha - p.beta)
+    ell = admissible_ell(p, n_theta, m)
+    if ell is not None:
+        return ell
+    radicand = _sector(p, n_theta, m)[3]
     if radicand < 0:
         raise ValueError(
             f"(k+lambda+2*n_theta+1)^2 + alpha - beta = {radicand} < 0: fall-to-center regime, no bound state"
         )
-    ell = math.sqrt(radicand) - 0.5
-    if ell < 0:
-        raise ValueError(
-            f"ell_tilde = {ell} < 0: state not normalizable at the origin (inadmissible sector)"
-        )
-    return ell
+    raise ValueError(
+        f"ell_tilde = {math.sqrt(radicand) - 0.5} < 0: state not normalizable at the origin (inadmissible sector)"
+    )
+
+
+def admissible_sectors(p: PotentialParams, m: int):
+    """Yield (n_theta, ell_tilde) of every sector (n_theta, m) that holds bound
+    states, by increasing n_theta and without end; nothing if beta + m^2 < 0.
+
+    Strongly attractive couplings (alpha - beta << 0) make thousands of low
+    n_theta inadmissible; the scan starts at a lower bound, exact up to
+    rounding, on the first n_theta whose radicand reaches 1/4, and so skips
+    them in O(1).
+    """
+    if p.beta + m * m < 0:
+        return
+    need = 0.25 - (p.alpha - p.beta)
+    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - _sector(p, 0, m)[2]) / 2) - 1)
+    for n_theta in itertools.count(start):
+        ell = admissible_ell(p, n_theta, m)
+        if ell is not None:
+            yield n_theta, ell
+
+
+def energy_floor(p: PotentialParams, m: int) -> float:
+    """A lower bound on every energy with azimuthal number m that never
+    decreases with |m|.
+
+    It is the floor of the (0, m) sector, with ell_tilde taken as 0 where
+    that sector is inadmissible, and -inf where beta + m^2 < 0 leaves no
+    state at this m.
+    """
+    if p.beta + m * m < 0:
+        return -math.inf
+    ell = admissible_ell(p, 0, m)
+    return ladder_energy(p, 0, 0.0 if ell is None else ell)
+
+
+def ladder_energy(p: PotentialParams, n, ell: float):
+    """E = (2n + ell_tilde + 3/2) hbar omega - v0, for an integer n or an ndarray of them."""
+    return (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
+
+
+def radial_log_norm(p: PotentialParams, n, ell: float):
+    """ln of the radial norm sqrt(2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2)),
+    for an integer n or an ndarray of them."""
+    lead = math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar)
+    if isinstance(n, np.ndarray):
+        return 0.5 * (lead + np.array([log_gamma(k + 1.0) - log_gamma(k + ell + 1.5) for k in n]))
+    return 0.5 * (lead + (log_gamma(n + 1.0) - log_gamma(n + ell + 1.5)))
 
 
 def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
     """Build the angular sector data for (n_theta, m).
 
-    The norm squares to 2(2n_theta+k+lam+1) n_theta! Gamma(n_theta+k+lam+1)
+    eps = (hbar^2/2mu) base^2 with base = k + lam + 2 n_theta + 1. The norm
+    squares to 2 base n_theta! Gamma(n_theta+k+lam+1)
     / [Gamma(n_theta+k+1) Gamma(n_theta+lam+1)], evaluated through log-gamma
     differences so large degrees stay in range.
     """
-    if n_theta < 0:
-        raise ValueError(f"n_theta must be >= 0, got {n_theta}")
-    lam = angular_lambda(p, m)
-    k = angular_k(p)
-    s = 2 * n_theta + k + lam + 1
-    eps = (p.hbar**2 / (2 * p.mu)) * s * s
+    lam, k, base, _ = _sector(p, n_theta, m)
+    eps = (p.hbar**2 / (2 * p.mu)) * base * base
     log_norm_sq = (
-        math.log(2 * s)
+        math.log(2 * base)
         + log_gamma(n_theta + 1.0)
         + log_gamma(n_theta + k + lam + 1)
         - log_gamma(n_theta + k + 1)
@@ -224,15 +299,9 @@ def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
 
 
 def radial_mode(p: PotentialParams, n: int, n_theta: int, m: int) -> RadialMode:
-    """Build the radial data for state (n, n_theta, m).
-
-    energy = (2n + ell_tilde + 3/2) hbar omega - v0; the norm squares to
-    2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2).
-    """
+    """Build the radial data for state (n, n_theta, m): ell_tilde, its
+    ladder_energy and the norm exp(radial_log_norm)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     ell = effective_ell(p, n_theta, m)
-    energy = (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
-    scale = p.mu * p.omega / p.hbar
-    log_norm_sq = math.log(2.0) + 1.5 * math.log(scale) + log_gamma(n + 1.0) - log_gamma(n + ell + 1.5)
-    return RadialMode(ell_tilde=ell, energy=energy, norm=math.exp(0.5 * log_norm_sq))
+    return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell), norm=math.exp(radial_log_norm(p, n, ell)))

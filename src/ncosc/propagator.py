@@ -24,9 +24,19 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ive
 
-from .model import PotentialParams, angular_mode, effective_ell
-from .specfun import bessel_i, laguerre_all, log_gamma
+from .model import (
+    PotentialParams,
+    admissible_ell,
+    angular_mode,
+    effective_ell,
+    ladder_energy,
+    radial_log_norm,
+)
+from .specfun import bessel_i, laguerre_all, log_bessel_i, log_gamma
 from .spectrum import angular_wavefunction, radial_profiles
+
+# math.exp overflows past this
+_LOG_MAX = math.log(np.finfo(float).max)
 
 __all__ = [
     "PropagatorQuery",
@@ -41,6 +51,7 @@ __all__ = [
     "quartic_moment_check",
     "lattice_radial_kernel",
     "lattice_kernel_grid",
+    "gauss_panels",
 ]
 
 
@@ -93,32 +104,53 @@ class LatticeSpec:
 
 
 class SpectralKernel(NamedTuple):
-    """Truncated spectral sum plus a geometric bound on the dropped tail."""
+    """Truncated spectral sum plus a rigorous bound on the dropped tail,
+    from Szego's envelope of the Laguerre functions."""
 
     value: float
     tail_bound: float
 
 
 def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
-    """Closed-form Euclidean radial kernel for the (n_theta, m) sector."""
+    """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
+
+    Assembled as ln K from ln I_{ell+1/2}, the log-Gaussian and the
+    prefactors, then exponentiated once, so a kernel that fits in a float
+    is returned even where I_{ell+1/2} alone would overflow (short times).
+    """
     if ra <= 0 or rb <= 0:
         raise ValueError("radial_kernel_closed requires ra > 0 and rb > 0")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     ell = effective_ell(p, n_theta, m)
     wt = p.omega * tau
-    sh = math.sinh(wt)
-    coth = math.cosh(wt) / sh
     scale = p.mu * p.omega / p.hbar
-    try:
-        bess = bessel_i(ell + 0.5, scale * ra * rb / sh)
-        gauss = math.exp(p.v0 * tau / p.hbar - 0.5 * scale * (ra * ra + rb * rb) * coth)
-    except OverflowError as exc:
+    if wt < 700:
+        sh = math.sinh(wt)
+        coth = math.cosh(wt) / sh
+        log_k = (
+            math.log(scale / sh)
+            + log_bessel_i(ell + 0.5, scale * ra * rb / sh)
+            - 0.5 * scale * (ra * ra + rb * rb) * coth
+        )
+    else:
+        # sinh overflows near wt = 710; here sinh = cosh = e^wt / 2 to the
+        # last bit, and I_nu(z) at z = 2 scale ra rb e^-wt is its leading
+        # power (z/2)^nu / Gamma(nu + 1)
+        log_k = (
+            math.log(2 * scale)
+            - wt
+            + (ell + 0.5) * (math.log(scale * ra * rb) - wt)
+            - log_gamma(ell + 1.5)
+            - 0.5 * scale * (ra * ra + rb * rb)
+        )
+    log_k += p.v0 * tau / p.hbar - 0.5 * math.log(ra * rb)
+    if log_k > _LOG_MAX:
         raise OverflowError(
-            f"radial_kernel_closed overflows at tau={tau} with endpoints ({ra}, {rb}); "
-            "the short-time kernel is too sharply peaked for floating point"
-        ) from exc
-    return (scale / sh) * bess * gauss / math.sqrt(ra * rb)
+            f"radial_kernel_closed at tau={tau} with endpoints ({ra}, {rb}) is e^{log_k:.6g}, "
+            "beyond the float range"
+        )
+    return math.exp(log_k)
 
 
 def radial_kernel_spectral(
@@ -126,9 +158,15 @@ def radial_kernel_spectral(
 ) -> SpectralKernel:
     """Spectral sum sum_{n=0}^{n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb).
 
-    The reported tail bound majorizes the dropped n > n_cut terms by a
-    geometric series with ratio taken from the last observed term ratios
-    (never below the exact asymptotic ratio e^{-2 omega tau}).
+    The reported tail bound majorizes the dropped n > n_cut terms. Szego's
+    inequality |e^{-x/2} L_n^a(x)| <= C_n = Gamma(n+a+1) / (n! Gamma(a+1)),
+    a = ell + 1/2 >= 1/2, bounds the n-th term by
+    u_n = e^{-E_n tau/hbar} N_n^2 (q_a q_b)^ell C_n^2 (N_n the radial norm,
+    q = sqrt(mu omega/hbar) r). The ratio u_{n+1}/u_n = y (n+a+1)/(n+1),
+    y = e^{-2 omega tau}, falls with n, so once it is below 1 at n_cut + 1
+    the tail is at most u_{n_cut+1}/(1 - ratio); otherwise it is at most the
+    whole envelope series u_0 (1 - y)^-(a+1). The bound is computed in log
+    space and rounded up to the smallest subnormal when it underflows.
     """
     if ra <= 0 or rb <= 0:
         raise ValueError("radial_kernel_spectral requires ra > 0 and rb > 0")
@@ -137,23 +175,24 @@ def radial_kernel_spectral(
     if n_cut < 1:
         raise ValueError(f"n_cut must be >= 1, got {n_cut}")
     ell = effective_ell(p, n_theta, m)
-    pa = radial_profiles(p, ell, n_cut, ra)[:, 0]
-    pb = radial_profiles(p, ell, n_cut, rb)[:, 0]
-    ns = np.arange(n_cut + 1)
-    energies = (2 * ns + ell + 1.5) * p.hbar * p.omega - p.v0
-    terms = np.exp(-energies * tau / p.hbar) * pa * pb
-    value = float(np.sum(terms))
-    # ratio of consecutive term magnitudes over the last few terms; the
-    # polynomial growth of the Laguerre factors makes the observed ratio
-    # sit slightly above the level-spacing ratio e^{-2 omega tau}
-    floor_ratio = math.exp(-2 * p.omega * tau)
-    mags = np.abs(terms[-6:])
-    ratios = [mags[i + 1] / mags[i] for i in range(len(mags) - 1) if mags[i] > 0]
-    ratio = max([floor_ratio] + ratios)
-    if ratio >= 1:
-        tail = math.inf
+    prof = radial_profiles(p, ell, n_cut, [ra, rb])
+    energies = ladder_energy(p, np.arange(n_cut + 1), ell)
+    value = float(np.sum(np.exp(-energies * tau / p.hbar) * prof[:, 0] * prof[:, 1]))
+
+    a = ell + 0.5
+    y = math.exp(-2 * p.omega * tau)
+    log_qq = math.log(p.mu * p.omega / p.hbar * ra * rb)
+
+    def log_envelope(n: int) -> float:
+        log_c = log_gamma(n + a + 1) - log_gamma(n + 1.0) - log_gamma(a + 1)
+        return -ladder_energy(p, n, ell) * tau / p.hbar + 2 * radial_log_norm(p, n, ell) + ell * log_qq + 2 * log_c
+
+    ratio = y * (n_cut + a + 2) / (n_cut + 2)
+    if ratio < 1:
+        log_tail = log_envelope(n_cut + 1) - math.log1p(-ratio)
     else:
-        tail = abs(terms[-1]) * ratio / (1 - ratio)
+        log_tail = log_envelope(0) - (a + 1) * math.log1p(-y)
+    tail = math.inf if log_tail > _LOG_MAX else max(math.exp(log_tail), math.ulp(0.0))
     return SpectralKernel(value=value, tail_bound=tail)
 
 
@@ -178,13 +217,6 @@ def angular_kernel_spectral(
     return total
 
 
-def _sector_admissible(p: PotentialParams, n_theta: int, m: int) -> bool:
-    if p.beta + m * m < 0:
-        return False
-    base = math.sqrt(p.gamma + 0.25) + math.sqrt(p.beta + m * m) + 2 * n_theta + 1
-    return base * base + (p.alpha - p.beta) >= 0.25
-
-
 def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     """Truncated spectral decomposition of the full Euclidean kernel.
 
@@ -196,7 +228,7 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     for m in range(-q.m_cut, q.m_cut + 1):
         phase = complex(math.cos(m * dphi), math.sin(m * dphi)) / (2 * math.pi)
         for n_theta in range(q.ntheta_cut + 1):
-            if not _sector_admissible(p, n_theta, m):
+            if admissible_ell(p, n_theta, m) is None:
                 continue
             mode = angular_mode(p, n_theta, m)
             ang = angular_wavefunction(mode, q.theta_a) * angular_wavefunction(mode, q.theta_b)
@@ -229,23 +261,21 @@ def integrated_diagonal_kernel(
         # outermost state sets the turning point; pad well past it
         ell_hi = effective_ell(p, ntheta_cut, m_cut)
         r_hi = math.sqrt(p.hbar / (p.mu * p.omega)) * (math.sqrt(4 * n_cut + 2 * ell_hi + 3) + 6.0)
-    xr, wr = _panel_gauss(0.0, r_hi, n_panels=8, n_nodes=max(16, n_r // 8))
-    xt, wth = _panel_gauss(0.0, math.pi / 2, n_panels=4, n_nodes=max(16, n_ang // 4))
+    xr, wr = gauss_panels(0.0, r_hi, n_panels=8, n_nodes=max(16, n_r // 8))
+    xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=max(16, n_ang // 4))
     wr_meas = wr * xr * xr
     wt_meas = wth * np.sin(xt)
     total = 0.0
     for m in range(0, m_cut + 1):
         mult = 1.0 if m == 0 else 2.0
         for n_theta in range(ntheta_cut + 1):
-            if not _sector_admissible(p, n_theta, m):
+            ell = admissible_ell(p, n_theta, m)
+            if ell is None:
                 continue
             mode = angular_mode(p, n_theta, m)
             ang_sq = float(np.sum(wt_meas * angular_wavefunction(mode, xt) ** 2))
-            ell = effective_ell(p, n_theta, m)
-            prof = radial_profiles(p, ell, n_cut, xr)
-            rad_sq = prof**2 @ wr_meas
-            ns = np.arange(n_cut + 1)
-            energies = (2 * ns + ell + 1.5) * p.hbar * p.omega - p.v0
+            rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
+            energies = ladder_energy(p, np.arange(n_cut + 1), ell)
             total += mult * ang_sq * float(np.exp(-energies * tau / p.hbar) @ rad_sq)
     return total
 
@@ -275,7 +305,8 @@ def hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float, n_ter
     lx = laguerre_all(n_terms, a, x_val)[:, 0]
     ly = laguerre_all(n_terms, a, y_val)[:, 0]
     ns = np.arange(n_terms + 1)
-    log_coeff = np.array([log_gamma(n + 1.0) - log_gamma(n + ell + 1.5) for n in ns])
+    # n! / Gamma(n+ell+3/2) is half the squared radial norm at unit scale
+    log_coeff = 2 * radial_log_norm(PotentialParams(), ns, ell) - math.log(2.0)
     weights = np.exp(
         (2 * ns + ell + 1.5) * math.log(s) + log_coeff - 0.5 * (x_val + y_val) + 0.5 * a * math.log(x_val * y_val)
     )
@@ -412,7 +443,7 @@ def lattice_radial_kernel(
     return flat / (ra * rb)
 
 
-def _panel_gauss(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
     base_x, base_w = np.polynomial.legendre.leggauss(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1)

@@ -10,7 +10,6 @@ which is one of the invariants the test-suite pins down.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,10 +20,11 @@ from .model import (
     PotentialParams,
     QuantumNumbers,
     RadialMode,
-    angular_k,
-    angular_lambda,
+    admissible_sectors,
     angular_mode,
     effective_ell,
+    ladder_energy,
+    radial_log_norm,
     radial_mode,
 )
 from .specfun import jacobi, laguerre, laguerre_all, log_gamma
@@ -32,7 +32,6 @@ from .specfun import jacobi, laguerre, laguerre_all, log_gamma
 __all__ = [
     "EigenState",
     "energy",
-    "angular_energy",
     "angular_wavefunction",
     "radial_wavefunction",
     "full_wavefunction",
@@ -57,16 +56,7 @@ class EigenState:
 
 def energy(p: PotentialParams, qn: QuantumNumbers) -> float:
     """E = (2n + ell_tilde + 3/2) hbar omega - v0."""
-    ell = effective_ell(p, qn.n_theta, qn.m)
-    return (2 * qn.n + ell + 1.5) * p.hbar * p.omega - p.v0
-
-
-def angular_energy(p: PotentialParams, n_theta: int, m: int) -> float:
-    """Angular eigenvalue eps(n_theta) = (hbar^2/2mu)(2 n_theta + k + lambda + 1)^2."""
-    if n_theta < 0:
-        raise ValueError(f"n_theta must be >= 0, got {n_theta}")
-    s = 2 * n_theta + angular_k(p) + angular_lambda(p, m) + 1
-    return (p.hbar**2 / (2 * p.mu)) * s * s
+    return ladder_energy(p, qn.n, effective_ell(p, qn.n_theta, qn.m))
 
 
 def angular_wavefunction(mode: AngularMode, theta):
@@ -136,29 +126,6 @@ def eigenstate(p: PotentialParams, n: int, n_theta: int, m: int) -> EigenState:
     return EigenState(qn=qn, angular=ang, radial=rad, total_norm=math.exp(0.5 * log_total_sq))
 
 
-def _sector_floor(p: PotentialParams, n_theta: int, m: int) -> float | None:
-    """Ground energy of the (n_theta, m) sector, or None if inadmissible."""
-    base = angular_k(p) + angular_lambda(p, m) + 2 * n_theta + 1
-    radicand = base * base + (p.alpha - p.beta)
-    if radicand < 0.25:  # covers both collapse and ell_tilde < 0
-        return None
-    return (math.sqrt(radicand) + 1.0) * p.hbar * p.omega - p.v0
-
-
-def _first_admissible_ntheta(p: PotentialParams, m: int) -> int:
-    """A lower bound, exact up to rounding, on the first n_theta whose
-    radicand (k + lambda + 2 n_theta + 1)^2 + alpha - beta reaches 1/4.
-
-    Strongly attractive couplings (alpha - beta << 0) make thousands of
-    low n_theta inadmissible; starting here skips them in O(1).
-    """
-    need = 0.25 - (p.alpha - p.beta)
-    if need <= 0:
-        return 0
-    base = angular_k(p) + angular_lambda(p, m) + 1
-    return max(0, math.floor((math.sqrt(need) - base) / 2) - 1)
-
-
 def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[EigenState]:
     """All admissible states with |m| <= m_max and energy <= e_max.
 
@@ -174,19 +141,13 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
         raise ValueError(f"e_max must be finite, got {e_max}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    hw = p.hbar * p.omega
     states: list[EigenState] = []
     for m in range(0, m_max + 1):
-        if p.beta + m * m < 0:
-            continue
-        for n_theta in itertools.count(_first_admissible_ntheta(p, m)):
-            floor = _sector_floor(p, n_theta, m)
-            if floor is None:
-                continue
-            if floor > e_max:
+        for n_theta, ell in admissible_sectors(p, m):
+            if ladder_energy(p, 0, ell) > e_max:
                 break
             n = 0
-            while floor + 2 * n * hw <= e_max:
+            while ladder_energy(p, n, ell) <= e_max:
                 for mm in {m, -m}:
                     states.append(eigenstate(p, n, n_theta, mm))
                 n += 1
@@ -204,11 +165,5 @@ def radial_profiles(p: PotentialParams, ell: float, n_max: int, r) -> np.ndarray
     scale = p.mu * p.omega / p.hbar
     x = scale * ra * ra
     lag = laguerre_all(n_max, ell + 0.5, x)
-    ns = np.arange(n_max + 1)
-    log_norm = 0.5 * (
-        math.log(2.0)
-        + 1.5 * math.log(scale)
-        + np.array([log_gamma(n + 1.0) - log_gamma(n + ell + 1.5) for n in ns])
-    )
-    profile = np.exp(-0.5 * x) * np.sqrt(scale * ra * ra) ** ell
-    return np.exp(log_norm)[:, None] * profile[None, :] * lag
+    profile = np.exp(-0.5 * x) * np.sqrt(x) ** ell
+    return np.exp(radial_log_norm(p, np.arange(n_max + 1), ell))[:, None] * profile[None, :] * lag

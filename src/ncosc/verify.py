@@ -22,7 +22,15 @@ import scipy.special
 
 from . import oracle, propagator, spectrum
 from . import specfun as sf
-from .model import PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_mode
+from .model import (
+    PotentialParams,
+    QuantumNumbers,
+    admissible_ell,
+    angular_mode,
+    effective_ell,
+    ladder_energy,
+    radial_mode,
+)
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_check"]
 
@@ -197,14 +205,6 @@ def check_degenerate_limit(tol_scale: float = 1.0) -> CheckResult:
                    "coupling-free ladder 2n + 2n_theta + |m| + 5/2, n,ntheta,|m| <= 10")
 
 
-def _gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    bx, bw = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    xs = [0.5 * (a + b) + 0.5 * (b - a) * bx for a, b in zip(edges[:-1], edges[1:])]
-    ws = [0.5 * (b - a) * bw for a, b in zip(edges[:-1], edges[1:])]
-    return np.concatenate(xs), np.concatenate(ws)
-
-
 @_check("spectrum", "gram-identity")
 def check_gram_identity(tol_scale: float = 1.0) -> CheckResult:
     # Gram matrix of the 8 lowest states under the r^2 sin(theta) measure;
@@ -213,8 +213,8 @@ def check_gram_identity(tol_scale: float = 1.0) -> CheckResult:
     t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     states = spectrum.enumerate_states(p, e_max=7.0, m_max=6)[:8]
-    r, wr = _gauss_panels(0.0, 12.0, 6, 48)
-    th, wt = _gauss_panels(0.0, math.pi / 2, 4, 48)
+    r, wr = propagator.gauss_panels(0.0, 12.0, 6, 48)
+    th, wt = propagator.gauss_panels(0.0, math.pi / 2, 4, 48)
     rad = np.array([spectrum.radial_wavefunction(p, s.radial, s.qn.n, r) for s in states])
     ang = np.array([spectrum.angular_wavefunction(s.angular, th) for s in states])
     phi = 2 * math.pi * np.arange(64) / 64
@@ -295,8 +295,8 @@ def check_norm_round_trip(tol_scale: float = 1.0) -> CheckResult:
     # the assembled wavefunction including the azimuthal 1/sqrt(2 pi)
     t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    r, wr = _gauss_panels(1e-9, 12.0, 6, 24)
-    th, wt = _gauss_panels(1e-9, math.pi / 2 - 1e-9, 4, 24)
+    r, wr = propagator.gauss_panels(1e-9, 12.0, 6, 24)
+    th, wt = propagator.gauss_panels(1e-9, math.pi / 2 - 1e-9, 4, 24)
     phi = 2 * math.pi * np.arange(16) / 16
     worst = 0.0
     for qn in (QuantumNumbers(0, 0, 0), QuantumNumbers(2, 1, 1), QuantumNumbers(1, 2, -2)):
@@ -494,12 +494,11 @@ def check_trace_consistency(tol_scale: float = 1.0) -> CheckResult:
     excess = 0.0
     for m in range(-m_cut, m_cut + 1):
         for ntheta in range(ntheta_cut + 1):
-            try:
-                ell = effective_ell(p, ntheta, m)
-            except ValueError:
+            ell = admissible_ell(p, ntheta, m)
+            if ell is None:
                 continue
             for n in range(n_cut + 1):
-                e = (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
+                e = ladder_energy(p, n, ell)
                 if e > e_max:
                     excess += math.exp(-e * tau / p.hbar)
     bound = excess + 1e-9
@@ -511,7 +510,7 @@ def check_trace_consistency(tol_scale: float = 1.0) -> CheckResult:
 def check_semigroup(tol_scale: float = 1.0) -> CheckResult:
     t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    xq, wq = _gauss_panels(0.0, 12.0, 6, 48)
+    xq, wq = propagator.gauss_panels(0.0, 12.0, 6, 48)
     k1 = np.array([propagator.radial_kernel_spectral(p, 0, 0, 0.8, float(x), 0.7, 60).value for x in xq])
     k2 = np.array([propagator.radial_kernel_spectral(p, 0, 0, float(x), 1.3, 0.9, 60).value for x in xq])
     lhs = propagator.radial_kernel_spectral(p, 0, 0, 0.8, 1.3, 1.6, 60).value
@@ -578,7 +577,7 @@ def check_angular_filtering(tol_scale: float = 1.0) -> CheckResult:
     # that mode scaled by its Boltzmann factor
     t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    th, wt = _gauss_panels(0.0, math.pi / 2, 4, 48)
+    th, wt = propagator.gauss_panels(0.0, math.pi / 2, 4, 48)
     mode = angular_mode(p, 0, 1)
     s_tau = 0.8
     kern = np.array([propagator.angular_kernel_spectral(p, 1, float(t), 0.6, s_tau, 12) for t in th])
@@ -593,15 +592,16 @@ def check_tail_bound_honesty(tol_scale: float = 1.0) -> CheckResult:
     # the reported truncation bound must majorize the actual dropped tail
     t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
+    cases = list(itertools.product(((1.1, 1.1), (0.6, 2.3)), (0.5, 1.0, 2.0), (10, 20)))
+    cases.append(((2.517, 2.061), 0.1, 40))  # drops a 9.9e-6 tail
     worst = 0.0
-    for tau in (0.5, 1.0, 2.0):
-        for n_cut in (10, 20):
-            short = propagator.radial_kernel_spectral(p, 0, 0, 1.1, 1.1, tau, n_cut)
-            long = propagator.radial_kernel_spectral(p, 0, 0, 1.1, 1.1, tau, 4 * n_cut)
-            dropped = abs(long.value - short.value)
-            worst = max(worst, dropped / short.tail_bound)
+    for (ra, rb), tau, n_cut in cases:
+        short = propagator.radial_kernel_spectral(p, 0, 0, ra, rb, tau, n_cut)
+        long = propagator.radial_kernel_spectral(p, 0, 0, ra, rb, tau, 4 * n_cut)
+        dropped = abs(long.value - short.value)
+        worst = max(worst, dropped / short.tail_bound)
     return _result("propagator", "tail-bound-honesty", worst, 1.0 * tol_scale, t0,
-                   "dropped spectral tail over reported bound, diagonal endpoints")
+                   "dropped spectral tail over reported bound, diagonal and off-diagonal endpoints")
 
 
 @_check("propagator", "lattice-short-time")

@@ -19,8 +19,8 @@ import pytest
 
 import ncosc
 from ncosc import cli
-from ncosc.model import PotentialParams, QuantumNumbers
-from ncosc.spectrum import _sector_floor, energy, enumerate_states
+from ncosc.model import PotentialParams, QuantumNumbers, admissible_ell
+from ncosc.spectrum import energy, enumerate_states
 
 try:
     import tomllib
@@ -143,7 +143,7 @@ def test_derived_m_cap_matches_scan_where_floor_is_monotone():
     for p, e_max in COUPLING_GRID:
         m_scan, _ = _scan_m_max(p, e_max)
         m_low = math.ceil(math.sqrt(max(-p.beta, 0.0)))
-        if any(_sector_floor(p, 0, m) is None for m in range(m_low, m_scan + 2)):
+        if any(admissible_ell(p, 0, m) is None for m in range(m_low, m_scan + 2)):
             continue
         assert cli._derive_m_max(p, e_max) == m_scan, (p, e_max)
         compared += 1
@@ -188,6 +188,26 @@ def test_spectrum_cutoff_past_scan_limit_asks_for_m(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--emax", "1e6", "--no-timestamp")
     assert code == 2
     assert "pass --m" in err
+
+
+# `ncosc spectrum <args> --no-timestamp [--format json]` as printed before
+# the sector maps were gathered into model.py; the tables depend only on
+# admissibility and energies
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_ARGS = {
+    "default": [],
+    "coupled": ["--alpha", "1", "--beta", "0.5", "--gamma", "2", "--emax", "12"],
+    "inadmissible": ["--alpha=-2", "--beta=-0.5", "--gamma=-0.2", "--emax", "6"],
+    "attractive": ["--alpha=-1e4", "--emax", "15"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+def test_spectrum_matches_golden_table(capsys, name, fmt):
+    code, out, _ = run_cli(capsys, "spectrum", *GOLDEN_ARGS[name], "--format", fmt, "--no-timestamp")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"spectrum_{name}.{fmt}").read_bytes()
 
 
 def test_spectrum_rejects_fall_to_center(capsys):

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncosc
 from ncosc.model import PotentialParams, effective_ell
@@ -48,10 +50,16 @@ def test_closed_kernel_symmetric_and_positive():
 
 
 def test_spectral_tail_bound_majorizes_dropped_tail():
-    for n_cut in (10, 20):
-        short = radial_kernel_spectral(COUPLED, 0, 0, 1.1, 1.1, 1.0, n_cut)
-        long = radial_kernel_spectral(COUPLED, 0, 0, 1.1, 1.1, 1.0, 4 * n_cut)
-        assert abs(long.value - short.value) <= short.tail_bound
+    # diagonal and off-diagonal endpoints; the last case drops a 9.9e-6 tail
+    cases = [(1.1, 1.1, 1.0, 10), (1.1, 1.1, 1.0, 20), (0.6, 2.3, 1.0, 10), (0.6, 2.3, 1.0, 20),
+             (2.517, 2.061, 0.1, 40)]
+    for ra, rb, tau, n_cut in cases:
+        short = radial_kernel_spectral(COUPLED, 0, 0, ra, rb, tau, n_cut)
+        long = radial_kernel_spectral(COUPLED, 0, 0, ra, rb, tau, 4 * n_cut)
+        assert abs(long.value - short.value) <= short.tail_bound, (ra, rb, tau, n_cut)
+    # finite on a converged sum, positive where the terms underflow
+    assert radial_kernel_spectral(COUPLED, 0, 0, 1.1, 1.1, 1.0, 60).tail_bound < 1e-40
+    assert radial_kernel_spectral(COUPLED, 0, 0, 1.1, 1.1, 40.0, 60).tail_bound > 0
 
 
 def test_spectral_diagonal_sums_increase_with_cutoff():
@@ -70,9 +78,76 @@ def test_kernel_argument_validation():
         angular_kernel_spectral(COUPLED, 0, 0.0, 0.5, 1.0, 4)
 
 
-def test_closed_kernel_overflow_reports_short_time():
-    with pytest.raises(OverflowError, match="too sharply peaked"):
-        radial_kernel_closed(PotentialParams(), 0, 0, 3.0, 3.0, 1e-9)
+def test_closed_kernel_short_time_is_finite():
+    # I_{3/2} alone overflows here, the kernel itself is the free heat kernel
+    p = PotentialParams()
+    val = radial_kernel_closed(p, 0, 0, 3.0, 3.0, 1e-9)
+    free = math.sqrt(p.mu / (2 * math.pi * p.hbar * 1e-9)) / (3.0 * 3.0)
+    assert val == pytest.approx(free, rel=1e-5)
+
+
+def test_closed_kernel_overflows_only_beyond_float_range():
+    # ln K is about 9997: the value itself does not fit
+    with pytest.raises(OverflowError, match="beyond the float range"):
+        radial_kernel_closed(PotentialParams(v0=1e4), 0, 0, 1.0, 1.0, 1.0)
+
+
+def test_closed_kernel_past_sinh_range():
+    # sinh(omega tau) overflows past tau ~ 710; the kernel grows like
+    # e^{-E_0 tau/hbar}, E_0 = -1/2 here, and still fits
+    p = PotentialParams(v0=3.0)
+    for tau in (650.0, 800.0):
+        spectral = radial_kernel_spectral(p, 0, 0, 1.2, 0.7, tau, 5).value
+        assert radial_kernel_closed(p, 0, 0, 1.2, 0.7, tau) == pytest.approx(spectral, rel=1e-11)
+    assert radial_kernel_closed(PotentialParams(), 0, 0, 1.2, 0.7, 800.0) == 0.0
+
+
+def _log_closed_kernel_mp(p, ell, ra, rb, tau):
+    mpmath.mp.dps = 30
+    wt = mpmath.mpf(p.omega * tau)
+    scale = mpmath.mpf(p.mu * p.omega / p.hbar)
+    sh = mpmath.sinh(wt)
+    return (mpmath.log(scale / sh) + mpmath.log(mpmath.besseli(ell + 0.5, scale * ra * rb / sh))
+            + p.v0 * tau / p.hbar - scale * (ra * ra + rb * rb) * mpmath.cosh(wt) / (2 * sh)
+            - mpmath.log(ra * rb) / 2)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@given(
+    alpha=st.floats(-3.0, 5.0), beta=st.floats(-2.0, 3.0), gamma=st.floats(-0.25, 4.0, exclude_min=True),
+    v0=st.floats(-2.0, 2.0), n_theta=st.integers(0, 5), m=st.integers(-5, 5),
+    tau=_log_uniform(1e-4, 50.0), ra=_log_uniform(1e-3, 6.0), rb=_log_uniform(1e-3, 6.0),
+    n_cut=st.integers(1, 120),
+)
+@settings(max_examples=300, deadline=None)
+def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_theta, m, tau, ra, rb, n_cut):
+    p = PotentialParams(v0=v0, alpha=alpha, beta=beta, gamma=gamma)
+    # the sector holds bound states iff beta + m^2 >= 0 and ell_tilde >= 0
+    bound = beta + m * m >= 0
+    radicand = (math.sqrt(gamma + 0.25) + math.sqrt(beta + m * m) + 2 * n_theta + 1) ** 2 + alpha - beta if bound else -1.0
+    if radicand < 0.25:
+        with pytest.raises(ValueError):
+            radial_kernel_closed(p, n_theta, m, ra, rb, tau)
+        with pytest.raises(ValueError):
+            radial_kernel_spectral(p, n_theta, m, ra, rb, tau, n_cut)
+        return
+    ell = math.sqrt(radicand) - 0.5
+    try:
+        closed = radial_kernel_closed(p, n_theta, m, ra, rb, tau)
+    except OverflowError:
+        assert _log_closed_kernel_mp(p, ell, ra, rb, tau) > math.log(sys.float_info.max)
+        return
+    spectral = radial_kernel_spectral(p, n_theta, m, ra, rb, tau, n_cut)
+    assert math.isfinite(closed) and math.isfinite(spectral.value)
+    assert spectral.tail_bound > 0
+    # rounding of the partial sum is bounded via Cauchy-Schwarz by the diagonal sums
+    s_aa = radial_kernel_spectral(p, n_theta, m, ra, ra, tau, n_cut).value
+    s_bb = radial_kernel_spectral(p, n_theta, m, rb, rb, tau, n_cut).value
+    allowance = spectral.tail_bound + 1e-10 * abs(closed) + 1e-12 * (s_aa + s_bb)
+    assert abs(closed - spectral.value) <= allowance
 
 
 def test_hille_hardy_residual_small_on_seeded_draws():

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from ncosc import oracle
 from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, radial_mode
 from ncosc.spectrum import (
-    angular_energy,
     angular_wavefunction,
     eigenstate,
     energy,
@@ -62,7 +61,7 @@ def test_degenerate_ladder_is_exact():
 
 def test_angular_energy_by_hand():
     s = 2 * 3 + 1.5 + math.sqrt(0.5 + 4.0) + 1.0
-    assert angular_energy(COUPLED, 3, 2) == pytest.approx(0.5 * s * s, rel=1e-15)
+    assert angular_mode(COUPLED, 3, 2).eps == pytest.approx(0.5 * s * s, rel=1e-15)
 
 
 def test_radial_wavefunction_node_count():
