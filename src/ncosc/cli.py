@@ -23,7 +23,7 @@ from .model import PotentialParams, QuantumNumbers, energy_floor
 __all__ = ["main", "build_parser"]
 
 # config keys that map to boolean flags rather than key=value options
-_BOOL_KEYS = {"no-timestamp", "lattice"}
+_BOOL_KEYS = {"no-timestamp", "lattice", "timings"}
 
 
 class CliError(Exception):
@@ -54,7 +54,8 @@ def _json_value(obj, indent: int) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt(obj)
+        # JSON has no inf or nan
+        return _fmt(obj) if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
     escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
@@ -280,6 +281,13 @@ def cmd_propagator(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- verify
 
+def _margin(observed: float, tolerance: float) -> float:
+    """observed/tolerance; a zero tolerance gives 0 when met exactly, else inf."""
+    if tolerance > 0:
+        return observed / tolerance
+    return 0.0 if observed <= tolerance else math.inf
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.tol_scale < 0:
         raise CliError(f"--tol-scale must be >= 0, got {args.tol_scale}")
@@ -290,18 +298,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"# generated {_timestamp()}",
         f"# suite={args.suite} tol-scale={_fmt(args.tol_scale)}",
         f"# passed {n_pass}/{len(results)}",
-        "suite,check,passed,observed,tolerance",
+        "suite,check,passed,observed,tolerance" + (",seconds,margin" if args.timings else ""),
     ]
     rows = []
     for r in results:
-        csv_lines.append(
-            f"{r.suite},{r.name},{'true' if r.passed else 'false'},"
-            f"{_fmt(r.observed)},{_fmt(r.tolerance)}"
-        )
-        rows.append({
+        line = f"{r.suite},{r.name},{'true' if r.passed else 'false'},{_fmt(r.observed)},{_fmt(r.tolerance)}"
+        row = {
             "suite": r.suite, "check": r.name, "passed": r.passed,
             "observed": r.observed, "tolerance": r.tolerance,
-        })
+        }
+        if args.timings:
+            margin = _margin(r.observed, r.tolerance)
+            line += f",{_fmt(r.seconds)},{_fmt(margin)}"
+            row.update(seconds=r.seconds, margin=margin, detail=r.detail)
+        csv_lines.append(line)
+        rows.append(row)
     payload = {
         "generated": _timestamp(),
         "suite": args.suite,
@@ -385,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="which checks to run")
     sp.add_argument("--tol-scale", type=float, default=1.0,
                     help="multiply every tolerance (0 must fail the suite)")
+    sp.add_argument("--timings", action="store_true",
+                    help="add each check's seconds and margin (observed/tolerance), and in JSON its detail")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_verify)
 

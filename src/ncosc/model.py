@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .specfun import log_gamma
 
@@ -269,12 +270,14 @@ def ladder_energy(p: PotentialParams, n, ell: float):
     return (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
 
 
-def radial_log_norm(p: PotentialParams, n, ell: float):
-    """ln of the radial norm sqrt(2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2)),
-    for an integer n or an ndarray of them."""
+def radial_log_norm(p: PotentialParams, n, ell):
+    """ln of the radial norm sqrt(2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2)).
+
+    Scalars n and ell give a float; ndarrays are broadcast against each other.
+    """
     lead = math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar)
-    if isinstance(n, np.ndarray):
-        return 0.5 * (lead + np.array([log_gamma(k + 1.0) - log_gamma(k + ell + 1.5) for k in n]))
+    if isinstance(n, np.ndarray) or isinstance(ell, np.ndarray):
+        return 0.5 * (lead + (gammaln(n + 1.0) - gammaln(n + ell + 1.5)))
     return 0.5 * (lead + (log_gamma(n + 1.0) - log_gamma(n + ell + 1.5)))
 
 

@@ -17,6 +17,7 @@ to the same convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,15 +26,16 @@ import numpy as np
 from scipy.special import ive
 
 from .model import (
+    AngularMode,
     PotentialParams,
-    admissible_ell,
+    admissible_sectors,
     angular_mode,
     effective_ell,
     ladder_energy,
     radial_log_norm,
 )
 from .specfun import bessel_i, laguerre_all, log_bessel_i, log_gamma
-from .spectrum import angular_wavefunction, radial_profiles
+from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 # math.exp overflows past this
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -153,10 +155,50 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     return math.exp(log_k)
 
 
+def _scaled_exp(log_scale, mantissa, what: str):
+    """mantissa e^log_scale, elementwise, raising OverflowError when a value
+    itself leaves the float range; a scale past the range is applied in two
+    steps, so a small mantissa brings the value back in."""
+    with np.errstate(divide="ignore"):
+        log_abs = log_scale + np.log(np.abs(mantissa))
+    worst = float(np.max(log_abs, initial=-math.inf))
+    if worst > _LOG_MAX:
+        raise OverflowError(f"{what} is e^{worst:.6g}, beyond the float range")
+    capped = np.minimum(log_scale, _LOG_MAX)
+    return mantissa * np.exp(capped) * np.exp(log_scale - capped)
+
+
+def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau: float, n_cut: int):
+    """Radial spectral sums sum_{n<=n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb) in
+    log-scaled form (log_scale, mantissa), value = mantissa e^log_scale.
+
+    The n = 0 weight, the largest, and the radial envelopes (radial_factors)
+    are factored out in log space. What is left, sum_n e^{-2 n omega tau}
+    poly_n(ra) poly_n(rb), neither over- nor underflows where the value does
+    not. ell is one ell_tilde or an array of them, ra and rb 1-d endpoint
+    arrays of one length P; both results have shape shape(ell) + (P,).
+    """
+    ell = np.asarray(ell, dtype=float)
+    n_pts = len(ra)
+    log_env, poly = radial_factors(p, ell, n_cut, np.concatenate([ra, rb]))
+    decay = np.exp(-2 * p.omega * tau * np.arange(n_cut + 1)).reshape((-1,) + (1,) * (ell.ndim + 1))
+    # summed in order of degree, whatever the batch shape, so a longer
+    # cutoff only adds its extra terms to the same partial sum
+    mantissa = np.cumsum(decay * poly[..., :n_pts] * poly[..., n_pts:], axis=0)[-1]
+    log_scale = -ladder_energy(p, 0, ell[..., None]) * tau / p.hbar + log_env[..., :n_pts] + log_env[..., n_pts:]
+    return log_scale, mantissa
+
+
 def radial_kernel_spectral(
-    p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float, n_cut: int
+    p: PotentialParams, n_theta: int, m: int, ra, rb, tau: float, n_cut: int
 ) -> SpectralKernel:
     """Spectral sum sum_{n=0}^{n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb).
+
+    ra and rb may be arrays, broadcast against each other; both fields of
+    the result then have their shape, and scalar endpoints give floats. The
+    terms are summed with the largest weight factored out in log space, so
+    the value is returned whenever it fits in a float, and OverflowError is
+    raised when it does not.
 
     The reported tail bound majorizes the dropped n > n_cut terms. Szego's
     inequality |e^{-x/2} L_n^a(x)| <= C_n = Gamma(n+a+1) / (n! Gamma(a+1)),
@@ -168,22 +210,24 @@ def radial_kernel_spectral(
     whole envelope series u_0 (1 - y)^-(a+1). The bound is computed in log
     space and rounded up to the smallest subnormal when it underflows.
     """
-    if ra <= 0 or rb <= 0:
+    a_pts, b_pts = np.broadcast_arrays(np.asarray(ra, dtype=float), np.asarray(rb, dtype=float))
+    if np.any(a_pts <= 0) or np.any(b_pts <= 0):
         raise ValueError("radial_kernel_spectral requires ra > 0 and rb > 0")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if n_cut < 1:
         raise ValueError(f"n_cut must be >= 1, got {n_cut}")
     ell = effective_ell(p, n_theta, m)
-    prof = radial_profiles(p, ell, n_cut, [ra, rb])
-    energies = ladder_energy(p, np.arange(n_cut + 1), ell)
-    value = float(np.sum(np.exp(-energies * tau / p.hbar) * prof[:, 0] * prof[:, 1]))
+    scalar = a_pts.ndim == 0
+    where = f" with endpoints ({ra}, {rb})" if scalar else ""
+    log_scale, mantissa = _spectral_sums(p, ell, a_pts.ravel(), b_pts.ravel(), tau, n_cut)
+    value = _scaled_exp(log_scale, mantissa, f"radial_kernel_spectral at tau={tau}{where}").reshape(a_pts.shape)
 
     a = ell + 0.5
     y = math.exp(-2 * p.omega * tau)
-    log_qq = math.log(p.mu * p.omega / p.hbar * ra * rb)
+    log_qq = np.log(p.mu * p.omega / p.hbar * a_pts * b_pts)
 
-    def log_envelope(n: int) -> float:
+    def log_envelope(n: int):
         log_c = log_gamma(n + a + 1) - log_gamma(n + 1.0) - log_gamma(a + 1)
         return -ladder_energy(p, n, ell) * tau / p.hbar + 2 * radial_log_norm(p, n, ell) + ell * log_qq + 2 * log_c
 
@@ -192,29 +236,37 @@ def radial_kernel_spectral(
         log_tail = log_envelope(n_cut + 1) - math.log1p(-ratio)
     else:
         log_tail = log_envelope(0) - (a + 1) * math.log1p(-y)
-    tail = math.inf if log_tail > _LOG_MAX else max(math.exp(log_tail), math.ulp(0.0))
+    tail = np.where(log_tail > _LOG_MAX, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_MAX)), math.ulp(0.0)))
+    if scalar:
+        return SpectralKernel(value=float(value), tail_bound=float(tail))
     return SpectralKernel(value=value, tail_bound=tail)
 
 
-def angular_kernel_spectral(
-    p: PotentialParams, m: int, theta_a: float, theta_b: float, s_tau: float, ntheta_cut: int
-) -> float:
-    """Angular spectral kernel sum_{n_theta <= cut} e^{-eps s_tau/hbar} Theta(theta_a) Theta(theta_b)."""
-    if not (0 < theta_a < math.pi / 2 and 0 < theta_b < math.pi / 2):
+def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau: float, ntheta_cut: int):
+    """Angular spectral kernel sum_{n_theta <= cut} e^{-eps s_tau/hbar} Theta(theta_a) Theta(theta_b).
+
+    theta_a and theta_b may be arrays, broadcast against each other, and the
+    result then has their shape; scalar angles give a float.
+    """
+    th_a, th_b = np.broadcast_arrays(np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float))
+    if not (np.all((0 < th_a) & (th_a < math.pi / 2)) and np.all((0 < th_b) & (th_b < math.pi / 2))):
         raise ValueError("angles must lie in (0, pi/2)")
     if s_tau <= 0:
         raise ValueError(f"s_tau must be positive, got {s_tau}")
     if ntheta_cut < 1:
         raise ValueError(f"ntheta_cut must be >= 1, got {ntheta_cut}")
-    total = 0.0
-    for n_theta in range(ntheta_cut + 1):
-        mode = angular_mode(p, n_theta, m)
-        total += (
-            math.exp(-mode.eps * s_tau / p.hbar)
-            * angular_wavefunction(mode, theta_a)
-            * angular_wavefunction(mode, theta_b)
-        )
-    return total
+    modes = [angular_mode(p, n_theta, m) for n_theta in range(ntheta_cut + 1)]
+    n_pts = th_a.size
+    prof = angular_profiles(modes, np.concatenate([th_a.ravel(), th_b.ravel()]))
+    weight = np.exp(-np.array([mode.eps for mode in modes]) * s_tau / p.hbar)
+    total = np.cumsum(weight[:, None] * prof[:, :n_pts] * prof[:, n_pts:], axis=0)[-1].reshape(th_a.shape)
+    return float(total) if th_a.ndim == 0 else total
+
+
+def _sectors(p: PotentialParams, m: int, ntheta_cut: int) -> tuple[list[AngularMode], np.ndarray]:
+    """Angular modes and ell_tilde of the admissible sectors (n_theta <= ntheta_cut, m)."""
+    sectors = list(itertools.takewhile(lambda s: s[0] <= ntheta_cut, admissible_sectors(p, m)))
+    return [angular_mode(p, n_theta, m) for n_theta, _ in sectors], np.array([ell for _, ell in sectors])
 
 
 def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
@@ -222,19 +274,30 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
 
     K(b, a; tau) = sum over admissible (n, n_theta, m) within the cutoffs of
     e^{-E tau/hbar} psi*(a) psi(b); real and positive on the diagonal.
+    Sectors +m and -m share ell_tilde and Theta, so they are summed once
+    with weight 2 cos(m dphi)/2pi, and K is real. One Jacobi recurrence per
+    |m| gives the angular factors and one Laguerre recurrence over the
+    distinct ell_tilde the radial sums, which stay in log space until the
+    sector sum is formed.
     """
-    total = 0.0 + 0.0j
     dphi = q.phi_b - q.phi_a
-    for m in range(-q.m_cut, q.m_cut + 1):
-        phase = complex(math.cos(m * dphi), math.sin(m * dphi)) / (2 * math.pi)
-        for n_theta in range(q.ntheta_cut + 1):
-            if admissible_ell(p, n_theta, m) is None:
-                continue
-            mode = angular_mode(p, n_theta, m)
-            ang = angular_wavefunction(mode, q.theta_a) * angular_wavefunction(mode, q.theta_b)
-            rad = radial_kernel_spectral(p, n_theta, m, q.ra, q.rb, q.tau, q.n_cut).value
-            total += rad * ang * phase
-    return total
+    coef, ells = [], []
+    for m in range(q.m_cut + 1):
+        modes, ell = _sectors(p, m, q.ntheta_cut)
+        if not modes:
+            continue
+        ang = angular_profiles(modes, [q.theta_a, q.theta_b])
+        weight = (1.0 if m == 0 else 2 * math.cos(m * dphi)) / (2 * math.pi)
+        coef.append(weight * ang[:, 0] * ang[:, 1])
+        ells.append(ell)
+    if not ells:
+        return 0.0 + 0.0j
+    distinct, index = np.unique(np.concatenate(ells), return_inverse=True)
+    log_scale, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut)
+    log_scale, mantissa = log_scale[index, 0], mantissa[index, 0]
+    top = float(np.max(log_scale))
+    total = float(np.sum(np.concatenate(coef) * mantissa * np.exp(log_scale - top)))
+    return complex(_scaled_exp(top, total, f"full_kernel_spectral at tau={q.tau}"))
 
 
 def integrated_diagonal_kernel(
@@ -253,7 +316,8 @@ def integrated_diagonal_kernel(
     Gauss-Legendre quadrature, with the phi integral done exactly (the
     diagonal kills the azimuthal phase). Equals the partition-function
     partial sum over the same index box up to quadrature error, which is
-    the trace-consistency check the verify suite runs.
+    the trace-consistency check the verify suite runs. Each |m| takes one
+    Jacobi and one Laguerre recurrence for all its sectors.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -267,16 +331,14 @@ def integrated_diagonal_kernel(
     wt_meas = wth * np.sin(xt)
     total = 0.0
     for m in range(0, m_cut + 1):
+        modes, ell = _sectors(p, m, ntheta_cut)
+        if not modes:
+            continue
         mult = 1.0 if m == 0 else 2.0
-        for n_theta in range(ntheta_cut + 1):
-            ell = admissible_ell(p, n_theta, m)
-            if ell is None:
-                continue
-            mode = angular_mode(p, n_theta, m)
-            ang_sq = float(np.sum(wt_meas * angular_wavefunction(mode, xt) ** 2))
-            rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
-            energies = ladder_energy(p, np.arange(n_cut + 1), ell)
-            total += mult * ang_sq * float(np.exp(-energies * tau / p.hbar) @ rad_sq)
+        ang_sq = angular_profiles(modes, xt) ** 2 @ wt_meas
+        rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
+        energies = ladder_energy(p, np.arange(n_cut + 1)[:, None], ell)
+        total += mult * float(ang_sq @ np.sum(np.exp(-energies * tau / p.hbar) * rad_sq, axis=0))
     return total
 
 
@@ -302,8 +364,7 @@ def hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float, n_ter
         * math.exp(-0.5 * (x_val + y_val) * (1 + s * s) / one_m)
         * bessel_i(a, 2 * math.sqrt(x_val * y_val) * s / one_m)
     )
-    lx = laguerre_all(n_terms, a, x_val)[:, 0]
-    ly = laguerre_all(n_terms, a, y_val)[:, 0]
+    lx, ly = laguerre_all(n_terms, a, [x_val, y_val]).T
     ns = np.arange(n_terms + 1)
     # n! / Gamma(n+ell+3/2) is half the squared radial norm at unit scale
     log_coeff = 2 * radial_log_norm(PotentialParams(), ns, ell) - math.log(2.0)

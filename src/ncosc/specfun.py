@@ -78,18 +78,30 @@ def laguerre(n: int, a: float, x):
     return float(cur) if np.ndim(x) == 0 else cur
 
 
-def laguerre_all(n_max: int, a: float, x) -> np.ndarray:
+def laguerre_all(n_max: int, a, x) -> np.ndarray:
     """All degrees at once: stacked [L_0^a(x), ..., L_{n_max}^a(x)].
 
     Spectral sums need every degree up to the cutoff; running the
     recurrence once and keeping the intermediates is n_max times cheaper
-    than repeated calls.
+    than repeated calls. An array of orders runs one recurrence for all of
+    them: the result has shape (n_max + 1,) + shape(a) + shape(x), with x
+    made at least 1-d, and each order's slice equals the call with that
+    order alone.
     """
     _check_degree(n_max)
-    if a <= -1:
-        raise ValueError(f"laguerre requires a > -1, got a={a}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1,) + xa.shape)
+    if np.ndim(a) == 0:
+        a = float(a)
+        if a <= -1:
+            raise ValueError(f"laguerre requires a > -1, got a={a}")
+        order_shape: tuple[int, ...] = ()
+    else:
+        a = np.asarray(a, dtype=float)
+        if np.any(a <= -1):
+            raise ValueError(f"laguerre requires a > -1, got a={a}")
+        order_shape = a.shape
+        a = a.reshape(order_shape + (1,) * xa.ndim)
+    out = np.empty((n_max + 1,) + order_shape + xa.shape)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 1 + a - xa

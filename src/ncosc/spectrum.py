@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from scipy.special import xlogy
 
 from .model import (
     AngularMode,
@@ -27,16 +29,19 @@ from .model import (
     radial_log_norm,
     radial_mode,
 )
-from .specfun import jacobi, laguerre, laguerre_all, log_gamma
+from .specfun import jacobi_all, laguerre, laguerre_all, log_gamma
 
 __all__ = [
     "EigenState",
     "energy",
     "angular_wavefunction",
+    "angular_profiles",
     "radial_wavefunction",
     "full_wavefunction",
     "eigenstate",
     "enumerate_states",
+    "radial_factors",
+    "radial_profiles",
 ]
 
 
@@ -65,16 +70,28 @@ def angular_wavefunction(mode: AngularMode, theta):
     Orthonormal under the sin(theta) d(theta) measure on (0, pi/2).
     Accepts scalar or ndarray theta strictly inside the interval.
     """
-    th = np.asarray(theta, dtype=float)
-    if np.any(th <= 0) or np.any(th >= math.pi / 2):
-        raise ValueError("angular_wavefunction requires 0 < theta < pi/2")
-    val = (
-        mode.norm
-        * np.sin(th) ** mode.lam
-        * np.cos(th) ** (mode.k + 0.5)
-        * jacobi(mode.n_theta, mode.lam, mode.k, np.cos(2 * th))
-    )
-    return float(val) if np.ndim(theta) == 0 else val
+    val = angular_profiles([mode], theta)[0]
+    return float(val[0]) if np.ndim(theta) == 0 else val
+
+
+def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
+    """Stacked angular eigenfunctions of modes that share one (lam, k), i.e.
+    one |m|, with shape (len(modes),) + shape(theta), theta made at least 1-d.
+
+    One Jacobi recurrence up to the largest n_theta serves every mode, and
+    row i equals angular_wavefunction(modes[i], theta) bit for bit.
+    """
+    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    flat = th.ravel()
+    if flat.size and not (0 < flat.min() and flat.max() < math.pi / 2):
+        raise ValueError("angular eigenfunctions require 0 < theta < pi/2")
+    lam, k = modes[0].lam, modes[0].k
+    if any(md.lam != lam or md.k != k for md in modes):
+        raise ValueError("angular_profiles requires modes of one (lam, k)")
+    degrees = [md.n_theta for md in modes]
+    jac = jacobi_all(max(degrees), lam, k, np.cos(2 * flat))[degrees]
+    norm = np.array([md.norm for md in modes])[:, None]
+    return (norm * np.sin(flat) ** lam * np.cos(flat) ** (k + 0.5) * jac).reshape((len(modes),) + th.shape)
 
 
 def radial_wavefunction(p: PotentialParams, mode: RadialMode, n: int, r):
@@ -155,15 +172,32 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     return states
 
 
-def radial_profiles(p: PotentialParams, ell: float, n_max: int, r) -> np.ndarray:
-    """Stacked radial eigenfunctions R_0..R_{n_max} at fixed ell_tilde.
+def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """Radial eigenfunctions R_0..R_{n_max} in factored form (log_env, poly).
 
-    Shares one Laguerre recurrence pass across all degrees; spectral sums
-    and quadrature loops call this instead of radial_wavefunction per n.
+    R_n(r) = exp(log_env) poly[n], where log_env = -x/2 + (ell/2) ln x,
+    x = mu omega r^2/hbar, is the same for every degree and poly[n] is the
+    radial norm times L_n^{ell+1/2}(x). The envelope under- or overflows
+    long before the polynomial part, so sums over n keep it in log space.
+    ell may be an array of ell_tilde values, and one Laguerre recurrence
+    serves them all: log_env has shape shape(ell) + (P,) and poly
+    (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P.
     """
+    ell = np.asarray(ell, dtype=float)
     ra = np.atleast_1d(np.asarray(r, dtype=float))
-    scale = p.mu * p.omega / p.hbar
-    x = scale * ra * ra
+    x = (p.mu * p.omega / p.hbar) * ra * ra
+    log_env = xlogy(0.5 * ell[..., None], x) - 0.5 * x
     lag = laguerre_all(n_max, ell + 0.5, x)
-    profile = np.exp(-0.5 * x) * np.sqrt(x) ** ell
-    return np.exp(radial_log_norm(p, np.arange(n_max + 1), ell))[:, None] * profile[None, :] * lag
+    degrees = np.arange(n_max + 1).reshape((-1,) + (1,) * ell.ndim)
+    return log_env, np.exp(radial_log_norm(p, degrees, ell))[..., None] * lag
+
+
+def radial_profiles(p: PotentialParams, ell, n_max: int, r) -> np.ndarray:
+    """Stacked radial eigenfunctions R_0..R_{n_max}, shape (n_max + 1, P) for
+    one ell_tilde and (n_max + 1,) + shape(ell) + (P,) for an array of them.
+
+    Shares one Laguerre recurrence pass across all degrees and orders;
+    quadrature loops call this instead of radial_wavefunction per n.
+    """
+    log_env, poly = radial_factors(p, ell, n_max, r)
+    return np.exp(log_env) * poly

@@ -308,6 +308,47 @@ def test_verify_suite_passes(capsys):
     assert "# passed" in out
 
 
+def test_verify_timings_are_opt_in(capsys):
+    # without --timings the JSON rows keep their five keys (the CSV header
+    # is pinned by test_verify_suite_passes)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--no-timestamp", "--format", "json")
+    assert all(list(r) == ["suite", "check", "passed", "observed", "tolerance"]
+               for r in json.loads(out)["rows"])
+
+
+def test_verify_timings_report_seconds_margin_and_detail(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--no-timestamp", "--timings")
+    assert code == 0
+    header, rows = csv_rows(out)
+    assert header == "suite,check,passed,observed,tolerance,seconds,margin"
+    assert len(rows) == 7
+    for r in rows:
+        observed, tolerance, seconds, margin = map(float, r[3:])
+        assert 0 < seconds < 60
+        assert margin == observed / tolerance
+    code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--no-timestamp", "--timings",
+                           "--format", "json")
+    rows = json.loads(out)["rows"]
+    assert [r["check"] for r in rows][0] == "laguerre-reference"
+    for r in rows:
+        assert r["seconds"] > 0
+        assert r["margin"] == r["observed"] / r["tolerance"]
+        assert r["margin"] <= 1.0 and r["passed"]
+    assert rows[0]["detail"] == "generalized Laguerre vs scipy on n<=12, fractional orders"
+    # a zero tolerance met exactly has margin 0, missed has margin inf
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spectrum", "--no-timestamp", "--timings",
+                           "--tol-scale", "0")
+    _, rows = csv_rows(out)
+    by_name = {r[1]: r for r in rows}
+    assert by_name["degenerate-limit"][2:4] == ["true", "0"] and by_name["degenerate-limit"][6] == "0"
+    assert by_name["gram-identity"][2] == "false" and by_name["gram-identity"][6] == "inf"
+    # JSON has no inf: a missed zero tolerance reads null there
+    code, out, _ = run_cli(capsys, "verify", "--suite", "spectrum", "--no-timestamp", "--timings",
+                           "--tol-scale", "0", "--format", "json")
+    margins = {r["check"]: r["margin"] for r in json.loads(out)["rows"]}
+    assert margins["degenerate-limit"] == 0 and margins["gram-identity"] is None
+
+
 def test_verify_fails_under_zero_tolerance(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "specfun",
                          "--tol-scale", "0")

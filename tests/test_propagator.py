@@ -10,7 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ncosc
 from ncosc.model import PotentialParams, effective_ell
@@ -92,6 +92,16 @@ def test_closed_kernel_overflows_only_beyond_float_range():
         radial_kernel_closed(PotentialParams(v0=1e4), 0, 0, 1.0, 1.0, 1.0)
 
 
+def test_spectral_kernel_overflows_only_beyond_float_range():
+    # E_0 = -1/2: the kernel is about e^999 at tau = 2000 and does not fit
+    with pytest.raises(OverflowError, match="is e\\^999.269, beyond the float range"):
+        radial_kernel_spectral(PotentialParams(v0=3.0), 0, 0, 1.2, 0.7, 2000.0, 5)
+    # e^{-E_0 tau} = e^750 alone overflows, the kernel itself is 1e-62
+    p = PotentialParams(v0=3.0)
+    spectral = radial_kernel_spectral(p, 0, 0, 30.0, 30.0, 1500.0, 5).value
+    assert spectral == pytest.approx(radial_kernel_closed(p, 0, 0, 30.0, 30.0, 1500.0), rel=1e-11)
+
+
 def test_closed_kernel_past_sinh_range():
     # sinh(omega tau) overflows past tau ~ 710; the kernel grows like
     # e^{-E_0 tau/hbar}, E_0 = -1/2 here, and still fits
@@ -122,6 +132,10 @@ def _log_uniform(lo, hi):
     tau=_log_uniform(1e-4, 50.0), ra=_log_uniform(1e-3, 6.0), rb=_log_uniform(1e-3, 6.0),
     n_cut=st.integers(1, 120),
 )
+# the two routes past the float range: a kernel of e^999, and a kernel of
+# 1e-62 whose time weight e^{-E_0 tau} alone overflows
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=3.0, n_theta=0, m=0, tau=2000.0, ra=1.2, rb=0.7, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=3.0, n_theta=0, m=0, tau=1500.0, ra=30.0, rb=30.0, n_cut=5)
 @settings(max_examples=300, deadline=None)
 def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_theta, m, tau, ra, rb, n_cut):
     p = PotentialParams(v0=v0, alpha=alpha, beta=beta, gamma=gamma)
@@ -139,6 +153,14 @@ def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_thet
         closed = radial_kernel_closed(p, n_theta, m, ra, rb, tau)
     except OverflowError:
         assert _log_closed_kernel_mp(p, ell, ra, rb, tau) > math.log(sys.float_info.max)
+        try:
+            spectral = radial_kernel_spectral(p, n_theta, m, ra, rb, tau, n_cut)
+        except OverflowError as exc:
+            assert "beyond the float range" in str(exc)
+        else:
+            # a partial sum that fits although the kernel does not must
+            # report the gap in its tail bound
+            assert spectral.value + spectral.tail_bound >= sys.float_info.max
         return
     spectral = radial_kernel_spectral(p, n_theta, m, ra, rb, tau, n_cut)
     assert math.isfinite(closed) and math.isfinite(spectral.value)
@@ -301,6 +323,66 @@ def test_angular_kernel_filters_eigenmodes():
     ).value
     want = math.exp(-mode.eps * 0.8) * angular_wavefunction(mode, 0.6)
     assert proj == pytest.approx(want, rel=1e-8)
+
+
+def test_spectral_kernel_array_endpoints_match_scalar_calls():
+    ra = np.array([0.05, 0.6, 1.1, 2.517, 4.0])
+    rb = np.array([[1.7], [0.3]])
+    for tau, n_cut in ((0.1, 40), (1.0, 20), (2000.0, 5)):
+        batch = radial_kernel_spectral(COUPLED, 1, 2, ra, rb, tau, n_cut)
+        assert batch.value.shape == batch.tail_bound.shape == (2, 5)
+        for i, j in np.ndindex(2, 5):
+            one = radial_kernel_spectral(COUPLED, 1, 2, float(ra[j]), float(rb[i, 0]), tau, n_cut)
+            assert isinstance(one.value, float) and isinstance(one.tail_bound, float)
+            assert batch.value[i, j] == pytest.approx(one.value, rel=1e-15, abs=0)
+            assert batch.tail_bound[i, j] == pytest.approx(one.tail_bound, rel=1e-15, abs=0)
+
+
+def test_angular_kernel_array_angles_match_scalar_calls():
+    th = np.linspace(0.05, 1.5, 9)
+    batch = angular_kernel_spectral(COUPLED, 1, th, 0.6, 0.8, 12)
+    assert batch.shape == (9,)
+    for t, val in zip(th, batch):
+        one = angular_kernel_spectral(COUPLED, 1, float(t), 0.6, 0.8, 12)
+        assert isinstance(one, float)
+        assert val == pytest.approx(one, rel=1e-15, abs=1e-300)
+    grid = angular_kernel_spectral(COUPLED, 2, th[:, None], th[None, :], 0.5, 6)
+    assert grid.shape == (9, 9)
+    assert grid[3, 7] == pytest.approx(angular_kernel_spectral(COUPLED, 2, th[3], th[7], 0.5, 6), rel=1e-15)
+
+
+def test_full_kernel_matches_signed_m_loop():
+    # every (n_theta, m) sector summed one at a time with its complex phase
+    from ncosc.model import admissible_ell, angular_mode
+    from ncosc.spectrum import angular_wavefunction
+
+    for p in (COUPLED, PotentialParams(alpha=-1.5, beta=-0.7, gamma=0.3, v0=0.4)):
+        q = PropagatorQuery(ra=0.9, rb=1.4, theta_a=0.6, theta_b=0.9, phi_a=0.3, phi_b=1.9,
+                            tau=0.8, n_cut=25, ntheta_cut=8, m_cut=6)
+        total, scale = 0.0 + 0.0j, 0.0
+        for m in range(-6, 7):
+            phase = complex(math.cos(m * 1.6), math.sin(m * 1.6)) / (2 * math.pi)
+            for nt in range(9):
+                if admissible_ell(p, nt, m) is None:
+                    continue
+                mode = angular_mode(p, nt, m)
+                term = (radial_kernel_spectral(p, nt, m, 0.9, 1.4, 0.8, 25).value
+                        * angular_wavefunction(mode, 0.6) * angular_wavefunction(mode, 0.9) * phase)
+                total += term
+                scale += abs(term)
+        k = full_kernel_spectral(p, q)
+        assert isinstance(k, complex) and k.imag == 0.0
+        assert abs(k - total) <= 1e-14 * scale
+
+
+def test_full_kernel_overflows_only_beyond_float_range():
+    q = dict(ra=1.2, rb=0.7, theta_a=0.6, theta_b=0.9, phi_a=0.3, phi_b=1.9, n_cut=5, ntheta_cut=2, m_cut=1)
+    with pytest.raises(OverflowError, match="beyond the float range"):
+        full_kernel_spectral(PotentialParams(v0=3.0), PropagatorQuery(tau=2000.0, **q))
+    # the largest sector weight e^{-E_0 tau} alone overflows, the kernel fits
+    far = dict(q, ra=30.0, rb=30.0)
+    k = full_kernel_spectral(PotentialParams(v0=3.0), PropagatorQuery(tau=1500.0, **far))
+    assert 0 < k.real < 1e-50
 
 
 def test_full_kernel_hermitian_and_phi_translation_invariant():

@@ -107,6 +107,21 @@ def test_batch_evaluators_match_scalar_exactly():
         assert np.array_equal(stackj[n], jacobi(n, 0.7, 1.5, xj))
 
 
+def test_laguerre_all_order_array_equals_per_order_calls():
+    x = np.linspace(0.0, 15.0, 11)
+    orders = np.array([0.5, 1.5, 2.6180339887, 7.25])
+    stack = laguerre_all(12, orders, x)
+    assert stack.shape == (13, 4, 11)
+    for i, a in enumerate(orders):
+        assert np.array_equal(stack[:, i], laguerre_all(12, float(a), x))
+    # orders of any shape come before the points
+    grid = laguerre_all(3, orders.reshape(2, 2), x[:5])
+    assert grid.shape == (4, 2, 2, 5)
+    assert np.array_equal(grid[:, 1, 0], laguerre_all(3, orders[2], x[:5]))
+    with pytest.raises(ValueError, match="a > -1"):
+        laguerre_all(3, np.array([0.5, -1.0]), x)
+
+
 def test_scalar_input_gives_scalar_output():
     assert isinstance(laguerre(3, 0.5, 2.0), float)
     assert isinstance(jacobi(3, 0.5, 0.5, 0.2), float)

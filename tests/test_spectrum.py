@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ncosc import oracle
 from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, radial_mode
 from ncosc.spectrum import (
+    angular_profiles,
     angular_wavefunction,
     eigenstate,
     energy,
@@ -97,6 +98,27 @@ def test_radial_profiles_match_single_state_evaluation():
     for n in range(6):
         want = radial_wavefunction(COUPLED, radial_mode(COUPLED, n, 1, 1), n, r)
         assert np.allclose(stack[n], want, rtol=1e-13, atol=0)
+
+
+def test_radial_profiles_over_ell_array_match_scalar_calls():
+    ells = np.array([0.0, 1.0, 2.7912878474779, 6.25])
+    r = np.linspace(0.05, 7.0, 40)
+    stack = radial_profiles(COUPLED, ells, 30, r)
+    assert stack.shape == (31, 4, 40)
+    for i, ell in enumerate(ells):
+        want = radial_profiles(COUPLED, float(ell), 30, r)
+        assert np.max(np.abs(stack[:, i] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_angular_profiles_rows_equal_single_mode_evaluation():
+    th = np.linspace(0.01, math.pi / 2 - 0.01, 33)
+    modes = [angular_mode(COUPLED, nt, 2) for nt in (0, 3, 1, 5)]
+    stack = angular_profiles(modes, th)
+    assert stack.shape == (4, 33)
+    for row, mode in zip(stack, modes):
+        assert np.array_equal(row, angular_wavefunction(mode, th))
+    with pytest.raises(ValueError, match="one \\(lam, k\\)"):
+        angular_profiles([angular_mode(COUPLED, 0, 1), angular_mode(COUPLED, 0, 2)], th)
 
 
 def test_factor_orthonormality():
