@@ -39,6 +39,9 @@ from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 # math.exp overflows past this
 _LOG_MAX = math.log(np.finfo(float).max)
+_LN2 = math.log(2.0)
+# powers of two beyond this are 0 or overflow in any float sum
+_EXP_CLIP = 1 << 20
 
 __all__ = [
     "PropagatorQuery",
@@ -155,38 +158,53 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     return math.exp(log_k)
 
 
-def _scaled_exp(log_scale, mantissa, what: str):
-    """mantissa e^log_scale, elementwise, raising OverflowError when a value
-    itself leaves the float range; a scale past the range is applied in two
-    steps, so a small mantissa brings the value back in."""
+def _to_float(exponent, mantissa, what: str):
+    """mantissa 2^exponent, elementwise, raising OverflowError when a value
+    leaves the float range; values below it round to subnormals or 0."""
     with np.errstate(divide="ignore"):
-        log_abs = log_scale + np.log(np.abs(mantissa))
+        log_abs = exponent * _LN2 + np.log(np.abs(mantissa))
     worst = float(np.max(log_abs, initial=-math.inf))
     if worst > _LOG_MAX:
         raise OverflowError(f"{what} is e^{worst:.6g}, beyond the float range")
-    capped = np.minimum(log_scale, _LOG_MAX)
-    return mantissa * np.exp(capped) * np.exp(log_scale - capped)
+    return np.ldexp(mantissa, np.clip(exponent, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
 
 
-def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau: float, n_cut: int):
+def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau: float, n_cut: int, what: str):
     """Radial spectral sums sum_{n<=n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb) in
-    log-scaled form (log_scale, mantissa), value = mantissa e^log_scale.
+    scaled form (exponent, mantissa), value = mantissa 2^exponent.
 
-    The n = 0 weight, the largest, and the radial envelopes (radial_factors)
-    are factored out in log space. What is left, sum_n e^{-2 n omega tau}
-    poly_n(ra) poly_n(rb), neither over- nor underflows where the value does
-    not. ell is one ell_tilde or an array of them, ra and rb 1-d endpoint
-    arrays of one length P; both results have shape shape(ell) + (P,).
+    Each term is split into a power of two and a factor below 1.5 in
+    magnitude: the time weight and the radial envelopes (radial_factors)
+    through their logarithm, the polynomial parts through frexp, which is
+    exact. The largest power of two over the terms is factored out of the
+    sum, so the mantissa stays below 1.5 (n_cut + 1) in magnitude, and a term
+    only underflows when it is below 2^-1074 of the largest. The Laguerre
+    polynomials themselves are unscaled; past x = mu omega r^2/hbar of about
+    1400 they can overflow, and OverflowError is raised. ell is one ell_tilde or an
+    array of them, ra and rb 1-d endpoint arrays of one length P; both
+    results have shape shape(ell) + (P,).
     """
     ell = np.asarray(ell, dtype=float)
     n_pts = len(ra)
-    log_env, poly = radial_factors(p, ell, n_cut, np.concatenate([ra, rb]))
-    decay = np.exp(-2 * p.omega * tau * np.arange(n_cut + 1)).reshape((-1,) + (1,) * (ell.ndim + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_env, poly = radial_factors(p, ell, n_cut, np.concatenate([ra, rb]))
+    if not np.all(np.isfinite(poly)):
+        raise OverflowError(f"{what}: a Laguerre polynomial L_n(mu omega r^2/hbar), n <= {n_cut}, "
+                            "is beyond the float range")
+    degrees = np.arange(n_cut + 1).reshape((-1,) + (1,) * (ell.ndim + 1))
+    log_w = -ladder_energy(p, degrees, ell[..., None]) * tau / p.hbar + log_env[..., :n_pts] + log_env[..., n_pts:]
+    # a weight below e^-1e7 is 0 in any float sum (an envelope of 0, where x
+    # underflowed, gives -inf), and one above e^1e7 overflows it
+    log_w = np.clip(log_w, -1e7, 1e7)
+    k = np.rint(log_w / _LN2)
+    frac, power = np.frexp(poly)
+    factor = np.where(log_w > -1e7, np.exp(log_w - k * _LN2) * frac[..., :n_pts] * frac[..., n_pts:], 0.0)
+    power = np.where(factor != 0, k + power[..., :n_pts] + power[..., n_pts:], -_EXP_CLIP)
+    top = np.max(power, axis=0)
+    shift = np.maximum(power - top, -_EXP_CLIP).astype(np.int64)
     # summed in order of degree, whatever the batch shape, so a longer
     # cutoff only adds its extra terms to the same partial sum
-    mantissa = np.cumsum(decay * poly[..., :n_pts] * poly[..., n_pts:], axis=0)[-1]
-    log_scale = -ladder_energy(p, 0, ell[..., None]) * tau / p.hbar + log_env[..., :n_pts] + log_env[..., n_pts:]
-    return log_scale, mantissa
+    return top, np.cumsum(np.ldexp(factor, shift), axis=0)[-1]
 
 
 def radial_kernel_spectral(
@@ -195,10 +213,14 @@ def radial_kernel_spectral(
     """Spectral sum sum_{n=0}^{n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb).
 
     ra and rb may be arrays, broadcast against each other; both fields of
-    the result then have their shape, and scalar endpoints give floats. The
-    terms are summed with the largest weight factored out in log space, so
-    the value is returned whenever it fits in a float, and OverflowError is
-    raised when it does not.
+    the result then have their shape, and scalar endpoints give floats. Each
+    term is held as a power of two times a factor, and the largest power is
+    factored out of the sum, so the value is returned whenever it fits in a
+    float (a value below the normal range rounds to a subnormal or 0) and
+    OverflowError is raised when it does not. The one further limit is the
+    unscaled Laguerre recurrence: L_n^{ell+1/2}(x), x = mu omega r^2/hbar,
+    grows like e^{x/2} where n > x/4, so past x of about 1400 a high enough
+    n_cut overflows it, and OverflowError is raised as well.
 
     The reported tail bound majorizes the dropped n > n_cut terms. Szego's
     inequality |e^{-x/2} L_n^a(x)| <= C_n = Gamma(n+a+1) / (n! Gamma(a+1)),
@@ -220,8 +242,9 @@ def radial_kernel_spectral(
     ell = effective_ell(p, n_theta, m)
     scalar = a_pts.ndim == 0
     where = f" with endpoints ({ra}, {rb})" if scalar else ""
-    log_scale, mantissa = _spectral_sums(p, ell, a_pts.ravel(), b_pts.ravel(), tau, n_cut)
-    value = _scaled_exp(log_scale, mantissa, f"radial_kernel_spectral at tau={tau}{where}").reshape(a_pts.shape)
+    what = f"radial_kernel_spectral at tau={tau}{where}"
+    exponent, mantissa = _spectral_sums(p, ell, a_pts.ravel(), b_pts.ravel(), tau, n_cut, what)
+    value = _to_float(exponent, mantissa, what).reshape(a_pts.shape)
 
     a = ell + 0.5
     y = math.exp(-2 * p.omega * tau)
@@ -293,11 +316,13 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     if not ells:
         return 0.0 + 0.0j
     distinct, index = np.unique(np.concatenate(ells), return_inverse=True)
-    log_scale, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut)
-    log_scale, mantissa = log_scale[index, 0], mantissa[index, 0]
-    top = float(np.max(log_scale))
-    total = float(np.sum(np.concatenate(coef) * mantissa * np.exp(log_scale - top)))
-    return complex(_scaled_exp(top, total, f"full_kernel_spectral at tau={q.tau}"))
+    what = f"full_kernel_spectral at tau={q.tau}"
+    exponent, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut, what)
+    exponent, mantissa = exponent[index, 0], mantissa[index, 0]
+    top = float(np.max(exponent))
+    shift = np.maximum(exponent - top, -_EXP_CLIP).astype(np.int64)
+    total = float(np.sum(np.concatenate(coef) * np.ldexp(mantissa, shift)))
+    return complex(_to_float(top, total, what))
 
 
 def integrated_diagonal_kernel(

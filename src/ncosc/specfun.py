@@ -90,18 +90,12 @@ def laguerre_all(n_max: int, a, x) -> np.ndarray:
     """
     _check_degree(n_max)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.ndim(a) == 0:
-        a = float(a)
-        if a <= -1:
-            raise ValueError(f"laguerre requires a > -1, got a={a}")
-        order_shape: tuple[int, ...] = ()
-    else:
-        a = np.asarray(a, dtype=float)
-        if np.any(a <= -1):
-            raise ValueError(f"laguerre requires a > -1, got a={a}")
-        order_shape = a.shape
-        a = a.reshape(order_shape + (1,) * xa.ndim)
-    out = np.empty((n_max + 1,) + order_shape + xa.shape)
+    a = np.asarray(a, dtype=float)
+    if (a <= -1).any():
+        raise ValueError(f"laguerre requires a > -1, got a={a}")
+    out = np.empty((n_max + 1,) + a.shape + xa.shape)
+    # a 0-d order as a Python float: numpy scalar arithmetic is twice as slow
+    a = float(a) if a.ndim == 0 else a.reshape(a.shape + (1,) * xa.ndim)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 1 + a - xa

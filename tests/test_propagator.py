@@ -102,6 +102,69 @@ def test_spectral_kernel_overflows_only_beyond_float_range():
     assert spectral == pytest.approx(radial_kernel_closed(p, 0, 0, 30.0, 30.0, 1500.0), rel=1e-11)
 
 
+@pytest.mark.parametrize("omega, r, tau", [(1.0, 28.0, 0.1), (100.0, 2.8, 0.001)])
+def test_spectral_kernel_at_large_x(omega, r, tau):
+    # x = mu omega r^2/hbar = 784 at both endpoints. Past n = x/4 the
+    # Laguerre part of R_n grows like e^{x/2}, so the two polynomial
+    # parts of a term multiply to about e^784, while the kernel is 1.6e-20
+    # (omega = 1). The closed form loses about 1e-12 to cancellation in
+    # its exponent here.
+    p = PotentialParams(omega=omega)
+    spectral = radial_kernel_spectral(p, 0, 0, r, r, tau, 400)
+    closed = radial_kernel_closed(p, 0, 0, r, r, tau)
+    assert abs(spectral.value - closed) <= spectral.tail_bound + 1e-11 * closed
+
+
+def test_spectral_partial_sum_whose_leading_term_underflows():
+    # x = 760: the n = 0 term e^{-E_0 tau} R_0(r)^2 is 7e-328, below the
+    # float range, while the terms up to n_cut climb to the partial sum,
+    # 8.4e-93 (n_cut stays below the turning point x/4, so this is a
+    # partial sum and not the kernel; the oracle sums the same terms)
+    p = PotentialParams()
+    r, tau, n_cut = 27.57, 0.1, 100
+    ell = effective_ell(p, 0, 0)
+    mpmath.mp.dps = 40
+    x = mpmath.mpf(r) ** 2
+
+    def rad(n):
+        norm = mpmath.sqrt(2 * mpmath.factorial(n) / mpmath.gamma(n + ell + 1.5))
+        return norm * mpmath.exp(-x / 2) * x ** (mpmath.mpf(ell) / 2) * mpmath.laguerre(n, ell + 0.5, x)
+
+    want = mpmath.fsum(mpmath.exp(-(2 * n + ell + 1.5) * tau) * rad(n) ** 2 for n in range(n_cut + 1))
+    got = radial_kernel_spectral(p, 0, 0, r, r, tau, n_cut).value
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_spectral_kernel_laguerre_overflow_is_reported():
+    # x = 1600: L_n(x) leaves the float range before n = 600; the
+    # unscaled recurrence cannot carry it, and the sum says so
+    with pytest.raises(OverflowError, match="Laguerre polynomial"):
+        radial_kernel_spectral(PotentialParams(), 0, 0, 40.0, 40.0, 0.1, 600)
+
+
+def test_full_kernel_at_large_x_matches_closed_sectors():
+    # every sector's radial factor as the closed kernel; n_cut = 400 leaves
+    # a radial tail far below the tolerance
+    from ncosc.model import admissible_ell, angular_mode
+    from ncosc.spectrum import angular_wavefunction
+
+    q = PropagatorQuery(ra=28.0, rb=28.0, theta_a=0.6, theta_b=0.9, phi_a=0.3, phi_b=1.9,
+                        tau=0.1, n_cut=400, ntheta_cut=2, m_cut=1)
+    total, scale = 0.0, 0.0
+    for m in range(-1, 2):
+        for nt in range(3):
+            if admissible_ell(COUPLED, nt, m) is None:
+                continue
+            mode = angular_mode(COUPLED, nt, m)
+            term = (radial_kernel_closed(COUPLED, nt, m, 28.0, 28.0, 0.1) * math.cos(m * 1.6) / (2 * math.pi)
+                    * angular_wavefunction(mode, 0.6) * angular_wavefunction(mode, 0.9))
+            total += term
+            scale += abs(term)
+    k = full_kernel_spectral(COUPLED, q)
+    assert k.imag == 0.0 and k.real != 0.0
+    assert abs(k.real - total) <= 1e-10 * scale
+
+
 def test_closed_kernel_past_sinh_range():
     # sinh(omega tau) overflows past tau ~ 710; the kernel grows like
     # e^{-E_0 tau/hbar}, E_0 = -1/2 here, and still fits
@@ -136,6 +199,8 @@ def _log_uniform(lo, hi):
 # 1e-62 whose time weight e^{-E_0 tau} alone overflows
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=3.0, n_theta=0, m=0, tau=2000.0, ra=1.2, rb=0.7, n_cut=5)
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=3.0, n_theta=0, m=0, tau=1500.0, ra=30.0, rb=30.0, n_cut=5)
+# x = 784 at both endpoints, where two polynomial parts multiply to e^784
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=0.1, ra=28.0, rb=28.0, n_cut=400)
 @settings(max_examples=300, deadline=None)
 def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_theta, m, tau, ra, rb, n_cut):
     p = PotentialParams(v0=v0, alpha=alpha, beta=beta, gamma=gamma)
