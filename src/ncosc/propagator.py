@@ -180,9 +180,9 @@ def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau:
     sum, so the mantissa stays below 1.5 (n_cut + 1) in magnitude, and a term
     only underflows when it is below 2^-1074 of the largest. The Laguerre
     polynomials themselves are unscaled; past x = mu omega r^2/hbar of about
-    1400 they can overflow, and OverflowError is raised. ell is one ell_tilde or an
-    array of them, ra and rb 1-d endpoint arrays of one length P; both
-    results have shape shape(ell) + (P,).
+    1400 they can overflow, and OverflowError is raised. ell is one
+    ell_tilde or an array of them, ra and rb 1-d endpoint arrays of one
+    length P; both results have shape shape(ell) + (P,).
     """
     ell = np.asarray(ell, dtype=float)
     n_pts = len(ra)
@@ -300,8 +300,8 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     Sectors +m and -m share ell_tilde and Theta, so they are summed once
     with weight 2 cos(m dphi)/2pi, and K is real. One Jacobi recurrence per
     |m| gives the angular factors and one Laguerre recurrence over the
-    distinct ell_tilde the radial sums, which stay in log space until the
-    sector sum is formed.
+    distinct ell_tilde the radial sums, which stay a power of two times a
+    mantissa until the sector sum is formed.
     """
     dphi = q.phi_b - q.phi_a
     coef, ells = [], []
