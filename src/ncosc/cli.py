@@ -14,6 +14,7 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,15 +81,31 @@ def _param_fields(p: PotentialParams) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, csv_lines: list[str], payload: dict) -> None:
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return _fmt(v) if isinstance(v, float) else str(v)
+
+
+def _emit(
+    args: argparse.Namespace, comments: list[str], meta: dict, columns: list[str], rows: Iterable[Sequence]
+) -> None:
+    """Write one table in --format, led by the generation timestamp unless
+    --no-timestamp.
+
+    CSV gets the comment lines, the header and one line per row; JSON gets
+    the meta fields and "rows", one object per row keyed by columns.
+    """
+    stamp = not args.no_timestamp
     if args.format == "json":
-        if args.no_timestamp:
-            payload.pop("generated", None)
+        payload = {"generated": _timestamp()} if stamp else {}
+        payload.update(meta, rows=[dict(zip(columns, row)) for row in rows])
         text = _json_value(payload, 0) + "\n"
     else:
-        lines = csv_lines
-        if args.no_timestamp:
-            lines = [ln for ln in lines if not ln.startswith("# generated ")]
+        lines = [f"# generated {_timestamp()}"] if stamp else []
+        lines += comments
+        lines.append(",".join(columns))
+        lines += [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -132,31 +149,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise CliError(f"m cutoff must be >= 0, got {m_max}")
     states = spectrum.enumerate_states(p, e_max=args.emax, m_max=m_max)
 
-    csv_lines = [
-        f"# generated {_timestamp()}",
-        _param_comment(p),
-        f"# emax={_fmt(args.emax)} mmax={m_max}",
-        "n,n_theta,m,lambda,k,ell_tilde,energy",
-    ]
-    rows = []
-    for s in states:
-        csv_lines.append(
-            f"{s.qn.n},{s.qn.n_theta},{s.qn.m},{_fmt(s.angular.lam)},"
-            f"{_fmt(s.angular.k)},{_fmt(s.radial.ell_tilde)},{_fmt(s.energy)}"
-        )
-        rows.append({
-            "n": s.qn.n, "n_theta": s.qn.n_theta, "m": s.qn.m,
-            "lambda": s.angular.lam, "k": s.angular.k,
-            "ell_tilde": s.radial.ell_tilde, "energy": s.energy,
-        })
-    payload = {
-        "generated": _timestamp(),
-        "params": _param_fields(p),
-        "emax": args.emax,
-        "mmax": m_max,
-        "rows": rows,
-    }
-    _emit(args, csv_lines, payload)
+    _emit(
+        args,
+        [_param_comment(p), f"# emax={_fmt(args.emax)} mmax={m_max}"],
+        {"params": _param_fields(p), "emax": args.emax, "mmax": m_max},
+        ["n", "n_theta", "m", "lambda", "k", "ell_tilde", "energy"],
+        [(s.qn.n, s.qn.n_theta, s.qn.m, s.angular.lam, s.angular.k, s.radial.ell_tilde, s.energy)
+         for s in states],
+    )
     return 0
 
 
@@ -192,33 +192,23 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     ).value
     norm = math.sqrt(rad * ang)
 
-    csv_lines = [
-        f"# generated {_timestamp()}",
-        _param_comment(p),
-        f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}",
-        f"# norm {_fmt(norm)}",
-        "r,theta,phi,re_psi,im_psi",
-    ]
-    rows = []
-    for i, r in enumerate(rs):
-        for j, th in enumerate(ths):
-            for q, ph in enumerate(phs):
-                val = psi[i, j, q]
-                csv_lines.append(
-                    f"{_fmt(r)},{_fmt(th)},{_fmt(ph)},{_fmt(val.real)},{_fmt(val.imag)}"
-                )
-                rows.append({
-                    "r": float(r), "theta": float(th), "phi": float(ph),
-                    "re_psi": val.real, "im_psi": val.imag,
-                })
-    payload = {
-        "generated": _timestamp(),
-        "params": _param_fields(p),
-        "state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy},
-        "norm": norm,
-        "rows": rows,
-    }
-    _emit(args, csv_lines, payload)
+    # one row per grid point, r slowest and phi fastest
+    cols = np.broadcast_arrays(rs[:, None, None], ths[None, :, None], phs[None, None, :], psi.real, psi.imag)
+    _emit(
+        args,
+        [
+            _param_comment(p),
+            f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}",
+            f"# norm {_fmt(norm)}",
+        ],
+        {
+            "params": _param_fields(p),
+            "state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy},
+            "norm": norm,
+        },
+        ["r", "theta", "phi", "re_psi", "im_psi"],
+        zip(*(c.ravel().tolist() for c in cols)),
+    )
     return 0
 
 
@@ -256,22 +246,21 @@ def cmd_propagator(args: argparse.Namespace) -> int:
                 f"raise the slice count above --slices {args.slices}"
             )
 
-    csv_lines = [
-        f"# generated {_timestamp()}",
-        _param_comment(p),
-        f"# query ra={_fmt(args.ra)} rb={_fmt(args.rb)} tau={_fmt(args.tau)}"
-        f" ntheta={args.ntheta} m={args.m} ncut={args.n}",
-        "quantity,value",
-    ]
-    csv_lines += [f"{name},{_fmt(value)}" for name, value in entries]
-    payload = {
-        "generated": _timestamp(),
-        "params": _param_fields(p),
-        "query": {"ra": args.ra, "rb": args.rb, "tau": args.tau,
-                  "ntheta": args.ntheta, "m": args.m, "ncut": args.n},
-        "rows": [{"quantity": name, "value": value} for name, value in entries],
-    }
-    _emit(args, csv_lines, payload)
+    _emit(
+        args,
+        [
+            _param_comment(p),
+            f"# query ra={_fmt(args.ra)} rb={_fmt(args.rb)} tau={_fmt(args.tau)}"
+            f" ntheta={args.ntheta} m={args.m} ncut={args.n}",
+        ],
+        {
+            "params": _param_fields(p),
+            "query": {"ra": args.ra, "rb": args.rb, "tau": args.tau,
+                      "ntheta": args.ntheta, "m": args.m, "ncut": args.n},
+        },
+        ["quantity", "value"],
+        entries,
+    )
     if failures:
         for msg in failures:
             print(f"tolerance not reached: {msg}", file=sys.stderr)
@@ -294,33 +283,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = verify.run_suite(args.suite, tol_scale=args.tol_scale)
     n_pass = sum(r.passed for r in results)
 
-    csv_lines = [
-        f"# generated {_timestamp()}",
-        f"# suite={args.suite} tol-scale={_fmt(args.tol_scale)}",
-        f"# passed {n_pass}/{len(results)}",
-        "suite,check,passed,observed,tolerance" + (",seconds,margin" if args.timings else ""),
+    columns = ["suite", "check", "passed", "observed", "tolerance"]
+    if args.timings:
+        # detail is free text, so only JSON carries it
+        columns += ["seconds", "margin"] + (["detail"] if args.format == "json" else [])
+    rows = [
+        (r.suite, r.name, r.passed, r.observed, r.tolerance,
+         r.seconds, _margin(r.observed, r.tolerance), r.detail)[:len(columns)]
+        for r in results
     ]
-    rows = []
-    for r in results:
-        line = f"{r.suite},{r.name},{'true' if r.passed else 'false'},{_fmt(r.observed)},{_fmt(r.tolerance)}"
-        row = {
-            "suite": r.suite, "check": r.name, "passed": r.passed,
-            "observed": r.observed, "tolerance": r.tolerance,
-        }
-        if args.timings:
-            margin = _margin(r.observed, r.tolerance)
-            line += f",{_fmt(r.seconds)},{_fmt(margin)}"
-            row.update(seconds=r.seconds, margin=margin, detail=r.detail)
-        csv_lines.append(line)
-        rows.append(row)
-    payload = {
-        "generated": _timestamp(),
-        "suite": args.suite,
-        "tol_scale": args.tol_scale,
-        "all_passed": n_pass == len(results),
-        "rows": rows,
-    }
-    _emit(args, csv_lines, payload)
+    _emit(
+        args,
+        [f"# suite={args.suite} tol-scale={_fmt(args.tol_scale)}", f"# passed {n_pass}/{len(results)}"],
+        {"suite": args.suite, "tol_scale": args.tol_scale, "all_passed": n_pass == len(results)},
+        columns,
+        rows,
+    )
     return 0 if n_pass == len(results) else 1
 
 

@@ -69,6 +69,9 @@ class PotentialParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.mu <= 0:

@@ -34,11 +34,14 @@ from .model import (
     ladder_energy,
     radial_log_norm,
 )
-from .specfun import bessel_i, laguerre_all, log_bessel_i, log_gamma
+from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_gamma
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 # math.exp overflows past this
 _LOG_MAX = math.log(np.finfo(float).max)
+# below this a float is subnormal
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 _LN2 = math.log(2.0)
 # powers of two beyond this are 0 or overflow in any float sum
 _EXP_CLIP = 1 << 20
@@ -76,14 +79,17 @@ class PropagatorQuery:
     m_cut: int
 
     def __post_init__(self) -> None:
-        if self.ra <= 0 or self.rb <= 0:
-            raise ValueError("endpoints require ra > 0 and rb > 0")
+        if not (0 < self.ra < math.inf and 0 < self.rb < math.inf):
+            raise ValueError(f"endpoints require finite ra > 0 and rb > 0, got ra={self.ra}, rb={self.rb}")
         for name in ("theta_a", "theta_b"):
             th = getattr(self, name)
             if not 0 < th < math.pi / 2:
                 raise ValueError(f"{name} must lie in (0, pi/2), got {th}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        for name in ("phi_a", "phi_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.n_cut < 1 or self.ntheta_cut < 1:
             raise ValueError("n_cut and ntheta_cut must be >= 1")
         if self.m_cut < 0:
@@ -102,8 +108,8 @@ class LatticeSpec:
     def __post_init__(self) -> None:
         if self.n_slices < 1:
             raise ValueError(f"n_slices must be >= 1, got {self.n_slices}")
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError("lattice grid requires 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ValueError("lattice grid requires 0 < r_min < r_max < inf")
         if self.n_grid < 16:
             raise ValueError(f"n_grid must be >= 16, got {self.n_grid}")
 
@@ -116,40 +122,60 @@ class SpectralKernel(NamedTuple):
     tail_bound: float
 
 
+def _log_ive(nu: float, log_z: float) -> float:
+    """ln I_nu(z) - z at z = e^log_z, also where z is outside the normal
+    float range: below it I_nu(z) is its leading power (z/2)^nu / Gamma(nu + 1),
+    above it the leading term e^z / sqrt(2 pi z) of its expansion."""
+    if log_z < _LOG_TINY:
+        return nu * (log_z - _LN2) - log_gamma(nu + 1)
+    if log_z > _LOG_MAX:
+        return -0.5 * (math.log(2 * math.pi) + log_z)
+    return log_bessel_ie(nu, math.exp(log_z))
+
+
 def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
     """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
 
-    Assembled as ln K from ln I_{ell+1/2}, the log-Gaussian and the
-    prefactors, then exponentiated once, so a kernel that fits in a float
-    is returned even where I_{ell+1/2} alone would overflow (short times).
+    Assembled as ln K and exponentiated once, so a kernel that fits in a
+    float is returned even where its factors do not. The Bessel factor
+    enters scaled, as ln I_{ell+1/2}(z) - z with z = mu omega ra rb/(hbar sinh omega tau),
+    and z joins the Gaussian exponent, which becomes
+    -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
+    at short times ln I and the Gaussian are both of order 1/tau and would
+    cancel. Where z or sinh(omega tau) leaves the normal float range, both
+    are taken from logarithms, so tiny endpoints and times keep every digit.
     """
-    if ra <= 0 or rb <= 0:
-        raise ValueError("radial_kernel_closed requires ra > 0 and rb > 0")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not (0 < ra < math.inf and 0 < rb < math.inf):
+        raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ell = effective_ell(p, n_theta, m)
     wt = p.omega * tau
     scale = p.mu * p.omega / p.hbar
-    if wt < 700:
-        sh = math.sinh(wt)
-        coth = math.cosh(wt) / sh
-        log_k = (
-            math.log(scale / sh)
-            + log_bessel_i(ell + 0.5, scale * ra * rb / sh)
-            - 0.5 * scale * (ra * ra + rb * rb) * coth
-        )
+    # z = 0 or inf below marks a z that must be taken from logarithms
+    if wt >= 700:
+        # sinh overflows near wt = 710; here sinh = cosh = e^wt / 2 to the last bit
+        log_sh, coth, th_half, z = wt - _LN2, 1.0, 1.0, 0.0
     else:
-        # sinh overflows near wt = 710; here sinh = cosh = e^wt / 2 to the
-        # last bit, and I_nu(z) at z = 2 scale ra rb e^-wt is its leading
-        # power (z/2)^nu / Gamma(nu + 1)
-        log_k = (
-            math.log(2 * scale)
-            - wt
-            + (ell + 0.5) * (math.log(scale * ra * rb) - wt)
-            - log_gamma(ell + 1.5)
-            - 0.5 * scale * (ra * ra + rb * rb)
-        )
-    log_k += p.v0 * tau / p.hbar - 0.5 * math.log(ra * rb)
+        sh, ch = math.sinh(wt), math.cosh(wt)
+        th_half = sh / (ch + 1)
+        if sh >= _TINY:
+            log_sh, coth, z = math.log(sh), ch / sh, scale * ra * rb / sh
+        else:
+            # a subnormal sinh equals omega tau, and coth overflows
+            log_sh, coth, z = math.log(p.omega) + math.log(tau), math.inf, math.inf
+    rr = ra * rb  # may underflow
+    log_rr = math.log(rr) if rr >= _TINY else math.log(ra) + math.log(rb)
+    log_pref = math.log(scale) - log_sh
+    nu = ell + 0.5
+    d = ra - rb
+    log_k = (
+        log_pref
+        + (log_bessel_ie(nu, z) if _TINY <= z < math.inf else _log_ive(nu, log_pref + log_rr))
+        - 0.5 * scale * ((d * d * coth if d else 0.0) + 2 * rr * th_half)
+        + p.v0 * tau / p.hbar
+        - 0.5 * log_rr
+    )
     if log_k > _LOG_MAX:
         raise OverflowError(
             f"radial_kernel_closed at tau={tau} with endpoints ({ra}, {rb}) is e^{log_k:.6g}, "
@@ -233,10 +259,11 @@ def radial_kernel_spectral(
     space and rounded up to the smallest subnormal when it underflows.
     """
     a_pts, b_pts = np.broadcast_arrays(np.asarray(ra, dtype=float), np.asarray(rb, dtype=float))
-    if np.any(a_pts <= 0) or np.any(b_pts <= 0):
-        raise ValueError("radial_kernel_spectral requires ra > 0 and rb > 0")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    for name, pts in (("ra", a_pts), ("rb", b_pts)):
+        if not np.all((pts > 0) & (pts < math.inf)):
+            raise ValueError(f"radial_kernel_spectral requires finite {name} > 0, got {name}={pts}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if n_cut < 1:
         raise ValueError(f"n_cut must be >= 1, got {n_cut}")
     ell = effective_ell(p, n_theta, m)
@@ -258,7 +285,8 @@ def radial_kernel_spectral(
     if ratio < 1:
         log_tail = log_envelope(n_cut + 1) - math.log1p(-ratio)
     else:
-        log_tail = log_envelope(0) - (a + 1) * math.log1p(-y)
+        # 1 - y from expm1: at short times y rounds to 1
+        log_tail = log_envelope(0) - (a + 1) * math.log(-math.expm1(-2 * p.omega * tau))
     tail = np.where(log_tail > _LOG_MAX, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_MAX)), math.ulp(0.0)))
     if scalar:
         return SpectralKernel(value=float(value), tail_bound=float(tail))
@@ -274,8 +302,8 @@ def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau:
     th_a, th_b = np.broadcast_arrays(np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float))
     if not (np.all((0 < th_a) & (th_a < math.pi / 2)) and np.all((0 < th_b) & (th_b < math.pi / 2))):
         raise ValueError("angles must lie in (0, pi/2)")
-    if s_tau <= 0:
-        raise ValueError(f"s_tau must be positive, got {s_tau}")
+    if not 0 < s_tau < math.inf:
+        raise ValueError(f"s_tau must be positive and finite, got {s_tau}")
     if ntheta_cut < 1:
         raise ValueError(f"ntheta_cut must be >= 1, got {ntheta_cut}")
     modes = [angular_mode(p, n_theta, m) for n_theta in range(ntheta_cut + 1)]
@@ -344,8 +372,8 @@ def integrated_diagonal_kernel(
     the trace-consistency check the verify suite runs. Each |m| takes one
     Jacobi and one Laguerre recurrence for all its sectors.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if r_hi is None:
         # outermost state sets the turning point; pad well past it
         ell_hi = effective_ell(p, ntheta_cut, m_cut)
@@ -432,23 +460,32 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
     """
     vx = -p.v0 + 0.5 * p.mu * p.omega**2 * x**2
     vy = -p.v0 + 0.5 * p.mu * p.omega**2 * y**2
-    z = p.mu * x[:, None] * y[None, :] / (p.hbar * eps)
-    dr = x[:, None] - y[None, :]
+    if x is y:
+        # the kernel is symmetric: evaluate the upper triangle and mirror it
+        rows, cols = np.triu_indices(len(x))
+    else:
+        rows, cols = np.ix_(np.arange(len(x)), np.arange(len(y)))
+    xr, yc = x[rows], y[cols]
+    dr = xr - yc
     log_t = (
-        np.log(p.mu * np.sqrt(x[:, None] * y[None, :]) / (p.hbar * eps))
-        + np.log(ive(ell + 0.5, z))
+        np.log(p.mu * np.sqrt(xr * yc) / (p.hbar * eps))
+        + np.log(ive(ell + 0.5, p.mu * xr * yc / (p.hbar * eps)))
         - p.mu * dr * dr / (2 * p.hbar * eps)
-        - eps * (vx[:, None] + vy[None, :]) / (2 * p.hbar)
+        - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
     )
-    return np.exp(log_t)
+    if x is not y:
+        return np.exp(log_t)
+    out = np.empty((len(x), len(x)))
+    out[rows, cols] = out[cols, rows] = np.exp(log_t)
+    return out
 
 
 def _lattice_setup(
     p: PotentialParams, n_theta: int, m: int, tau: float, spec: LatticeSpec
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Validate a lattice query; return (ell, eps, grid, trapezoid weights)."""
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     ell = effective_ell(p, n_theta, m)
     eps = tau / spec.n_slices
     grid = np.linspace(spec.r_min, spec.r_max, spec.n_grid)

@@ -23,6 +23,7 @@ __all__ = [
     "jacobi_all",
     "bessel_i",
     "log_bessel_i",
+    "log_bessel_ie",
     "bessel_short_time_ratio",
 ]
 
@@ -139,7 +140,7 @@ def jacobi_all(n_max: int, a: float, b: float, x) -> np.ndarray:
 
 
 def _log_bessel_series(nu: float, x: float) -> float:
-    """ln I_nu(x) from the ascending series.
+    """ln I_nu(x) - x from the ascending series.
 
     Every term is positive, so the sum never cancels; the running sum is
     rescaled whenever it grows large, which keeps the series usable far
@@ -151,9 +152,12 @@ def _log_bessel_series(nu: float, x: float) -> float:
     term = 1.0
     total = 1.0
     offset = 0.0
-    k = 0
-    while True:
-        k += 1
+    # k is counted as a float, which keeps the arithmetic off the mixed
+    # int-float path; the cap on the count is unreachable for the
+    # supported domain and guards hangs
+    k = 0.0
+    for _ in range(200000):
+        k += 1.0
         term *= q / (k * (nu + k))
         total += term
         if term < 1e-18 * total:
@@ -163,13 +167,13 @@ def _log_bessel_series(nu: float, x: float) -> float:
             total *= scale
             term *= scale
             offset -= math.log(scale)
-        if k > 200000:  # unreachable for the supported domain; guards hangs
-            raise RuntimeError(f"bessel series failed to converge: nu={nu}, x={x}")
-    return log_t0 + offset + math.log(total)
+    else:
+        raise RuntimeError(f"bessel series failed to converge: nu={nu}, x={x}")
+    return log_t0 + offset + math.log(total) - x
 
 
 def _log_bessel_asymptotic(nu: float, x: float) -> float:
-    """ln I_nu(x) from the large-argument expansion, valid for x >> nu^2.
+    """ln I_nu(x) - x from the large-argument expansion, valid for x >> nu^2.
 
     I_nu(x) ~ e^x/sqrt(2 pi x) * sum_k (-1)^k a_k(nu)/x^k with
     a_k = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k). The series is
@@ -188,25 +192,33 @@ def _log_bessel_asymptotic(nu: float, x: float) -> float:
         prev_mag = mag
         if mag < 1e-18:
             break
-    return x - 0.5 * math.log(2 * math.pi * x) + math.log(total)
+    return math.log(total) - 0.5 * math.log(2 * math.pi * x)
 
 
-def _use_asymptotic(nu: float, x: float) -> bool:
+def log_bessel_ie(nu: float, x: float) -> float:
+    """Scaled ln I_nu(x) - x for nu >= 0 and finite x >= 0; -inf when I_nu(x) = 0 (x=0, nu>0).
+
+    Where I_nu(x) is multiplied by a Gaussian of order e^-x, as in the
+    closed radial kernel, the two exponents cancel; this form keeps the
+    difference without forming either.
+    """
+    if nu < 0 or not 0 <= x < math.inf:
+        raise ValueError(f"log_bessel_ie requires nu >= 0 and finite x >= 0, got nu={nu}, x={x}")
+    if x == 0:
+        return 0.0 if nu == 0 else -math.inf
     # the 1/x expansion needs x well past nu^2 before its optimal
     # truncation error drops under 1e-13; below that the series is exact
     # enough everywhere and free of cancellation
-    return x >= max(36.0, 4.5 * nu * nu + 25.0)
+    if x >= 36.0 and x >= 4.5 * nu * nu + 25.0:
+        return _log_bessel_asymptotic(nu, x)
+    return _log_bessel_series(nu, x)
 
 
 def log_bessel_i(nu: float, x: float) -> float:
     """ln I_nu(x) for nu >= 0, x >= 0; -inf when I_nu(x) = 0 (x=0, nu>0)."""
     if nu < 0 or x < 0:
         raise ValueError(f"log_bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
-    if x == 0:
-        return 0.0 if nu == 0 else -math.inf
-    if _use_asymptotic(nu, x):
-        return _log_bessel_asymptotic(nu, x)
-    return _log_bessel_series(nu, x)
+    return log_bessel_ie(nu, x) + x
 
 
 def bessel_i(nu: float, x: float) -> float:

@@ -27,7 +27,6 @@ from .model import (
     effective_ell,
     ladder_energy,
     radial_log_norm,
-    radial_mode,
 )
 from .specfun import jacobi_all, laguerre, laguerre_all, log_gamma
 
@@ -120,27 +119,41 @@ def full_wavefunction(p: PotentialParams, qn: QuantumNumbers, r, theta, phi):
     return complex(val) if np.ndim(val) == 0 else val
 
 
+def _sector_states(p: PotentialParams, ang: AngularMode, ell: float, ns, ms) -> list[EigenState]:
+    """EigenStates of one admissible sector: angular mode ang, ell_tilde ell,
+    each radial n in ns and each signed m in ms, which share |m|.
+
+    The sector's log-gammas are taken once; each n has one RadialMode,
+    shared by every m.
+    """
+    n_theta = ang.n_theta
+    # the combined constant of the full wavefunction equals
+    # radial.norm * angular.norm / sqrt(2 pi) up to rounding; its log is
+    # summed left to right, the n-independent terms first
+    head = (
+        math.log(2 / math.pi)
+        + 1.5 * math.log(p.mu * p.omega / p.hbar)
+        + math.log(2 * n_theta + ang.k + ang.lam + 1)
+    )
+    g_n = log_gamma(n_theta + 1.0)
+    g_nkl = log_gamma(n_theta + ang.k + ang.lam + 1)
+    g_nk = log_gamma(n_theta + ang.k + 1)
+    g_nl = log_gamma(n_theta + ang.lam + 1)
+    states = []
+    for n in ns:
+        rad = RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell), norm=math.exp(radial_log_norm(p, n, ell)))
+        log_total_sq = head + log_gamma(n + 1.0) + g_n + g_nkl - g_nk - g_nl - log_gamma(n + ell + 1.5)
+        total_norm = math.exp(0.5 * log_total_sq)
+        for m in ms:
+            states.append(EigenState(QuantumNumbers(n=n, n_theta=n_theta, m=m), ang, rad, total_norm))
+    return states
+
+
 def eigenstate(p: PotentialParams, n: int, n_theta: int, m: int) -> EigenState:
     """Assemble the EigenState for (n, n_theta, m), rejecting inadmissible sectors."""
-    qn = QuantumNumbers(n=n, n_theta=n_theta, m=m)
-    ang = angular_mode(p, n_theta, m)
-    rad = radial_mode(p, n, n_theta, m)
-    # combined constant of the full wavefunction; equals
-    # radial.norm * angular.norm / sqrt(2 pi) up to rounding
-    s = 2 * n_theta + ang.k + ang.lam + 1
-    scale = p.mu * p.omega / p.hbar
-    log_total_sq = (
-        math.log(2 / math.pi)
-        + 1.5 * math.log(scale)
-        + math.log(s)
-        + log_gamma(n + 1.0)
-        + log_gamma(n_theta + 1.0)
-        + log_gamma(n_theta + ang.k + ang.lam + 1)
-        - log_gamma(n_theta + ang.k + 1)
-        - log_gamma(n_theta + ang.lam + 1)
-        - log_gamma(n + rad.ell_tilde + 1.5)
-    )
-    return EigenState(qn=qn, angular=ang, radial=rad, total_norm=math.exp(0.5 * log_total_sq))
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _sector_states(p, angular_mode(p, n_theta, m), effective_ell(p, n_theta, m), [n], [m])[0]
 
 
 def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[EigenState]:
@@ -152,7 +165,8 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     terminates from the energy bound alone. Inadmissible sectors
     (non-bound lambda, fall-to-center radicand, ell_tilde < 0) hold no
     states and are skipped; admissibility is restored at larger n_theta
-    or |m|, so skipping never ends a scan early.
+    or |m|, so skipping never ends a scan early. Each sector's angular
+    mode and log-gammas are built once, and sectors +m and -m share them.
     """
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
@@ -160,14 +174,14 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     states: list[EigenState] = []
     for m in range(0, m_max + 1):
+        signed = (m, -m) if m else (0,)
         for n_theta, ell in admissible_sectors(p, m):
             if ladder_energy(p, 0, ell) > e_max:
                 break
-            n = 0
-            while ladder_energy(p, n, ell) <= e_max:
-                for mm in {m, -m}:
-                    states.append(eigenstate(p, n, n_theta, mm))
-                n += 1
+            n_count = 1
+            while ladder_energy(p, n_count, ell) <= e_max:
+                n_count += 1
+            states += _sector_states(p, angular_mode(p, n_theta, m), ell, range(n_count), signed)
     states.sort(key=lambda s: (s.radial.energy, s.qn.n, s.qn.n_theta, s.qn.m))
     return states
 

@@ -218,6 +218,21 @@ def test_spectrum_rejects_fall_to_center(capsys):
 
 # ------------------------------------------------------------ wavefunction
 
+WAVEFUNCTION_GOLDEN_ARGS = {
+    "default": [],
+    "coupled": ["--n", "3", "--ntheta", "2", "--m", "1", "--alpha", "1", "--beta", "0.5", "--gamma", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(WAVEFUNCTION_GOLDEN_ARGS))
+def test_wavefunction_matches_golden_table(capsys, name, fmt):
+    code, out, _ = run_cli(capsys, "wavefunction", *WAVEFUNCTION_GOLDEN_ARGS[name], "--format", fmt,
+                           "--no-timestamp")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / f"wavefunction_{name}.{fmt}").read_bytes()
+
+
 def test_wavefunction_norm_and_phase_structure(capsys):
     code, out, _ = run_cli(capsys, "wavefunction", "--n", "0", "--ntheta", "0",
                            "--m", "1", "--beta", "0.5", "--format", "json",
@@ -347,6 +362,27 @@ def test_verify_timings_report_seconds_margin_and_detail(capsys):
                            "--tol-scale", "0", "--format", "json")
     margins = {r["check"]: r["margin"] for r in json.loads(out)["rows"]}
     assert margins["degenerate-limit"] == 0 and margins["gram-identity"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--lattice", "--tau", "0.5", "--ra", "0.8", "--rb", "1.2"],
+    ["verify", "--suite", "specfun"],
+])
+def test_csv_and_json_carry_the_same_rows(capsys, argv):
+    code_csv, csv_out, _ = run_cli(capsys, *argv, "--no-timestamp")
+    code_json, json_out, _ = run_cli(capsys, *argv, "--no-timestamp", "--format", "json")
+    assert code_csv == code_json == 0
+    header, csv_table = csv_rows(csv_out)
+    json_table = json.loads(json_out)["rows"]
+    assert [list(row) for row in json_table] == [header.split(",")] * len(csv_table)
+    for cells, row in zip(csv_table, json_table):
+        for cell, value in zip(cells, row.values()):
+            if isinstance(value, bool):
+                assert cell == str(value).lower()
+            elif isinstance(value, (int, float)):
+                assert float(cell) == value
+            else:
+                assert cell == value
 
 
 def test_verify_fails_under_zero_tolerance(capsys):

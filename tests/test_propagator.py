@@ -86,6 +86,56 @@ def test_closed_kernel_short_time_is_finite():
     assert val == pytest.approx(free, rel=1e-5)
 
 
+def _closed_kernel_mp(ell, ra, rb, tau):
+    """The closed kernel at unit scales, in the unscaled textbook form, with
+    digits enough to survive the cancellation of its two large exponents."""
+    with mpmath.workdps(40 + max(0, int(-math.log10(tau)))):
+        ra, rb, tau = mpmath.mpf(ra), mpmath.mpf(rb), mpmath.mpf(tau)
+        sh = mpmath.sinh(tau)
+        return (mpmath.besseli(ell + 0.5, ra * rb / sh) / sh / mpmath.sqrt(ra * rb)
+                * mpmath.exp(-(ra * ra + rb * rb) * mpmath.cosh(tau) / (2 * sh)))
+
+
+@pytest.mark.parametrize("tau", [1e-320, 1e-300, 1e-20, 1e-9, 2e-3])
+def test_closed_kernel_at_short_times_matches_mpmath(tau):
+    # ln I and the Gaussian exponent are both of order 1/tau and cancel;
+    # at 1e-320 sinh(tau) is subnormal and coth overflows
+    for ra, rb in [(1.0, 1.0), (3.0, 3.0), (1.0, 1.0 + 1e-10)]:
+        want = _closed_kernel_mp(1.0, ra, rb, tau)
+        got = radial_kernel_closed(PotentialParams(), 0, 0, ra, rb, tau)
+        assert abs(got - want) <= 1e-13 * want + 5e-324, (ra, rb, tau)
+
+
+def test_closed_kernel_at_tiny_endpoints_matches_mpmath():
+    # ell_tilde = 0 (alpha = -2) tends to a constant as r -> 0; ell_tilde = 1
+    # falls like r^2 and leaves the float range below r = 1e-162
+    for p, ell in [(PotentialParams(alpha=-2.0), 0.0), (PotentialParams(), 1.0)]:
+        for r in (1e-100, 1e-155, 1e-160, 1e-170, 1e-300):
+            want = _closed_kernel_mp(ell, r, r, 1.0)
+            got = radial_kernel_closed(p, 0, 0, r, r, 1.0)
+            assert abs(got - want) <= 1e-13 * want + 5e-324, (ell, r)
+    assert radial_kernel_closed(PotentialParams(), 0, 0, 1e-170, 1e-170, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: PotentialParams(omega=math.nan), "omega"),
+    (lambda: PotentialParams(alpha=math.inf), "alpha"),
+    (lambda: enumerate_states(PotentialParams(alpha=math.nan), 5.0, 2), "alpha"),
+    (lambda: radial_kernel_closed(PotentialParams(), 0, 0, 1.0, 1.0, math.nan), "tau"),
+    (lambda: radial_kernel_closed(PotentialParams(), 0, 0, math.inf, 1.0, 1.0), "ra"),
+    (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, 1.0, 1.0, math.nan, 10), "tau"),
+    (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, math.nan, 1.0, 1.0, 10), "ra"),
+    (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, 1.0, [1.0, math.inf], 1.0, 10), "rb"),
+    (lambda: PropagatorQuery(1.0, 1.0, 0.5, 0.5, math.nan, 0.0, 1.0, 10, 2, 2), "phi_a"),
+    (lambda: PropagatorQuery(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, math.inf, 10, 2, 2), "tau"),
+    (lambda: angular_kernel_spectral(PotentialParams(), 0, 0.5, 0.5, math.nan, 4), "s_tau"),
+    (lambda: lattice_kernel_grid(PotentialParams(), 0, 0, math.nan, LATTICE_64), "tau"),
+])
+def test_non_finite_input_raises_value_error(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 def test_closed_kernel_overflows_only_beyond_float_range():
     # ln K is about 9997: the value itself does not fit
     with pytest.raises(OverflowError, match="beyond the float range"):
@@ -201,6 +251,14 @@ def _log_uniform(lo, hi):
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=3.0, n_theta=0, m=0, tau=1500.0, ra=30.0, rb=30.0, n_cut=5)
 # x = 784 at both endpoints, where two polynomial parts multiply to e^784
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=0.1, ra=28.0, rb=28.0, n_cut=400)
+# short times, where the closed kernel's two large exponents cancel; at
+# 1e-320 sinh(tau) is subnormal
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-320, ra=1.0, rb=1.0, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-300, ra=1.0, rb=1.0, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-20, ra=1.0, rb=1.0, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-20, ra=1.0, rb=1.0 + 1e-10, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-9, ra=3.0, rb=3.0, n_cut=5)
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=2e-3, ra=3.0, rb=3.0, n_cut=120)
 @settings(max_examples=300, deadline=None)
 def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_theta, m, tau, ra, rb, n_cut):
     p = PotentialParams(v0=v0, alpha=alpha, beta=beta, gamma=gamma)
@@ -318,6 +376,22 @@ def _reference_chain(p, tau, spec):
     for _ in range(spec.n_slices - 1):
         composed = (composed * w[None, :]) @ t
     return grid, composed / (grid[:, None] * grid[None, :])
+
+
+def test_slice_matrix_mirrors_its_upper_triangle():
+    # distinct row and column arrays make _slice_matrix evaluate every entry
+    grid = np.linspace(0.02, 8.0, 400)
+    for p in (PotentialParams(alpha=1.0), PotentialParams(mu=0.7, alpha=1.0)):
+        half = _slice_matrix(p, 1.3, grid, grid, 0.05)
+        full = _slice_matrix(p, 1.3, grid, grid.copy(), 0.05)
+        assert np.array_equal(half, half.T)
+        if p.mu == 1.0:
+            # (mu x_i) y_j rounds like (mu x_j) y_i only at mu = 1
+            assert np.array_equal(half, full)
+        else:
+            big = full > 1e-8 * full.max()
+            assert np.max(np.abs(half[big] / full[big] - 1)) <= 1e-14
+            assert np.max(np.abs(half - full)) <= 1e-14 * full.max()
 
 
 def test_lattice_grid_powering_matches_reference_chain():

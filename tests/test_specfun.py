@@ -7,6 +7,7 @@ on, so a transcription slip in the recurrence cannot certify itself.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -21,6 +22,7 @@ from ncosc.specfun import (
     laguerre,
     laguerre_all,
     log_bessel_i,
+    log_bessel_ie,
     log_gamma,
 )
 
@@ -94,6 +96,12 @@ def test_bessel_matches_scipy_through_branch_switch():
             if not math.isfinite(ref) or ref == 0.0:
                 continue
             assert bessel_i(nu, float(x)) == pytest.approx(ref, rel=1e-10), (nu, x)
+    # the scaled form, also far past the point where I_nu itself overflows
+    for nu in (0.0, 0.5, 5.5, 20.5):
+        for x in np.concatenate([xs, [1e3, 1e6, 1e12, 1e300]]):
+            with mpmath.workdps(30 + int(math.log10(x) if x > 1 else 0)):
+                ref = float(mpmath.log(mpmath.besseli(nu, float(x))) - float(x))
+            assert log_bessel_ie(nu, float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-12), (nu, x)
 
 
 def test_batch_evaluators_match_scalar_exactly():

@@ -179,6 +179,21 @@ def test_enumerate_states_matches_brute_force_at_zero_couplings():
     assert [(s.qn.n, s.qn.n_theta, s.qn.m) for s in got] == [(n, nt, m) for _, n, nt, m in want]
 
 
+# zero couplings; coupled; ell_tilde = 0 in sector (0, 0); inadmissible
+# low sectors with negative alpha, beta and gamma; beta + m^2 < 0 at m = 0
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (0.0, 0.0, 0.0), (1.0, 0.5, 2.0), (-2.0, 0.0, 0.0), (-2.0, -0.5, -0.2), (-4.0, 3.0, 0.0), (-3.0, -1.0, 0.5),
+])
+def test_enumerated_states_equal_eigenstate(alpha, beta, gamma):
+    p = PotentialParams(v0=0.3, alpha=alpha, beta=beta, gamma=gamma)
+    states = enumerate_states(p, e_max=12.0, m_max=6)
+    assert states
+    for s in states:
+        assert s == eigenstate(p, s.qn.n, s.qn.n_theta, s.qn.m), s.qn
+    if (alpha, beta, gamma) == (-2.0, 0.0, 0.0):
+        assert states[0].radial.ell_tilde == 0.0
+
+
 def test_enumerate_states_invariants():
     states = enumerate_states(COUPLED, e_max=10.0, m_max=6)
     energies = [s.energy for s in states]
