@@ -34,14 +34,13 @@ from .model import (
     ladder_energy,
     radial_log_norm,
 )
-from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_gamma
+from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_bessel_ie_from_log, log_gamma
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 # math.exp overflows past this
 _LOG_MAX = math.log(np.finfo(float).max)
 # below this a float is subnormal
 _TINY = float(np.finfo(float).tiny)
-_LOG_TINY = math.log(_TINY)
 _LN2 = math.log(2.0)
 # powers of two beyond this are 0 or overflow in any float sum
 _EXP_CLIP = 1 << 20
@@ -122,17 +121,6 @@ class SpectralKernel(NamedTuple):
     tail_bound: float
 
 
-def _log_ive(nu: float, log_z: float) -> float:
-    """ln I_nu(z) - z at z = e^log_z, also where z is outside the normal
-    float range: below it I_nu(z) is its leading power (z/2)^nu / Gamma(nu + 1),
-    above it the leading term e^z / sqrt(2 pi z) of its expansion."""
-    if log_z < _LOG_TINY:
-        return nu * (log_z - _LN2) - log_gamma(nu + 1)
-    if log_z > _LOG_MAX:
-        return -0.5 * (math.log(2 * math.pi) + log_z)
-    return log_bessel_ie(nu, math.exp(log_z))
-
-
 def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
     """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
 
@@ -171,7 +159,7 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     d = ra - rb
     log_k = (
         log_pref
-        + (log_bessel_ie(nu, z) if _TINY <= z < math.inf else _log_ive(nu, log_pref + log_rr))
+        + (log_bessel_ie(nu, z) if _TINY <= z < math.inf else log_bessel_ie_from_log(nu, log_pref + log_rr))
         - 0.5 * scale * ((d * d * coth if d else 0.0) + 2 * rr * th_half)
         + p.v0 * tau / p.hbar
         - 0.5 * log_rr

@@ -2,10 +2,16 @@
 polynomials, and the modified Bessel function of the first kind.
 
 Everything downstream (wavefunction norms, closed-form kernels, spectral
-sums) is built from these five callables, so they are kept free of any
+sums) is built from these callables, so they are kept free of any
 dependence on the rest of the package. Polynomial evaluators accept scalar
-or ndarray arguments; Bessel routines are scalar. Log-space variants exist
-where the linear value can leave the floating range.
+or ndarray arguments. The Bessel routines are scalar and take one path:
+the scaled e^-x I_nu(x) of Amos's algorithm (ACM TOMS 644), through
+scipy's compiled scalar `ive`, the same function the lattice slice matrix
+evaluates on arrays. Two fallbacks remain, each only where Amos cannot
+answer: the ascending series where e^-x I_nu(x) underflows to 0 or a
+subnormal while its logarithm still fits, and the 1/x expansion past
+Amos's argument limit (x > 2^30 - 1/2), where it returns nan. Log-space
+variants exist where the linear value can leave the floating range.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special.cython_special import ive as _ive
 
 __all__ = [
     "log_gamma",
@@ -24,11 +31,15 @@ __all__ = [
     "bessel_i",
     "log_bessel_i",
     "log_bessel_ie",
+    "log_bessel_ie_from_log",
     "bessel_short_time_ratio",
 ]
 
 # exp() overflows past this; used to signal out-of-range Bessel results
 _LOG_HUGE = math.log(np.finfo(float).max)
+# below this a float is subnormal
+_TINY = float(np.finfo(float).tiny)
+_LOG_TINY = math.log(_TINY)
 
 
 def _check_degree(n: int) -> None:
@@ -200,18 +211,33 @@ def log_bessel_ie(nu: float, x: float) -> float:
 
     Where I_nu(x) is multiplied by a Gaussian of order e^-x, as in the
     closed radial kernel, the two exponents cancel; this form keeps the
-    difference without forming either.
+    difference without forming either. It is ln ive(nu, x) wherever ive
+    returns a normal float.
     """
     if nu < 0 or not 0 <= x < math.inf:
         raise ValueError(f"log_bessel_ie requires nu >= 0 and finite x >= 0, got nu={nu}, x={x}")
-    if x == 0:
-        return 0.0 if nu == 0 else -math.inf
-    # the 1/x expansion needs x well past nu^2 before its optimal
-    # truncation error drops under 1e-13; below that the series is exact
-    # enough everywhere and free of cancellation
-    if x >= 36.0 and x >= 4.5 * nu * nu + 25.0:
+    scaled = _ive(float(nu), float(x))
+    if scaled >= _TINY:
+        return math.log(scaled)
+    if x == 0:  # and nu > 0: ive(0, 0) = 1 returned above
+        return -math.inf
+    # Amos returns nan past its argument limit; there the 1/x expansion,
+    # once x is well past nu^2, is exact to rounding
+    if scaled != scaled and x >= 4.5 * nu * nu + 25.0:
         return _log_bessel_asymptotic(nu, x)
+    # ive underflowed: the series keeps the logarithm, free of cancellation
     return _log_bessel_series(nu, x)
+
+
+def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
+    """ln I_nu(x) - x at x = e^log_x, also where x is outside the normal
+    float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
+    above it the leading term e^x / sqrt(2 pi x) of its expansion."""
+    if log_x < _LOG_TINY:
+        return nu * (log_x - math.log(2.0)) - log_gamma(nu + 1)
+    if log_x > _LOG_HUGE:
+        return -0.5 * (math.log(2 * math.pi) + log_x)
+    return log_bessel_ie(nu, math.exp(log_x))
 
 
 def log_bessel_i(nu: float, x: float) -> float:
@@ -224,9 +250,8 @@ def log_bessel_i(nu: float, x: float) -> float:
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
 
-    Ascending power series for moderate arguments, large-argument
-    asymptotic beyond; results exceeding the floating range raise
-    OverflowError rather than returning inf.
+    exp(log_bessel_ie(nu, x) + x); results exceeding the floating range
+    raise OverflowError rather than returning inf.
     """
     if nu < 0 or x < 0:
         raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
@@ -242,12 +267,12 @@ def bessel_short_time_ratio(m: int, a: float, eps: float) -> float:
     """Ratio of exact I_m(a/eps) to its short-time (large-argument) form.
 
     The comparison form is (eps/2 pi a)^{1/2} exp[a/eps - (eps/2a)(m^2 - 1/4)].
-    The ratio tends to 1 as eps -> 0; both sides are handled in log space
-    since I_m(a/eps) overflows long before eps reaches interesting values.
+    The ratio tends to 1 as eps -> 0. Both sides carry e^{a/eps}, which
+    cancels exactly: the exact side enters scaled, as ln I_m(a/eps) - a/eps.
     """
     if a <= 0 or eps <= 0:
         raise ValueError(f"bessel_short_time_ratio requires a > 0 and eps > 0, got a={a}, eps={eps}")
     order = abs(int(m))
-    log_exact = log_bessel_i(float(order), a / eps)
-    log_asym = 0.5 * math.log(eps / (2 * math.pi * a)) + a / eps - (eps / (2 * a)) * (m * m - 0.25)
+    log_exact = log_bessel_ie(float(order), a / eps)
+    log_asym = 0.5 * math.log(eps / (2 * math.pi * a)) - (eps / (2 * a)) * (m * m - 0.25)
     return math.exp(log_exact - log_asym)

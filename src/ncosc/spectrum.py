@@ -25,6 +25,7 @@ from .model import (
     admissible_sectors,
     angular_mode,
     effective_ell,
+    energy_floor,
     ladder_energy,
     radial_log_norm,
 )
@@ -162,7 +163,9 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     Sorted by (energy, n, n_theta, m). The scan prunes on monotonicity:
     at fixed m the sector floor rises with n_theta, and within a sector
     the energy rises by 2 hbar omega per radial node, so each loop
-    terminates from the energy bound alone. Inadmissible sectors
+    terminates from the energy bound alone. The |m| loop stops at the
+    first |m| whose energy_floor exceeds e_max, since that floor bounds
+    every energy at |m| and never decreases with it. Inadmissible sectors
     (non-bound lambda, fall-to-center radicand, ell_tilde < 0) hold no
     states and are skipped; admissibility is restored at larger n_theta
     or |m|, so skipping never ends a scan early. Each sector's angular
@@ -174,6 +177,8 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     states: list[EigenState] = []
     for m in range(0, m_max + 1):
+        if energy_floor(p, m) > e_max:
+            break
         signed = (m, -m) if m else (0,)
         for n_theta, ell in admissible_sectors(p, m):
             if ladder_energy(p, 0, ell) > e_max:

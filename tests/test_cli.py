@@ -184,6 +184,14 @@ def test_spectrum_extreme_attraction_is_fast(capsys):
     assert csv_rows(out)[1] == []
 
 
+def test_spectrum_huge_explicit_m_cap_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "spectrum", "--emax", "3", "--m", "1000000000", "--no-timestamp")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0
+    assert csv_rows(out)[1] == [["0", "0", "0", "0", "0.5", "1", "2.5"]]
+
+
 def test_spectrum_cutoff_past_scan_limit_asks_for_m(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--emax", "1e6", "--no-timestamp")
     assert code == 2
@@ -294,6 +302,26 @@ def test_propagator_lattice_route(capsys):
     assert code == 0
     vals = {row["quantity"]: row["value"] for row in json.loads(out)["rows"]}
     assert vals["rel_diff_lattice_vs_closed"] <= 1e-3
+
+
+# `ncosc propagator <args> --no-timestamp [--format json]` with the closed
+# kernel on scipy's compiled ive; the short-time query needs more than the
+# default 60 spectral terms and exits 3, its table printed all the same
+PROPAGATOR_GOLDEN_ARGS = {
+    "default": ([], 0),
+    "coupled": (["--alpha", "1", "--beta", "0.5", "--gamma", "2"], 0),
+    "short": (["--tau", "1e-3", "--ra", "2", "--rb", "2.1"], 3),
+    "lattice": (["--lattice"], 0),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(PROPAGATOR_GOLDEN_ARGS))
+def test_propagator_matches_golden_table(capsys, name, fmt):
+    argv, want_code = PROPAGATOR_GOLDEN_ARGS[name]
+    code, out, _ = run_cli(capsys, "propagator", *argv, "--format", fmt, "--no-timestamp")
+    assert code == want_code
+    assert out.encode("utf-8") == (GOLDEN / f"propagator_{name}.{fmt}").read_bytes()
 
 
 def test_propagator_rejects_zero_time(capsys):

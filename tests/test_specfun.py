@@ -14,6 +14,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from ncosc.specfun import (
+    _log_bessel_series,
     bessel_i,
     bessel_short_time_ratio,
     gamma_ratio,
@@ -45,8 +46,8 @@ JACOBI_REF = [
     (11, 0.75, 0.25, 0.6, -0.4662642721973331131),
 ]
 
-# (nu, x, ln I_nu(x)); spans the series branch, the asymptotic branch,
-# and arguments where I itself would overflow
+# (nu, x, ln I_nu(x)); small and large arguments, and arguments where I
+# itself would overflow
 LOG_BESSEL_REF = [
     (0.5, 0.001, -3.679668825469134837),
     (0.5, 0.1, -1.375417787678169786),
@@ -87,8 +88,7 @@ def test_gamma_ratio_reference_values():
 
 
 def test_bessel_matches_scipy_through_branch_switch():
-    # both the ascending series and the large-x expansion, including the
-    # handoff region, held to the 1e-10 relative contract
+    # small and large arguments held to the 1e-10 relative contract
     xs = np.concatenate([np.logspace(-3, 1, 7), np.linspace(15.0, 700.0, 25)])
     for nu in (0.0, 0.5, 1.5, 2.0, 5.5, 10.0, 20.5):
         for x in xs:
@@ -102,6 +102,64 @@ def test_bessel_matches_scipy_through_branch_switch():
             with mpmath.workdps(30 + int(math.log10(x) if x > 1 else 0)):
                 ref = float(mpmath.log(mpmath.besseli(nu, float(x))) - float(x))
             assert log_bessel_ie(nu, float(x)) == pytest.approx(ref, rel=1e-12, abs=1e-12), (nu, x)
+
+
+def _mp_log_bessel_ie(nu, x):
+    with mpmath.workdps(40):
+        return float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))) - mpmath.mpf(x))
+
+
+def test_log_bessel_ie_where_ive_cannot_answer():
+    # ive underflows to 0 here while ln I fits: the ascending series answers
+    for nu, x in [(1.5, 1e-300), (12.3, 1e-30), (500.0, 100.0), (40.0, 1e-8), (0.5, 1e-320)]:
+        assert scipy.special.ive(nu, x) == 0.0
+        assert log_bessel_ie(nu, x) == pytest.approx(_mp_log_bessel_ie(nu, x), rel=1e-14), (nu, x)
+    # Amos's argument limit is x = 2^30 - 1/2; past it ive is nan and the
+    # 1/x expansion answers
+    for nu in (0.0, 0.5, 5.5, 20.5, 100.0):
+        for x in (1e9, 1.07e9, 2e9, 1e12):
+            assert log_bessel_ie(nu, x) == pytest.approx(_mp_log_bessel_ie(nu, x), rel=1e-14), (nu, x)
+    assert math.isnan(scipy.special.ive(0.5, 2e9))
+
+
+def test_log_bessel_ie_continuous_at_each_handoff_and_never_nan():
+    def ive_normal(nu, x):
+        return scipy.special.ive(nu, x) >= np.finfo(float).tiny
+
+    def as_float(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    # where ive underflows: bisect over the bit patterns of positive floats,
+    # which order like the floats, for the first argument ive answers
+    for nu in (1.5, 12.3, 40.0, 500.0):
+        lo, hi = 0, int(np.float64(1e6).view(np.int64))  # ive(nu, 0) = 0; ive(nu, 1e6) is normal
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if ive_normal(nu, as_float(mid)) else (mid, hi)
+        below, above = as_float(lo), as_float(hi)
+        gap = abs(log_bessel_ie(nu, above) - log_bessel_ie(nu, below))
+        assert gap <= 1e-14 * abs(log_bessel_ie(nu, above)), (nu, below, gap)
+    # Amos's argument limit
+    last = 2.0**30 - 0.5
+    beyond = math.nextafter(last, math.inf)
+    assert ive_normal(0.5, last) and math.isnan(scipy.special.ive(0.5, beyond))
+    for nu in (0.0, 0.5, 20.5, 100.0):
+        assert abs(log_bessel_ie(nu, beyond) - log_bessel_ie(nu, last)) <= 1e-14 * abs(log_bessel_ie(nu, last))
+    for nu in (0.0, 0.5, 5.5, 20.5, 60.0):
+        for x in np.logspace(-320, 300, 125):
+            assert math.isfinite(log_bessel_ie(nu, float(x))), (nu, x)
+
+
+def test_log_bessel_series_agrees_with_ive():
+    # the series was the main path over x < 36 and x < 4.5 nu^2 + 25; it
+    # stays an independent route checking Amos there (past x of about 100
+    # its own rounding grows: 1.7e-12 at nu=60, x=16000)
+    for nu in (0.0, 0.5, 1.5, 2.7841336613988075, 5.5, 10.0, 20.5, 26.0):
+        for x in np.logspace(-3, 2, 41):
+            if x >= 36.0 and x >= 4.5 * nu * nu + 25.0:
+                continue
+            ref = math.log(scipy.special.ive(nu, x))
+            assert abs(_log_bessel_series(nu, float(x)) - ref) <= 1e-13, (nu, x)
 
 
 def test_batch_evaluators_match_scalar_exactly():
@@ -207,6 +265,19 @@ def test_short_time_ratio_bands():
     for m in (0, 1, 2, 5):
         assert abs(bessel_short_time_ratio(m, 1.0, 1e-2) - 1.0) <= 1e-3, m
         assert abs(bessel_short_time_ratio(m, 1.0, 1e-3) - 1.0) <= 1e-4, m
+
+
+def test_short_time_ratio_matches_mpmath():
+    # e^{a/eps} cancels analytically, so the ratio keeps its digits at
+    # eps = 1e-6, where 1 - ratio is down to 1.9e-13
+    for m in (0, 1, 2, 5):
+        for eps in (1e-3, 1e-6):
+            with mpmath.workdps(40):
+                e = mpmath.mpf(eps)
+                want = mpmath.besseli(m, 1 / e) / (
+                    mpmath.sqrt(e / (2 * mpmath.pi)) * mpmath.exp(1 / e - (e / 2) * (m * m - mpmath.mpf(1) / 4))
+                )
+            assert abs(bessel_short_time_ratio(m, 1.0, eps) - float(want)) <= 1e-13, (m, eps)
 
 
 def test_short_time_ratio_improves_as_eps_shrinks():

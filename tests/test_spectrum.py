@@ -6,6 +6,7 @@ the index maps; everything else is checked against structural facts
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ def test_enumerate_states_skips_inadmissible_sectors():
     p = PotentialParams(beta=-1.0)
     states = enumerate_states(p, e_max=8.0, m_max=4)
     assert states and all(abs(s.qn.m) >= 1 for s in states)
+
+
+def test_enumerate_states_stops_at_the_first_m_above_emax():
+    # energy_floor never decreases with |m|, so a huge m_max costs nothing
+    # once the floor has passed e_max
+    t0 = time.perf_counter()
+    states = enumerate_states(PotentialParams(), 3.0, 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert states == enumerate_states(PotentialParams(), 3.0, 2)
 
 
 def test_enumerate_states_argument_validation():
