@@ -1,6 +1,7 @@
 """Independent numerical cross-checks: finite-difference Sturm-Liouville
-eigensolvers for the radial and angular equations, and Gauss-Legendre
-inner products under the r^2 dr and sin(theta) d(theta) measures.
+eigensolvers for the radial and angular equations, composite Gauss-Legendre
+panels, and the inner products built on them under the r^2 dr and
+sin(theta) d(theta) measures.
 
 Nothing here consumes the closed-form spectrum or eigenfunctions; the
 solvers discretize the differential operators directly so their output
@@ -11,6 +12,7 @@ momentum, which parameterizes both sides of every comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +28,7 @@ __all__ = [
     "QuadratureResult",
     "default_radial_grid",
     "default_angular_grid",
+    "gauss_panels",
     "radial_eigenvalues_fd",
     "angular_eigenvalues_fd",
     "inner_product_radial",
@@ -72,13 +75,13 @@ class QuadratureResult(NamedTuple):
     error_estimate: float
 
 
-def default_radial_grid(p: PotentialParams, n_points: int = 2000, richardson: bool = True) -> GridSpec:
+def default_radial_grid(p: PotentialParams, n_points: int = 2000) -> GridSpec:
     """Box large enough that all low-lying bound states decay below 1e-14."""
-    return GridSpec(0.0, 12.0 * math.sqrt(p.hbar / (p.mu * p.omega)), n_points, richardson)
+    return GridSpec(0.0, 12.0 * math.sqrt(p.hbar / (p.mu * p.omega)), n_points)
 
 
-def default_angular_grid(n_points: int = 2000, richardson: bool = True) -> GridSpec:
-    return GridSpec(0.0, math.pi / 2, n_points, richardson)
+def default_angular_grid(n_points: int = 2000) -> GridSpec:
+    return GridSpec(0.0, math.pi / 2, n_points)
 
 
 def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -199,23 +202,36 @@ def angular_eigenvalues_fd(lam: float, k: float, hbar: float, mu: float, grid: G
     return _solve_with_richardson(v_of_theta, grid, count, hbar, mu, guard=regular)
 
 
-def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                  tol: float) -> QuadratureResult:
-    """Composite 32-node Gauss-Legendre with panel doubling until stable."""
-    base_x, base_w = np.polynomial.legendre.leggauss(32)
+@functools.lru_cache(maxsize=16)
+def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    # read-only, since every caller shares the cached arrays
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [lo, hi]: n_panels equal
+    panels of n_nodes each, nodes ascending."""
+    base_x, base_w = _leggauss(n_nodes)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * base_x).ravel(), (half * base_w).ravel()
+
+
+def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> QuadratureResult:
+    """Composite 32-node Gauss-Legendre with panel doubling until two
+    successive totals agree to 1e-10."""
     prev = None
     err = math.inf
     n_panels = 8
     for _ in range(8):
-        edges = np.linspace(lo, hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * base_x[None, :]).ravel()
-        w = half * np.tile(base_w, n_panels)
+        x, w = gauss_panels(lo, hi, n_panels, 32)
         total = float(np.dot(w, integrand(x)))
         if prev is not None:
             err = abs(total - prev)
-            if err <= tol:
+            if err <= 1e-10:
                 return QuadratureResult(value=total, error_estimate=err)
         prev = total
         n_panels *= 2
@@ -225,20 +241,20 @@ def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
 
 
 def inner_product_radial(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
-                         grid: GridSpec, tol: float = 1e-10) -> QuadratureResult:
+                         grid: GridSpec) -> QuadratureResult:
     """<f, g> = int_lo^hi f(r) g(r) r^2 dr with a reported error estimate."""
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return np.asarray(f(r)) * np.asarray(g(r)) * r * r
 
-    return _panel_refine(integrand, grid.lo, grid.hi, tol)
+    return _panel_refine(integrand, grid.lo, grid.hi)
 
 
 def inner_product_angular(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
-                          grid: GridSpec, tol: float = 1e-10) -> QuadratureResult:
+                          grid: GridSpec) -> QuadratureResult:
     """<f, g> = int f(theta) g(theta) sin(theta) d(theta) over the grid interval."""
 
     def integrand(th: np.ndarray) -> np.ndarray:
         return np.asarray(f(th)) * np.asarray(g(th)) * np.sin(th)
 
-    return _panel_refine(integrand, grid.lo, grid.hi, tol)
+    return _panel_refine(integrand, grid.lo, grid.hi)

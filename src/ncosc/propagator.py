@@ -34,6 +34,7 @@ from .model import (
     ladder_energy,
     radial_log_norm,
 )
+from .oracle import gauss_panels
 from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_bessel_ie_from_log, log_gamma
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
@@ -58,7 +59,6 @@ __all__ = [
     "quartic_moment_check",
     "lattice_radial_kernel",
     "lattice_kernel_grid",
-    "gauss_panels",
 ]
 
 
@@ -341,33 +341,25 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     return complex(_to_float(top, total, what))
 
 
-def integrated_diagonal_kernel(
-    p: PotentialParams,
-    tau: float,
-    n_cut: int,
-    ntheta_cut: int,
-    m_cut: int,
-    r_hi: float | None = None,
-    n_r: int = 400,
-    n_ang: int = 160,
-) -> float:
+def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, ntheta_cut: int, m_cut: int) -> float:
     """Integral of the diagonal truncated kernel over the half-space.
 
     Computes int K(a, a; tau) r^2 sin(theta) dr d(theta) d(phi) by tensor
-    Gauss-Legendre quadrature, with the phi integral done exactly (the
-    diagonal kills the azimuthal phase). Equals the partition-function
-    partial sum over the same index box up to quadrature error, which is
-    the trace-consistency check the verify suite runs. Each |m| takes one
-    Jacobi and one Laguerre recurrence for all its sectors.
+    Gauss-Legendre quadrature (8 radial panels of 50 nodes out past the
+    outermost turning point, 4 angular panels of 40 nodes), with the phi
+    integral done exactly (the diagonal kills the azimuthal phase). Equals
+    the partition-function partial sum over the same index box up to
+    quadrature error, which is the trace-consistency check the verify suite
+    runs. Each |m| takes one Jacobi and one Laguerre recurrence for all its
+    sectors.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    if r_hi is None:
-        # outermost state sets the turning point; pad well past it
-        ell_hi = effective_ell(p, ntheta_cut, m_cut)
-        r_hi = math.sqrt(p.hbar / (p.mu * p.omega)) * (math.sqrt(4 * n_cut + 2 * ell_hi + 3) + 6.0)
-    xr, wr = gauss_panels(0.0, r_hi, n_panels=8, n_nodes=max(16, n_r // 8))
-    xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=max(16, n_ang // 4))
+    # outermost state sets the turning point; pad well past it
+    ell_hi = effective_ell(p, ntheta_cut, m_cut)
+    r_hi = math.sqrt(p.hbar / (p.mu * p.omega)) * (math.sqrt(4 * n_cut + 2 * ell_hi + 3) + 6.0)
+    xr, wr = gauss_panels(0.0, r_hi, n_panels=8, n_nodes=50)
+    xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=40)
     wr_meas = wr * xr * xr
     wt_meas = wth * np.sin(xt)
     total = 0.0
@@ -552,15 +544,3 @@ def lattice_radial_kernel(
                 vec = t @ (w * vec)
         flat = float(_slice_matrix(p, ell, b, grid, eps)[0] @ (w * vec))
     return flat / (ra * rb)
-
-
-def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        xs.append(mid + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)

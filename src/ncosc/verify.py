@@ -1,11 +1,14 @@
 """Named verification checks: every closed form in the package tested
 against an independent numerical route, grouped into suites.
 
-Each check returns a CheckResult with the observed deviation and the
-tolerance it was held to. Tolerances scale with the caller's tol_scale
-so the harness itself is falsifiable: tol_scale=0 must fail every check
-whose observed deviation is nonzero. Checks are pure and independent;
-they run serially here so report order is deterministic.
+A check is a function of no arguments, registered under its suite and
+name with @_check, that returns (observed, tolerance, detail): the
+deviation it measured, the tolerance it holds that to, and what it
+compared. The registry alone builds the CheckResult: it times the call
+and scales the tolerance by the caller's tol_scale, so the harness itself
+is falsifiable: tol_scale=0 must fail every check whose observed
+deviation is nonzero. Checks are pure and independent; they run serially
+here so report order is deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,78 +50,71 @@ class CheckResult:
     detail: str = ""
 
 
-_REGISTRY: dict[str, list[tuple[str, Callable[[float], CheckResult]]]] = {s: [] for s in SUITE_NAMES}
+# what a check returns: (observed, tolerance, detail)
+Outcome = tuple[float, float, str]
+
+# (suite, name) -> check, in registration order
+_REGISTRY: dict[tuple[str, str], Callable[[], Outcome]] = {}
 
 
 def _check(suite: str, name: str):
-    def deco(fn: Callable[[float], CheckResult]):
-        _REGISTRY[suite].append((name, fn))
+    def deco(fn: Callable[[], Outcome]):
+        _REGISTRY[suite, name] = fn
         return fn
 
     return deco
-
-
-def _result(suite: str, name: str, observed: float, tol: float, t0: float, detail: str = "") -> CheckResult:
-    return CheckResult(
-        suite=suite,
-        name=name,
-        passed=bool(observed <= tol),
-        observed=float(observed),
-        tolerance=float(tol),
-        seconds=time.perf_counter() - t0,
-        detail=detail,
-    )
 
 
 def run_suite(suite: str, tol_scale: float = 1.0) -> list[CheckResult]:
     """Run every check in `suite` ('all' runs the union, suite order fixed)."""
     if suite == "all":
         names = SUITE_NAMES
-    elif suite in _REGISTRY:
+    elif suite in SUITE_NAMES:
         names = (suite,)
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
-    return [fn(tol_scale) for s in names for _, fn in _REGISTRY[s]]
+    return [run_check(s, name, tol_scale) for s in names for in_suite, name in _REGISTRY if in_suite == s]
 
 
 def run_check(suite: str, name: str, tol_scale: float = 1.0) -> CheckResult:
-    for check_name, fn in _REGISTRY[suite]:
-        if check_name == name:
-            return fn(tol_scale)
-    raise ValueError(f"no check named {name!r} in suite {suite!r}")
+    """Run one registered check, timed, with its tolerance scaled by tol_scale."""
+    fn = _REGISTRY.get((suite, name))
+    if fn is None:
+        raise ValueError(f"no check named {name!r} in suite {suite!r}")
+    t0 = time.perf_counter()
+    observed, tol, detail = fn()
+    seconds = time.perf_counter() - t0
+    tol = tol * tol_scale
+    return CheckResult(suite=suite, name=name, passed=bool(observed <= tol), observed=float(observed),
+                       tolerance=float(tol), seconds=seconds, detail=detail)
 
 
 # ---------------------------------------------------------------- specfun
 
 @_check("specfun", "laguerre-reference")
-def check_laguerre_reference(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_laguerre_reference() -> Outcome:
     x = np.linspace(0.0, 30.0, 13)
     worst = 0.0
     for n, a in itertools.product(range(13), (0.0, 0.5, 1.7, 5.77)):
         ours = sf.laguerre(n, a, x)
         ref = scipy.special.eval_genlaguerre(n, a, x)
         worst = max(worst, float(np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref)))))
-    return _result("specfun", "laguerre-reference", worst, 1e-11 * tol_scale, t0,
-                   "generalized Laguerre vs scipy on n<=12, fractional orders")
+    return worst, 1e-11, "generalized Laguerre vs scipy on n<=12, fractional orders"
 
 
 @_check("specfun", "jacobi-reference")
-def check_jacobi_reference(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_jacobi_reference() -> Outcome:
     x = np.linspace(-1.0, 1.0, 21)
     worst = 0.0
     for n, (a, b) in itertools.product(range(11), ((0.0, 0.0), (1.0, 0.5), (1.22, 1.5), (0.5, 2.12))):
         ours = sf.jacobi(n, a, b, x)
         ref = scipy.special.eval_jacobi(n, a, b, x)
         worst = max(worst, float(np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref)))))
-    return _result("specfun", "jacobi-reference", worst, 1e-11 * tol_scale, t0,
-                   "Jacobi polynomials vs scipy on n<=10, fractional weights")
+    return worst, 1e-11, "Jacobi polynomials vs scipy on n<=10, fractional weights"
 
 
 @_check("specfun", "bessel-reference")
-def check_bessel_reference(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_bessel_reference() -> Outcome:
     xs = np.concatenate([np.logspace(-3, 1, 9), np.linspace(20, 700, 18)])
     worst = 0.0
     for nu in (0.0, 0.5, 1.5, 2.0, 5.5, 10.0, 20.5):
@@ -128,52 +123,44 @@ def check_bessel_reference(tol_scale: float = 1.0) -> CheckResult:
             ref = float(scipy.special.iv(nu, x))
             if ref > 0:
                 worst = max(worst, abs(ours - ref) / ref)
-    return _result("specfun", "bessel-reference", worst, 1e-10 * tol_scale, t0,
-                   "modified Bessel I vs scipy over x in [1e-3, 700]")
+    return worst, 1e-10, "modified Bessel I vs scipy over x in [1e-3, 700]"
 
 
 @_check("specfun", "bessel-recurrence")
-def check_bessel_recurrence(tol_scale: float = 1.0) -> CheckResult:
+def check_bessel_recurrence() -> Outcome:
     # I_{nu-1}(x) - I_{nu+1}(x) = (2 nu / x) I_nu(x), checked without scipy
-    t0 = time.perf_counter()
     worst = 0.0
     for nu in (1.0, 1.5, 2.5, 6.0):
         for x in (0.1, 1.0, 4.0, 12.0, 30.0):
             lhs = sf.bessel_i(nu - 1, x) - sf.bessel_i(nu + 1, x)
             rhs = 2 * nu / x * sf.bessel_i(nu, x)
             worst = max(worst, abs(lhs - rhs) / abs(sf.bessel_i(nu - 1, x)))
-    return _result("specfun", "bessel-recurrence", worst, 1e-12 * tol_scale, t0,
-                   "three-term recurrence consistency, internal")
+    return worst, 1e-12, "three-term recurrence consistency, internal"
 
 
 @_check("specfun", "gamma-identity")
-def check_gamma_identity(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_gamma_identity() -> Outcome:
     worst = 0.0
     for x in (0.3, 1.0, 2.5, 7.7, 41.0, 200.5):
         worst = max(worst, abs(sf.gamma_ratio(x + 1.0, x) - x) / x)
         worst = max(worst, abs(sf.log_gamma(x + 1.0) - sf.log_gamma(x) - math.log(x)))
-    return _result("specfun", "gamma-identity", worst, 1e-12 * tol_scale, t0,
-                   "Gamma(x+1)/Gamma(x) = x in ratio and log form")
+    return worst, 1e-12, "Gamma(x+1)/Gamma(x) = x in ratio and log form"
 
 
 @_check("specfun", "short-time-asymptotic")
-def check_short_time_asymptotic(tol_scale: float = 1.0) -> CheckResult:
+def check_short_time_asymptotic() -> Outcome:
     # exact/asymptotic ratio of the sliced-kernel Bessel factor: 1e-3 band
     # at eps=1e-2 tightening to 1e-4 at eps=1e-3
-    t0 = time.perf_counter()
     worst = 0.0
     for eps, band in ((1e-2, 1e-3), (1e-3, 1e-4)):
         for m in (0, 1, 2, 5):
             dev = abs(sf.bessel_short_time_ratio(m, 1.0, eps) - 1.0)
             worst = max(worst, dev / band)
-    return _result("specfun", "short-time-asymptotic", worst, 1.0 * tol_scale, t0,
-                   "deviation over band: 1e-3 at eps=1e-2, 1e-4 at eps=1e-3, m in {0,1,2,5}")
+    return worst, 1.0, "deviation over band: 1e-3 at eps=1e-2, 1e-4 at eps=1e-3, m in {0,1,2,5}"
 
 
 @_check("specfun", "batch-consistency")
-def check_batch_consistency(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_batch_consistency() -> Outcome:
     x = np.linspace(0.0, 12.0, 7)
     worst = 0.0
     la = sf.laguerre_all(8, 1.5, x)
@@ -183,38 +170,34 @@ def check_batch_consistency(tol_scale: float = 1.0) -> CheckResult:
     ja = sf.jacobi_all(8, 0.7, 1.5, xj)
     for n in range(9):
         worst = max(worst, float(np.max(np.abs(ja[n] - sf.jacobi(n, 0.7, 1.5, xj)))))
-    return _result("specfun", "batch-consistency", worst, 1e-15 * tol_scale, t0,
-                   "stacked recurrences agree with single-degree evaluation")
+    return worst, 1e-15, "stacked recurrences agree with single-degree evaluation"
 
 
 # ---------------------------------------------------------------- spectrum
 
 @_check("spectrum", "degenerate-limit")
-def check_degenerate_limit(tol_scale: float = 1.0) -> CheckResult:
+def check_degenerate_limit() -> Outcome:
     # with all couplings off the spectrum must collapse to the isotropic
     # oscillator ladder on the half-space: E = 2n + 2n_theta + |m| + 5/2,
     # and it does so exactly in floating point (all maps stay dyadic)
-    t0 = time.perf_counter()
     p = PotentialParams()
     worst = 0.0
     for n, ntheta in itertools.product(range(11), range(11)):
         for m in range(-10, 11):
             e = spectrum.energy(p, QuantumNumbers(n, ntheta, m))
             worst = max(worst, abs(e - (2 * n + 2 * ntheta + abs(m) + 2.5)))
-    return _result("spectrum", "degenerate-limit", worst, 1e-12 * tol_scale, t0,
-                   "coupling-free ladder 2n + 2n_theta + |m| + 5/2, n,ntheta,|m| <= 10")
+    return worst, 1e-12, "coupling-free ladder 2n + 2n_theta + |m| + 5/2, n,ntheta,|m| <= 10"
 
 
 @_check("spectrum", "gram-identity")
-def check_gram_identity(tol_scale: float = 1.0) -> CheckResult:
+def check_gram_identity() -> Outcome:
     # Gram matrix of the 8 lowest states under the r^2 sin(theta) measure;
     # the triple integral factorizes, with the phi factor done by the
     # trapezoid rule (exact for the azimuthal harmonics involved)
-    t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     states = spectrum.enumerate_states(p, e_max=7.0, m_max=6)[:8]
-    r, wr = propagator.gauss_panels(0.0, 12.0, 6, 48)
-    th, wt = propagator.gauss_panels(0.0, math.pi / 2, 4, 48)
+    r, wr = oracle.gauss_panels(0.0, 12.0, 6, 48)
+    th, wt = oracle.gauss_panels(0.0, math.pi / 2, 4, 48)
     rad = np.array([spectrum.radial_wavefunction(p, s.radial, s.qn.n, r) for s in states])
     ang = np.array([spectrum.angular_wavefunction(s.angular, th) for s in states])
     phi = 2 * math.pi * np.arange(64) / 64
@@ -226,13 +209,11 @@ def check_gram_identity(tol_scale: float = 1.0) -> CheckResult:
             pp = complex(np.mean(np.exp(1j * (sj.qn.m - si.qn.m) * phi)))
             entry = rr * aa * pp
             worst = max(worst, abs(entry - (1.0 if i == j else 0.0)))
-    return _result("spectrum", "gram-identity", worst, 1e-8 * tol_scale, t0,
-                   "8 lowest states at couplings (1, 0.5, 2), entrywise vs identity")
+    return worst, 1e-8, "8 lowest states at couplings (1, 0.5, 2), entrywise vs identity"
 
 
 @_check("spectrum", "angular-orthonormality")
-def check_angular_orthonormality(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_angular_orthonormality() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     grid = oracle.default_angular_grid(256)
     worst = 0.0
@@ -246,13 +227,11 @@ def check_angular_orthonormality(tol_scale: float = 1.0) -> CheckResult:
                     grid,
                 ).value
                 worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return _result("spectrum", "angular-orthonormality", worst, 1e-10 * tol_scale, t0,
-                   "<Theta_i, Theta_j> = delta_ij under sin(theta) d(theta)")
+    return worst, 1e-10, "<Theta_i, Theta_j> = delta_ij under sin(theta) d(theta)"
 
 
 @_check("spectrum", "radial-orthonormality")
-def check_radial_orthonormality(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_radial_orthonormality() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     grid = oracle.GridSpec(0.0, 12.0, 256)
     worst = 0.0
@@ -266,13 +245,11 @@ def check_radial_orthonormality(tol_scale: float = 1.0) -> CheckResult:
                     grid,
                 ).value
                 worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    return _result("spectrum", "radial-orthonormality", worst, 1e-10 * tol_scale, t0,
-                   "<R_i, R_j> = delta_ij under r^2 dr")
+    return worst, 1e-10, "<R_i, R_j> = delta_ij under r^2 dr"
 
 
 @_check("spectrum", "enumeration-order")
-def check_enumeration_order(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_enumeration_order() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     states = spectrum.enumerate_states(p, e_max=12.0, m_max=8)
     violations = 0
@@ -285,18 +262,16 @@ def check_enumeration_order(tol_scale: float = 1.0) -> CheckResult:
             violations += 1
         if s.qn.m != 0 and (s.qn.n, s.qn.n_theta, -s.qn.m) not in seen:
             violations += 1  # energy is even in m, so +-m must pair up
-    return _result("spectrum", "enumeration-order", float(violations), 0.5 * tol_scale, t0,
-                   f"{len(states)} states: ascending energy, cutoff respected, m-pairing")
+    return float(violations), 0.5, f"{len(states)} states: ascending energy, cutoff respected, m-pairing"
 
 
 @_check("spectrum", "norm-round-trip")
-def check_norm_round_trip(tol_scale: float = 1.0) -> CheckResult:
+def check_norm_round_trip() -> Outcome:
     # |psi|^2 integrated over the half-space by tensor quadrature, testing
     # the assembled wavefunction including the azimuthal 1/sqrt(2 pi)
-    t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    r, wr = propagator.gauss_panels(1e-9, 12.0, 6, 24)
-    th, wt = propagator.gauss_panels(1e-9, math.pi / 2 - 1e-9, 4, 24)
+    r, wr = oracle.gauss_panels(1e-9, 12.0, 6, 24)
+    th, wt = oracle.gauss_panels(1e-9, math.pi / 2 - 1e-9, 4, 24)
     phi = 2 * math.pi * np.arange(16) / 16
     worst = 0.0
     for qn in (QuantumNumbers(0, 0, 0), QuantumNumbers(2, 1, 1), QuantumNumbers(1, 2, -2)):
@@ -304,17 +279,15 @@ def check_norm_round_trip(tol_scale: float = 1.0) -> CheckResult:
         dens = np.abs(psi) ** 2
         norm = float(np.einsum("i,j,ijk->", wr * r * r, wt * np.sin(th), dens)) * (2 * math.pi / 16)
         worst = max(worst, abs(norm - 1.0))
-    return _result("spectrum", "norm-round-trip", worst, 1e-8 * tol_scale, t0,
-                   "3D quadrature of |psi|^2 over r, theta, phi vs 1")
+    return worst, 1e-8, "3D quadrature of |psi|^2 over r, theta, phi vs 1"
 
 
 # ---------------------------------------------------------------- oracle
 
 @_check("oracle", "radial-spectrum-agreement")
-def check_radial_spectrum_agreement(tol_scale: float = 1.0) -> CheckResult:
+def check_radial_spectrum_agreement() -> Outcome:
     # the headline cross-validation: closed-form energies vs the
     # finite-difference solver over the full coupling grid
-    t0 = time.perf_counter()
     worst = 0.0
     n_compared = 0
     # the FD problem sees a sector only through ell_tilde, and every coupling
@@ -334,14 +307,12 @@ def check_radial_spectrum_agreement(tol_scale: float = 1.0) -> CheckResult:
                 e_closed = spectrum.energy(p, QuantumNumbers(n, ntheta, m))
                 worst = max(worst, abs(eigs[n] / e_closed - 1))
                 n_compared += 1
-    return _result("oracle", "radial-spectrum-agreement", worst, 1e-6 * tol_scale, t0,
-                   f"{n_compared} states over alpha x beta x gamma grid, |m| symmetry used, "
-                   f"{len(solved)} FD solves (one per distinct ell_tilde)")
+    return worst, 1e-6, (f"{n_compared} states over alpha x beta x gamma grid, |m| symmetry used, "
+                         f"{len(solved)} FD solves (one per distinct ell_tilde)")
 
 
 @_check("oracle", "angular-spectrum-agreement")
-def check_angular_spectrum_agreement(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_angular_spectrum_agreement() -> Outcome:
     grid = oracle.default_angular_grid(2000)
     worst = 0.0
     for lam, k in itertools.product((0.5, 1.0, 2.0), (0.5, 1.5)):
@@ -349,14 +320,12 @@ def check_angular_spectrum_agreement(tol_scale: float = 1.0) -> CheckResult:
         for nt in range(4):
             closed = 0.5 * (2 * nt + k + lam + 1) ** 2
             worst = max(worst, abs(eigs[nt] / closed - 1))
-    return _result("oracle", "angular-spectrum-agreement", worst, 1e-6 * tol_scale, t0,
-                   "Poschl-Teller eigenvalues vs (2n+k+lam+1)^2/2, n<=3")
+    return worst, 1e-6, "Poschl-Teller eigenvalues vs (2n+k+lam+1)^2/2, n<=3"
 
 
 @_check("oracle", "fd-convergence-order")
-def check_fd_convergence_order(tol_scale: float = 1.0) -> CheckResult:
+def check_fd_convergence_order() -> Outcome:
     # raw (non-extrapolated) eigenvalue error must scale as h^2
-    t0 = time.perf_counter()
     p = PotentialParams()
     worst = 0.0
     errs = [abs(oracle.radial_eigenvalues_fd(p, 0, 0, oracle.GridSpec(0.0, 12.0, n, False), 1)[0] - 2.5)
@@ -366,26 +335,22 @@ def check_fd_convergence_order(tol_scale: float = 1.0) -> CheckResult:
                                                oracle.GridSpec(0.0, math.pi / 2, n, False), 1)[0] - 10.125)
              for n in (250, 501, 1003)]
     worst = max(worst, abs(aerrs[0] / aerrs[1] - 4.0), abs(aerrs[1] / aerrs[2] - 4.0))
-    return _result("oracle", "fd-convergence-order", worst, 0.3 * tol_scale, t0,
-                   "error ratio under h -> h/2 vs the second-order value 4")
+    return worst, 0.3, "error ratio under h -> h/2 vs the second-order value 4"
 
 
 @_check("oracle", "richardson-gain")
-def check_richardson_gain(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_richardson_gain() -> Outcome:
     p = PotentialParams()
     raw = abs(oracle.radial_eigenvalues_fd(p, 0, 0, oracle.GridSpec(0.0, 12.0, 500, False), 1)[0] - 2.5)
     rich = abs(oracle.radial_eigenvalues_fd(p, 0, 0, oracle.GridSpec(0.0, 12.0, 500, True), 1)[0] - 2.5)
     # extrapolation must buy at least two extra digits at this resolution
-    return _result("oracle", "richardson-gain", rich / raw, 1e-2 * tol_scale, t0,
-                   f"extrapolated/raw error = {rich:.2e}/{raw:.2e}")
+    return rich / raw, 1e-2, f"extrapolated/raw error = {rich:.2e}/{raw:.2e}"
 
 
 @_check("oracle", "variational-bound")
-def check_variational_bound(tol_scale: float = 1.0) -> CheckResult:
+def check_variational_bound() -> Outcome:
     # Rayleigh quotient of the sampled closed-form ground state in the
     # discrete Hamiltonian can never undercut the FD ground eigenvalue
-    t0 = time.perf_counter()
     worst = 0.0
     for p in (PotentialParams(), PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)):
         grid = oracle.GridSpec(0.0, 12.0, 2000, False)
@@ -401,26 +366,22 @@ def check_variational_bound(tol_scale: float = 1.0) -> CheckResult:
         rayleigh = float(u @ hu) / float(u @ u)
         ground = oracle.radial_eigenvalues_fd(p, 0, 0, grid, 1)[0]
         worst = max(worst, ground - rayleigh)
-    return _result("oracle", "variational-bound", worst, 1e-9 * tol_scale, t0,
-                   "FD ground minus Rayleigh quotient of the closed-form state")
+    return worst, 1e-9, "FD ground minus Rayleigh quotient of the closed-form state"
 
 
 @_check("oracle", "quadrature-reference")
-def check_quadrature_reference(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_quadrature_reference() -> Outcome:
     one = lambda x: np.ones_like(x)
     r3 = oracle.inner_product_radial(one, one, oracle.GridSpec(0.0, 1.0, 64)).value
     s1 = oracle.inner_product_angular(one, one, oracle.default_angular_grid(64)).value
     worst = max(abs(r3 - 1.0 / 3.0) / 1e-12, abs(s1 - 1.0) / 1e-14)
-    return _result("oracle", "quadrature-reference", worst, 1.0 * tol_scale, t0,
-                   "deviation over band: int r^2 = 1/3 at 1e-12, int sin = 1 at 1e-14")
+    return worst, 1.0, "deviation over band: int r^2 = 1/3 at 1e-12, int sin = 1 at 1e-14"
 
 
 # ---------------------------------------------------------------- propagator
 
 @_check("propagator", "closed-vs-spectral")
-def check_closed_vs_spectral(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_closed_vs_spectral() -> Outcome:
     worst = 0.0
     for p in (PotentialParams(), PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)):
         for tau in (0.5, 1.0, 2.0):
@@ -429,13 +390,11 @@ def check_closed_vs_spectral(tol_scale: float = 1.0) -> CheckResult:
                     closed = propagator.radial_kernel_closed(p, 0, 0, float(ra), float(rb), tau)
                     spec_val = propagator.radial_kernel_spectral(p, 0, 0, float(ra), float(rb), tau, 80).value
                     worst = max(worst, abs(spec_val / closed - 1))
-    return _result("propagator", "closed-vs-spectral", worst, 1e-10 * tol_scale, t0,
-                   "5x5 endpoint grid, tau in {0.5, 1, 2}, two coupling sets")
+    return worst, 1e-10, "5x5 endpoint grid, tau in {0.5, 1, 2}, two coupling sets"
 
 
 @_check("propagator", "hille-hardy")
-def check_hille_hardy(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_hille_hardy() -> Outcome:
     rng = np.random.default_rng(20260817)
     worst = 0.0
     for _ in range(20):
@@ -444,16 +403,13 @@ def check_hille_hardy(tol_scale: float = 1.0) -> CheckResult:
         s = float(rng.uniform(0.1, 0.7))
         ell = float(rng.uniform(0.0, 6.0))
         worst = max(worst, propagator.hille_hardy_residual(x, y, s, ell, 150))
-    return _result("propagator", "hille-hardy", worst, 1e-10 * tol_scale, t0,
-                   "20 seeded draws, X,Y in (0,3], s in [0.1,0.7], ell in [0,6], 150 terms")
+    return worst, 1e-10, "20 seeded draws, X,Y in (0,3], s in [0.1,0.7], ell in [0,6], 150 terms"
 
 
 @_check("propagator", "quartic-moment")
-def check_quartic_moment(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_quartic_moment() -> Outcome:
     worst = max(propagator.quartic_moment_check(a) for a in (0.1, 0.5, 1.0, 10.0, 100.0))
-    return _result("propagator", "quartic-moment", worst, 1e-12 * tol_scale, t0,
-                   "Gaussian fourth-moment identity across four decades of a")
+    return worst, 1e-12, "Gaussian fourth-moment identity across four decades of a"
 
 
 def _lattice_errors(n_slices_list: tuple[int, ...]) -> list[float]:
@@ -468,30 +424,25 @@ def _lattice_errors(n_slices_list: tuple[int, ...]) -> list[float]:
 
 
 @_check("propagator", "lattice-accuracy")
-def check_lattice_accuracy(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_lattice_accuracy() -> Outcome:
     err = _lattice_errors((64,))[0]
-    return _result("propagator", "lattice-accuracy", err, 1e-3 * tol_scale, t0,
-                   "64-slice transfer matrix vs closed kernel, tau=0.5, ell=1")
+    return err, 1e-3, "64-slice transfer matrix vs closed kernel, tau=0.5, ell=1"
 
 
 @_check("propagator", "lattice-order")
-def check_lattice_order(tol_scale: float = 1.0) -> CheckResult:
+def check_lattice_order() -> Outcome:
     # halving the slice width must shrink the error by about 4x
-    t0 = time.perf_counter()
     errs = _lattice_errors((16, 32, 64))
     worst = max(abs(errs[0] / errs[1] - 4.0), abs(errs[1] / errs[2] - 4.0))
-    return _result("propagator", "lattice-order", worst, 0.8 * tol_scale, t0,
-                   f"error ratios {errs[0] / errs[1]:.2f}, {errs[1] / errs[2]:.2f} vs window 4 +- 0.8")
+    return worst, 0.8, f"error ratios {errs[0] / errs[1]:.2f}, {errs[1] / errs[2]:.2f} vs window 4 +- 0.8"
 
 
 @_check("propagator", "trace-consistency")
-def check_trace_consistency(tol_scale: float = 1.0) -> CheckResult:
+def check_trace_consistency() -> Outcome:
     # Boltzmann-weighted state sum vs the integrated diagonal kernel; the
     # two truncate differently (energy cutoff vs index box), so the
     # comparison is held to the exact weight of the box states above the
     # energy cutoff plus a quadrature allowance
-    t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     tau, e_max = 2.0, 16.0
     n_cut, ntheta_cut, m_cut = 20, 10, 10
@@ -509,15 +460,14 @@ def check_trace_consistency(tol_scale: float = 1.0) -> CheckResult:
                 if e > e_max:
                     excess += math.exp(-e * tau / p.hbar)
     bound = excess + 1e-9
-    return _result("propagator", "trace-consistency", abs(z_kernel - z_states), bound * tol_scale, t0,
-                   f"tau=2, cutoffs ({n_cut},{ntheta_cut},{m_cut}); bound = box excess {excess:.2e} + 1e-9")
+    return abs(z_kernel - z_states), bound, (f"tau=2, cutoffs ({n_cut},{ntheta_cut},{m_cut}); "
+                                             f"bound = box excess {excess:.2e} + 1e-9")
 
 
 @_check("propagator", "semigroup")
-def check_semigroup(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_semigroup() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    xq, wq = propagator.gauss_panels(0.0, 12.0, 6, 48)
+    xq, wq = oracle.gauss_panels(0.0, 12.0, 6, 48)
     k1 = propagator.radial_kernel_spectral(p, 0, 0, 0.8, xq, 0.7, 60).value
     k2 = propagator.radial_kernel_spectral(p, 0, 0, xq, 1.3, 0.9, 60).value
     lhs = propagator.radial_kernel_spectral(p, 0, 0, 0.8, 1.3, 1.6, 60).value
@@ -537,13 +487,12 @@ def check_semigroup(tol_scale: float = 1.0) -> CheckResult:
     # matrix, so the two lattice routes check each other
     k_end = propagator.lattice_radial_kernel(p0, 0, 0, 0.8, 1.2, 1.0, spec_full)
     worst = max(worst, abs(composed[ia, ib] / k_full[ia, ib] - 1), abs(composed[ia, ib] / k_end - 1))
-    return _result("propagator", "semigroup", worst, 1e-6 * tol_scale, t0,
-                   "K(t1+t2) = int K(t1) K(t2) x^2 dx, spectral route and grid vs endpoint lattice routes")
+    return worst, 1e-6, ("K(t1+t2) = int K(t1) K(t2) x^2 dx, spectral route and grid vs "
+                         "endpoint lattice routes")
 
 
 @_check("propagator", "kernel-symmetries")
-def check_kernel_symmetries(tol_scale: float = 1.0) -> CheckResult:
-    t0 = time.perf_counter()
+def check_kernel_symmetries() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     worst = 0.0
     # endpoint exchange symmetry and positivity of the closed form
@@ -574,30 +523,26 @@ def check_kernel_symmetries(tol_scale: float = 1.0) -> CheckResult:
                                       tau=0.8, n_cut=25, ntheta_cut=8, m_cut=6))
     if not (abs(diag.imag) < 1e-14 and diag.real > 0):
         worst = max(worst, 1.0)
-    return _result("propagator", "kernel-symmetries", worst, 1e-12 * tol_scale, t0,
-                   "exchange symmetry, positivity, monotone diagonal sums, hermiticity")
+    return worst, 1e-12, "exchange symmetry, positivity, monotone diagonal sums, hermiticity"
 
 
 @_check("propagator", "angular-filtering")
-def check_angular_filtering(tol_scale: float = 1.0) -> CheckResult:
+def check_angular_filtering() -> Outcome:
     # integrating the angular kernel against one eigenmode must return
     # that mode scaled by its Boltzmann factor
-    t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
-    th, wt = propagator.gauss_panels(0.0, math.pi / 2, 4, 48)
+    th, wt = oracle.gauss_panels(0.0, math.pi / 2, 4, 48)
     mode = angular_mode(p, 0, 1)
     s_tau = 0.8
     kern = propagator.angular_kernel_spectral(p, 1, th, 0.6, s_tau, 12)
     proj = float(np.sum(wt * np.sin(th) * kern * spectrum.angular_wavefunction(mode, th)))
     want = math.exp(-mode.eps * s_tau / p.hbar) * spectrum.angular_wavefunction(mode, 0.6)
-    return _result("propagator", "angular-filtering", abs(proj / want - 1), 1e-8 * tol_scale, t0,
-                   "eigenmode projection through the angular kernel")
+    return abs(proj / want - 1), 1e-8, "eigenmode projection through the angular kernel"
 
 
 @_check("propagator", "tail-bound-honesty")
-def check_tail_bound_honesty(tol_scale: float = 1.0) -> CheckResult:
+def check_tail_bound_honesty() -> Outcome:
     # the reported truncation bound must majorize the actual dropped tail
-    t0 = time.perf_counter()
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     cases = list(itertools.product(((1.1, 1.1), (0.6, 2.3)), (0.5, 1.0, 2.0), (10, 20)))
     cases.append(((2.517, 2.061), 0.1, 40))  # drops a 9.9e-6 tail
@@ -612,19 +557,16 @@ def check_tail_bound_honesty(tol_scale: float = 1.0) -> CheckResult:
         weight = np.exp(-ladder_energy(p, np.arange(n_cut + 1, 4 * n_cut + 1), ell) * tau / p.hbar)
         dropped = abs(math.fsum(weight * prof[:, 0] * prof[:, 1]))
         worst = max(worst, dropped / bound)
-    return _result("propagator", "tail-bound-honesty", worst, 1.0 * tol_scale, t0,
-                   "dropped spectral terms n_cut < n <= 4 n_cut over reported bound, "
-                   "diagonal and off-diagonal endpoints")
+    return worst, 1.0, ("dropped spectral terms n_cut < n <= 4 n_cut over reported bound, "
+                        "diagonal and off-diagonal endpoints")
 
 
 @_check("propagator", "lattice-short-time")
-def check_lattice_short_time(tol_scale: float = 1.0) -> CheckResult:
+def check_lattice_short_time() -> Outcome:
     # a single slice at vanishing tau is the bare heat kernel
-    t0 = time.perf_counter()
     p = PotentialParams()
     tau = 1e-4
     spec_l = propagator.LatticeSpec(n_slices=1, r_min=0.02, r_max=8.0, n_grid=400)
     val = propagator.lattice_radial_kernel(p, 0, 0, 1.0, 1.0, tau, spec_l)
     free = math.sqrt(p.mu / (2 * math.pi * p.hbar * tau))
-    return _result("propagator", "lattice-short-time", abs(val / free - 1), 5e-4 * tol_scale, t0,
-                   "one-slice kernel vs sqrt(mu / 2 pi hbar tau) at tau=1e-4")
+    return abs(val / free - 1), 5e-4, "one-slice kernel vs sqrt(mu / 2 pi hbar tau) at tau=1e-4"

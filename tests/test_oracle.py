@@ -17,6 +17,7 @@ from ncosc.oracle import (
     angular_eigenvalues_fd,
     default_angular_grid,
     default_radial_grid,
+    gauss_panels,
     inner_product_angular,
     inner_product_radial,
     radial_eigenvalues_fd,
@@ -146,6 +147,23 @@ def test_inner_product_reference_integrals():
     assert res.error_estimate <= 1e-10
     res = inner_product_angular(one, one, default_angular_grid(64))
     assert res.value == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("lo, hi, n_panels, n_nodes",
+                         [(0.0, 12.0, 6, 48), (1e-9, math.pi / 2 - 1e-9, 4, 24), (-0.3, 17.3, 7, 5)])
+def test_gauss_panels_equal_panel_by_panel_rule(lo, hi, n_panels, n_nodes):
+    base_x, base_w = np.polynomial.legendre.leggauss(n_nodes)
+    edges = np.linspace(lo, hi, n_panels + 1)
+    want_x, want_w = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        want_x.append(0.5 * (a + b) + 0.5 * (b - a) * base_x)
+        want_w.append(0.5 * (b - a) * base_w)
+    x, w = gauss_panels(lo, hi, n_panels, n_nodes)
+    assert np.array_equal(x, np.concatenate(want_x))
+    assert np.array_equal(w, np.concatenate(want_w))
+    # the cached base rule is shared, so callers get fresh arrays
+    x[:] = 0.0
+    assert np.array_equal(gauss_panels(lo, hi, n_panels, n_nodes)[0], np.concatenate(want_x))
 
 
 def test_quadrature_stall_raises():
