@@ -10,6 +10,7 @@ across identical invocations once --no-timestamp is passed.
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
 import sys
 from datetime import datetime, timezone
@@ -117,6 +118,19 @@ def _param_comment(p: PotentialParams) -> str:
     return "# params " + " ".join(f"{k}={_fmt(v)}" for k, v in _param_fields(p).items())
 
 
+def _margin(observed: float, tolerance: float) -> float:
+    """observed/tolerance; a zero tolerance gives 0 when met exactly, else inf."""
+    if tolerance > 0:
+        return observed / tolerance
+    return 0.0 if observed <= tolerance else math.inf
+
+
+def _require_nonnegative(flag: str, value: float) -> None:
+    # phrased so that NaN fails too
+    if not value >= 0:
+        raise CliError(f"{flag} must be >= 0, got {value}")
+
+
 # ------------------------------------------------------------------ spectrum
 
 _M_SCAN_LIMIT = 100000
@@ -130,16 +144,10 @@ def _derive_m_max(p: PotentialParams, e_max: float) -> int:
     floor counts as above a NaN e_max, which gives 0 for enumerate_states
     to reject.
     """
-    lo, hi = -1, _M_SCAN_LIMIT - 1
-    if energy_floor(p, hi) <= e_max:
+    first_above = bisect.bisect_left(range(_M_SCAN_LIMIT), True, key=lambda m: not energy_floor(p, m) <= e_max)
+    if first_above == _M_SCAN_LIMIT:
         raise CliError(f"the |m| cutoff for emax={e_max} is {_M_SCAN_LIMIT} or more; pass --m to set it")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if not energy_floor(p, mid) <= e_max:
-            hi = mid
-        else:
-            lo = mid
-    return max(0, hi - 1)
+    return max(0, first_above - 1)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -218,9 +226,12 @@ def cmd_propagator(args: argparse.Namespace) -> int:
     p = _params_from_args(args)
     if args.n < 1:
         raise CliError(f"spectral cutoff --n must be >= 1, got {args.n}")
+    _require_nonnegative("--tol", args.tol)
+    _require_nonnegative("--lattice-tol", args.lattice_tol)
     closed = propagator.radial_kernel_closed(p, args.ntheta, args.m, args.ra, args.rb, args.tau)
     spec_val = propagator.radial_kernel_spectral(p, args.ntheta, args.m, args.ra, args.rb, args.tau, args.n)
-    rel_spectral = abs(closed - spec_val.value) / abs(closed)
+    # relative to the closed value, which underflows to 0 at long times
+    rel_spectral = _margin(abs(closed - spec_val.value), abs(closed))
 
     entries: list[tuple[str, float]] = [
         ("closed", closed),
@@ -235,9 +246,9 @@ def cmd_propagator(args: argparse.Namespace) -> int:
             f"raise the spectral cutoff above --n {args.n}"
         )
     if args.lattice:
-        spec_l = propagator.LatticeSpec(n_slices=args.slices, r_min=0.02, r_max=8.0, n_grid=400)
+        spec_l = propagator.LatticeSpec(n_slices=args.slices)
         lat = propagator.lattice_radial_kernel(p, args.ntheta, args.m, args.ra, args.rb, args.tau, spec_l)
-        rel_lattice = abs(closed - lat) / abs(closed)
+        rel_lattice = _margin(abs(closed - lat), abs(closed))
         entries.append(("lattice", lat))
         entries.append(("rel_diff_lattice_vs_closed", rel_lattice))
         if rel_lattice > args.lattice_tol:
@@ -270,16 +281,8 @@ def cmd_propagator(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- verify
 
-def _margin(observed: float, tolerance: float) -> float:
-    """observed/tolerance; a zero tolerance gives 0 when met exactly, else inf."""
-    if tolerance > 0:
-        return observed / tolerance
-    return 0.0 if observed <= tolerance else math.inf
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.tol_scale < 0:
-        raise CliError(f"--tol-scale must be >= 0, got {args.tol_scale}")
+    _require_nonnegative("--tol-scale", args.tol_scale)
     results = verify.run_suite(args.suite, tol_scale=args.tol_scale)
     n_pass = sum(r.passed for r in results)
 
@@ -382,26 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _extract_config(argv: list[str]) -> tuple[list[str], str | None]:
-    rest: list[str] = []
-    path = None
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise CliError("--config requires a path")
-            path = argv[i + 1]
-            i += 2
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-            i += 1
-        else:
-            rest.append(tok)
-            i += 1
-    return rest, path
-
-
 def _config_tokens(path: str) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -429,22 +412,21 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
+    # --config is taken out first, wherever it stands, and every other
+    # token is left in order for the full parser
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
     try:
-        rest, config_path = _extract_config(raw)
-        if config_path is not None:
+        known, rest = pre.parse_known_args(sys.argv[1:] if argv is None else argv)
+        if known.config is not None:
             if not rest:
                 raise CliError("--config given without a subcommand")
             # config tokens go right after the subcommand so explicit
             # flags, parsed later, win
-            rest = rest[:1] + _config_tokens(config_path) + rest[1:]
-        parser = build_parser()
-        args = parser.parse_args(rest)
+            rest = rest[:1] + _config_tokens(known.config) + rest[1:]
+        args = build_parser().parse_args(rest)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (CliError, argparse.ArgumentError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

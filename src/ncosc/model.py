@@ -181,9 +181,7 @@ def angular_lambda(p: PotentialParams, m: int) -> float:
 
 
 def angular_k(p: PotentialParams) -> float:
-    """k = sqrt(gamma + 1/4) > 0."""
-    if p.gamma <= -0.25:
-        raise ValueError(f"gamma must exceed -1/4, got {p.gamma}")
+    """k = sqrt(gamma + 1/4) > 0 (PotentialParams requires gamma > -1/4)."""
     return math.sqrt(p.gamma + 0.25)
 
 

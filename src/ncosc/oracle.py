@@ -164,11 +164,12 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     return eigs
 
 
-def angular_eigenvalues_fd(lam: float, k: float, hbar: float, mu: float, grid: GridSpec, count: int) -> np.ndarray:
+def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> np.ndarray:
     """Finite-difference eigenvalues of the angular problem on (0, pi/2).
 
-    Solves -(hbar^2/2mu) phi'' + (hbar^2/2mu)[(lam^2 - 1/4)/sin^2(theta)
-    + (k^2 - 1/4)/cos^2(theta)] phi = eps phi with Dirichlet ends. For
+    Solves -(1/2) phi'' + (1/2)[(lam^2 - 1/4)/sin^2(theta)
+    + (k^2 - 1/4)/cos^2(theta)] phi = eps phi with Dirichlet ends, in units
+    hbar = mu = 1 (eps scales with hbar^2/mu). For
     lam < 1/2 or k < 1/2 the wall terms turn attractive; the Dirichlet
     problem stays well posed but loses convergence order, which is
     reported as a warning.
@@ -192,14 +193,14 @@ def angular_eigenvalues_fd(lam: float, k: float, hbar: float, mu: float, grid: G
             "convergence degrades below second order near the boundary",
             stacklevel=2,
         )
-    c_lam = hbar * hbar * (lam * lam - 0.25) / (2 * mu)
-    c_k = hbar * hbar * (k * k - 0.25) / (2 * mu)
+    c_lam = (lam * lam - 0.25) / 2
+    c_k = (k * k - 0.25) / 2
 
     def v_of_theta(th: np.ndarray) -> np.ndarray:
         s, c = np.sin(th), np.cos(th)
         return c_lam / (s * s) + c_k / (c * c)
 
-    return _solve_with_richardson(v_of_theta, grid, count, hbar, mu, guard=regular)
+    return _solve_with_richardson(v_of_theta, grid, count, 1.0, 1.0, guard=regular)
 
 
 @functools.lru_cache(maxsize=16)

@@ -29,7 +29,6 @@ __all__ = [
     "jacobi",
     "jacobi_all",
     "bessel_i",
-    "log_bessel_i",
     "log_bessel_ie",
     "log_bessel_ie_from_log",
     "bessel_short_time_ratio",
@@ -240,13 +239,6 @@ def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
     return log_bessel_ie(nu, math.exp(log_x))
 
 
-def log_bessel_i(nu: float, x: float) -> float:
-    """ln I_nu(x) for nu >= 0, x >= 0; -inf when I_nu(x) = 0 (x=0, nu>0)."""
-    if nu < 0 or x < 0:
-        raise ValueError(f"log_bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
-    return log_bessel_ie(nu, x) + x
-
-
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
 
@@ -255,9 +247,7 @@ def bessel_i(nu: float, x: float) -> float:
     """
     if nu < 0 or x < 0:
         raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
-    if x == 0:
-        return 1.0 if nu == 0 else 0.0
-    lg = log_bessel_i(nu, x)
+    lg = log_bessel_ie(nu, x) + x
     if lg > _LOG_HUGE:
         raise OverflowError(f"bessel_i result exceeds floating range: ln I_{nu}({x}) = {lg:.6g}")
     return math.exp(lg)

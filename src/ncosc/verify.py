@@ -316,7 +316,7 @@ def check_angular_spectrum_agreement() -> Outcome:
     grid = oracle.default_angular_grid(2000)
     worst = 0.0
     for lam, k in itertools.product((0.5, 1.0, 2.0), (0.5, 1.5)):
-        eigs = oracle.angular_eigenvalues_fd(lam, k, 1.0, 1.0, grid, 4)
+        eigs = oracle.angular_eigenvalues_fd(lam, k, grid, 4)
         for nt in range(4):
             closed = 0.5 * (2 * nt + k + lam + 1) ** 2
             worst = max(worst, abs(eigs[nt] / closed - 1))
@@ -331,8 +331,7 @@ def check_fd_convergence_order() -> Outcome:
     errs = [abs(oracle.radial_eigenvalues_fd(p, 0, 0, oracle.GridSpec(0.0, 12.0, n, False), 1)[0] - 2.5)
             for n in (250, 501, 1003)]
     worst = max(worst, abs(errs[0] / errs[1] - 4.0), abs(errs[1] / errs[2] - 4.0))
-    aerrs = [abs(oracle.angular_eigenvalues_fd(2.0, 1.5, 1.0, 1.0,
-                                               oracle.GridSpec(0.0, math.pi / 2, n, False), 1)[0] - 10.125)
+    aerrs = [abs(oracle.angular_eigenvalues_fd(2.0, 1.5, oracle.GridSpec(0.0, math.pi / 2, n, False), 1)[0] - 10.125)
              for n in (250, 501, 1003)]
     worst = max(worst, abs(aerrs[0] / aerrs[1] - 4.0), abs(aerrs[1] / aerrs[2] - 4.0))
     return worst, 0.3, "error ratio under h -> h/2 vs the second-order value 4"
@@ -402,7 +401,7 @@ def check_hille_hardy() -> Outcome:
         y = float(rng.uniform(1e-6, 3.0))
         s = float(rng.uniform(0.1, 0.7))
         ell = float(rng.uniform(0.0, 6.0))
-        worst = max(worst, propagator.hille_hardy_residual(x, y, s, ell, 150))
+        worst = max(worst, propagator.hille_hardy_residual(x, y, s, ell))
     return worst, 1e-10, "20 seeded draws, X,Y in (0,3], s in [0.1,0.7], ell in [0,6], 150 terms"
 
 
@@ -417,7 +416,7 @@ def _lattice_errors(n_slices_list: tuple[int, ...]) -> list[float]:
     closed = propagator.radial_kernel_closed(p, 0, 0, 0.8, 1.2, 0.5)
     errs = []
     for n_slices in n_slices_list:
-        spec_l = propagator.LatticeSpec(n_slices=n_slices, r_min=0.02, r_max=8.0, n_grid=400)
+        spec_l = propagator.LatticeSpec(n_slices=n_slices)
         val = propagator.lattice_radial_kernel(p, 0, 0, 0.8, 1.2, 0.5, spec_l)
         errs.append(abs(val / closed - 1))
     return errs
@@ -474,8 +473,8 @@ def check_semigroup() -> Outcome:
     worst = abs(float(np.sum(wq * xq * xq * k1 * k2)) / lhs - 1)
 
     p0 = PotentialParams()
-    spec_half = propagator.LatticeSpec(n_slices=32, r_min=0.02, r_max=8.0, n_grid=400)
-    spec_full = propagator.LatticeSpec(n_slices=64, r_min=0.02, r_max=8.0, n_grid=400)
+    spec_half = propagator.LatticeSpec(n_slices=32)
+    spec_full = propagator.LatticeSpec(n_slices=64)
     g, k_half = propagator.lattice_kernel_grid(p0, 0, 0, 0.5, spec_half)
     _, k_full = propagator.lattice_kernel_grid(p0, 0, 0, 1.0, spec_full)
     h = g[1] - g[0]
@@ -566,7 +565,7 @@ def check_lattice_short_time() -> Outcome:
     # a single slice at vanishing tau is the bare heat kernel
     p = PotentialParams()
     tau = 1e-4
-    spec_l = propagator.LatticeSpec(n_slices=1, r_min=0.02, r_max=8.0, n_grid=400)
+    spec_l = propagator.LatticeSpec(n_slices=1)
     val = propagator.lattice_radial_kernel(p, 0, 0, 1.0, 1.0, tau, spec_l)
     free = math.sqrt(p.mu / (2 * math.pi * p.hbar * tau))
     return abs(val / free - 1), 5e-4, "one-slice kernel vs sqrt(mu / 2 pi hbar tau) at tau=1e-4"

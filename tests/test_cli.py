@@ -6,9 +6,11 @@ generated wrapper does, and checks it against `python -m ncosc.cli`; where an
 installed `ncosc` executable is on PATH, that is checked too.
 """
 
+import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -330,6 +332,26 @@ def test_propagator_rejects_zero_time(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [["--tau", "300"], ["--tau", "2000"], ["--tau", "400", "--ra", "30", "--rb", "0.01"]])
+def test_propagator_with_underflowed_kernel_reports_zero_difference(capsys, argv):
+    # the closed kernel and the spectral sum both underflow to 0.0 here
+    code, out, err = run_cli(capsys, "propagator", *argv, "--no-timestamp")
+    assert (code, err) == (0, "")
+    vals = dict(csv_rows(out)[1])
+    assert vals["closed"] == vals["spectral"] == vals["rel_diff_spectral_vs_closed"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--tau", "1e-3", "--ra", "2", "--rb", "2.1", "--tol", "nan"],
+    ["propagator", "--lattice", "--slices", "4", "--lattice-tol", "nan"],
+    ["verify", "--suite", "specfun", "--tol-scale", "nan"],
+])
+def test_nan_tolerance_is_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert f"error: {argv[-2]} must be >= 0, got nan" in err
+
+
 def test_propagator_reports_unreached_tolerance(capsys):
     code, out, err = run_cli(capsys, "propagator", "--n", "5", "--tol", "1e-15",
                              "--no-timestamp")
@@ -424,6 +446,24 @@ def test_verify_rejects_unknown_suite(capsys):
         cli.main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# ------------------------------------------------------------------ readme
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "propagator", "verify"])
+def test_readme_example_matches_the_cli(capsys, command):
+    # each "$ ncosc ... --no-timestamp" block of the README, as far as it
+    # shows the output (up to a "..." line)
+    blocks = re.findall(r"^\$ ncosc ([^\n]*--no-timestamp)\n(.*?)^```", README.read_text(), re.M | re.S)
+    examples = {cmd.split()[0]: (cmd.split(), shown.splitlines()) for cmd, shown in blocks}
+    argv, shown = examples[command]
+    shown = list(itertools.takewhile(lambda line: line != "...", shown))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[:len(shown)] == shown
 
 
 # ------------------------------------------------------------------ config

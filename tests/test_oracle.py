@@ -64,7 +64,7 @@ def test_radial_eigenvalues_with_scaled_constants():
 def test_angular_eigenvalues_match_closed_form():
     grid = default_angular_grid(2000)
     for lam, k in [(1.0, 0.5), (2.0, 1.5)]:
-        eigs = angular_eigenvalues_fd(lam, k, 1.0, 1.0, grid, 4)
+        eigs = angular_eigenvalues_fd(lam, k, grid, 4)
         for nt in range(4):
             want = 0.5 * (2 * nt + k + lam + 1) ** 2
             assert eigs[nt] == pytest.approx(want, rel=1e-6), (lam, k, nt)
@@ -107,13 +107,13 @@ def test_radial_grid_must_start_at_zero():
 def test_angular_solver_validation():
     grid = default_angular_grid(256)
     with pytest.raises(ValueError, match="lam must be >= 0"):
-        angular_eigenvalues_fd(-1.0, 0.5, 1.0, 1.0, grid, 1)
+        angular_eigenvalues_fd(-1.0, 0.5, grid, 1)
     with pytest.raises(ValueError, match="k must be positive"):
-        angular_eigenvalues_fd(1.0, 0.0, 1.0, 1.0, grid, 1)
+        angular_eigenvalues_fd(1.0, 0.0, grid, 1)
     with pytest.raises(ValueError, match="span"):
-        angular_eigenvalues_fd(1.0, 0.5, 1.0, 1.0, GridSpec(0.0, 1.0, 256), 1)
+        angular_eigenvalues_fd(1.0, 0.5, GridSpec(0.0, 1.0, 256), 1)
     with pytest.raises(ValueError, match="count"):
-        angular_eigenvalues_fd(1.0, 0.5, 1.0, 1.0, grid, 0)
+        angular_eigenvalues_fd(1.0, 0.5, grid, 0)
 
 
 def test_attractive_wall_warns_and_converges_only_logarithmically():
@@ -122,13 +122,13 @@ def test_attractive_wall_warns_and_converges_only_logarithmically():
     # decays like 1/ln(1/h); at 2000 points it is still ~0.17, so the
     # solver must warn rather than pretend second-order accuracy.
     with pytest.warns(UserWarning, match="convergence degrades"):
-        eig = angular_eigenvalues_fd(0.0, 0.5, 1.0, 1.0, default_angular_grid(2000), 1)[0]
+        eig = angular_eigenvalues_fd(0.0, 0.5, default_angular_grid(2000), 1)[0]
     err = abs(eig - 1.125)
     assert 0.02 < err < 0.5
     # and the drift really is logarithmic: quadrupling the grid barely helps
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        eig4 = angular_eigenvalues_fd(0.0, 0.5, 1.0, 1.0, default_angular_grid(8000), 1)[0]
+        eig4 = angular_eigenvalues_fd(0.0, 0.5, default_angular_grid(8000), 1)[0]
     err4 = abs(eig4 - 1.125)
     assert err4 < err
     assert err4 > err / 3, "decay faster than logarithmic would contradict the warning"
@@ -137,7 +137,7 @@ def test_attractive_wall_warns_and_converges_only_logarithmically():
 def test_regular_wall_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        angular_eigenvalues_fd(0.5, 0.5, 1.0, 1.0, default_angular_grid(512), 1)
+        angular_eigenvalues_fd(0.5, 0.5, default_angular_grid(512), 1)
 
 
 def test_inner_product_reference_integrals():

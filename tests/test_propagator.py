@@ -225,6 +225,18 @@ def test_closed_kernel_past_sinh_range():
     assert radial_kernel_closed(PotentialParams(), 0, 0, 1.2, 0.7, 800.0) == 0.0
 
 
+def test_closed_kernel_bessel_argument_from_its_log_in_range():
+    # past omega tau = 700, and where sinh(omega tau) is subnormal, the
+    # Bessel argument z is taken from its logarithm; in both cases here z
+    # itself is a normal float (1.3e-306 and 1e300)
+    got = radial_kernel_closed(PotentialParams(v0=3.0), 0, 0, 1.0, 1.0, 705.0)
+    assert got == pytest.approx(6.7905380162459842e+152, rel=1e-13)  # mpmath, 50 digits
+    # at tau = 1e-320 the kernel between (1e-10, 1e-10) is the free kernel
+    p, r, tau = PotentialParams(), 1e-10, 1e-320
+    free = math.sqrt(p.mu / (2 * math.pi * p.hbar)) / math.sqrt(tau) / (r * r)
+    assert radial_kernel_closed(p, 0, 0, r, r, tau) == pytest.approx(free, rel=1e-13)
+
+
 def _log_closed_kernel_mp(p, ell, ra, rb, tau):
     mpmath.mp.dps = 30
     wt = mpmath.mpf(p.omega * tau)
@@ -302,7 +314,7 @@ def test_hille_hardy_residual_small_on_seeded_draws():
         y = float(rng.uniform(1e-6, 3.0))
         s = float(rng.uniform(0.1, 0.7))
         ell = float(rng.uniform(0.0, 6.0))
-        assert hille_hardy_residual(x, y, s, ell, 150) <= 1e-10
+        assert hille_hardy_residual(x, y, s, ell) <= 1e-10
 
 
 def test_quartic_moment_identity_across_scales():

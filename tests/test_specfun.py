@@ -22,7 +22,6 @@ from ncosc.specfun import (
     jacobi_all,
     laguerre,
     laguerre_all,
-    log_bessel_i,
     log_bessel_ie,
     log_gamma,
 )
@@ -79,7 +78,7 @@ def test_jacobi_reference_values():
 
 def test_log_bessel_reference_values():
     for nu, x, want in LOG_BESSEL_REF:
-        assert log_bessel_i(nu, x) == pytest.approx(want, rel=1e-13, abs=1e-13), (nu, x)
+        assert log_bessel_ie(nu, x) + x == pytest.approx(want, rel=1e-13, abs=1e-13), (nu, x)
 
 
 def test_gamma_ratio_reference_values():
@@ -233,7 +232,7 @@ def test_bessel_three_term_recurrence(nu, x):
 
 def test_log_bessel_handles_overflowing_arguments():
     # ln I stays finite where I itself passes 1e308
-    val = log_bessel_i(0.5, 800.0)
+    val = log_bessel_ie(0.5, 800.0) + 800.0
     assert val == pytest.approx(800.0 - 0.5 * math.log(2 * math.pi * 800.0), rel=1e-6)
     with pytest.raises(OverflowError, match="exceeds floating range"):
         bessel_i(0.5, 800.0)
@@ -242,7 +241,7 @@ def test_log_bessel_handles_overflowing_arguments():
 def test_bessel_at_zero_argument():
     assert bessel_i(0.0, 0.0) == 1.0
     assert bessel_i(2.5, 0.0) == 0.0
-    assert log_bessel_i(1.0, 0.0) == -math.inf
+    assert log_bessel_ie(1.0, 0.0) == -math.inf
 
 
 def test_domain_validation():

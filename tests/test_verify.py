@@ -20,6 +20,13 @@ def test_run_suite_runs_each_check_once_timed_and_scaled():
         assert r.passed == (r.observed <= 0.0), r.name
 
 
+def test_every_check_passes_at_its_own_tolerance():
+    results = run_suite("all")
+    assert len(results) == 30
+    failed = [f"{r.suite}/{r.name}: {r.observed:.3g} > {r.tolerance:.3g}" for r in results if not r.passed]
+    assert failed == []
+
+
 def test_run_check_scales_the_check_tolerance():
     assert run_check("spectrum", "enumeration-order").tolerance == 0.5
     assert run_check("spectrum", "enumeration-order", 3.0).tolerance == 1.5
