@@ -43,8 +43,6 @@ __all__ = [
     "RadialMode",
     "potential_spherical",
     "potential_cartesian",
-    "angular_lambda",
-    "angular_k",
     "admissible_ell",
     "effective_ell",
     "admissible_sectors",
@@ -170,67 +168,55 @@ def potential_cartesian(p: PotentialParams, x, y, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def angular_lambda(p: PotentialParams, m: int) -> float:
-    """lambda = sqrt(beta + m^2); rejects non-bound sectors (negative radicand)."""
-    radicand = p.beta + m * m
-    if radicand < 0:
-        raise ValueError(
-            f"beta + m^2 must be >= 0 for a bound angular sector, got {radicand} (beta={p.beta}, m={m})"
-        )
-    return math.sqrt(radicand)
+def _sector(
+    p: PotentialParams, n_theta: int, m: int
+) -> tuple[float | None, float | None, float | None, float | None, str]:
+    """(lam, k, base, ell, why) of the (n_theta, m) sector.
 
-
-def angular_k(p: PotentialParams) -> float:
-    """k = sqrt(gamma + 1/4) > 0 (PotentialParams requires gamma > -1/4)."""
-    return math.sqrt(p.gamma + 0.25)
-
-
-def _sector(p: PotentialParams, n_theta: int, m: int) -> tuple[float, float, float, float]:
-    """(lam, k, base, radicand) of the (n_theta, m) sector.
-
-    base = k + lam + 2 n_theta + 1 fixes the angular eigenvalue and
-    radicand = base^2 + alpha - beta fixes ell_tilde = sqrt(radicand) - 1/2.
-    Raises ValueError for n_theta < 0 or a non-bound angular sector.
+    lam = sqrt(beta + m^2), k = sqrt(gamma + 1/4), base = k + lam + 2 n_theta + 1
+    fixes the angular eigenvalue and ell = sqrt(base^2 + alpha - beta) - 1/2 is
+    ell_tilde. The one admissibility test of the package: the sector holds
+    bound states only if the angular sector is bound (beta + m^2 >= 0) and
+    ell_tilde >= 0, which rules out the fall-to-center regime (negative
+    radicand) as well. Otherwise ell is None and why gives the reason; where
+    beta + m^2 < 0, lam, k and base are None too. Raises ValueError for
+    n_theta < 0.
     """
     if n_theta < 0:
         raise ValueError(f"n_theta must be >= 0, got {n_theta}")
-    lam, k = angular_lambda(p, m), angular_k(p)
+    lam_sq = p.beta + m * m
+    if lam_sq < 0:
+        why = f"beta + m^2 must be >= 0 for a bound angular sector, got {lam_sq} (beta={p.beta}, m={m})"
+        return None, None, None, None, why
+    lam, k = math.sqrt(lam_sq), math.sqrt(p.gamma + 0.25)
     base = k + lam + 2 * n_theta + 1
-    return lam, k, base, base * base + (p.alpha - p.beta)
+    radicand = base * base + (p.alpha - p.beta)
+    if radicand < 0:
+        why = f"(k+lambda+2*n_theta+1)^2 + alpha - beta = {radicand} < 0: fall-to-center regime, no bound state"
+        return lam, k, base, None, why
+    ell = math.sqrt(radicand) - 0.5
+    if ell < 0:
+        return lam, k, base, None, f"ell_tilde = {ell} < 0: state not normalizable at the origin (inadmissible sector)"
+    return lam, k, base, ell, ""
 
 
 def admissible_ell(p: PotentialParams, n_theta: int, m: int) -> float | None:
-    """ell_tilde of the (n_theta, m) sector, or None when it holds no bound state.
-
-    The one admissibility test of the package: the angular sector must be
-    bound (beta + m^2 >= 0) and the radicand must reach 1/4, which rules out
-    both the fall-to-center regime and ell_tilde < 0.
-    """
-    if p.beta + m * m < 0:
-        return None
-    radicand = _sector(p, n_theta, m)[3]
-    return math.sqrt(radicand) - 0.5 if radicand >= 0.25 else None
+    """ell_tilde of the (n_theta, m) sector, or None when it holds no bound state."""
+    return _sector(p, n_theta, m)[3]
 
 
 def effective_ell(p: PotentialParams, n_theta: int, m: int) -> float:
     """Effective orbital quantum number ell_tilde of the reduced radial problem.
 
     Raises:
-        ValueError: with the reason admissible_ell rejects the sector:
+        ValueError: with the reason the sector holds no bound state:
             beta + m^2 < 0, negative radicand (fall-to-center regime) or
             ell_tilde < 0 (state not normalizable at the origin).
     """
-    ell = admissible_ell(p, n_theta, m)
-    if ell is not None:
-        return ell
-    radicand = _sector(p, n_theta, m)[3]
-    if radicand < 0:
-        raise ValueError(
-            f"(k+lambda+2*n_theta+1)^2 + alpha - beta = {radicand} < 0: fall-to-center regime, no bound state"
-        )
-    raise ValueError(
-        f"ell_tilde = {math.sqrt(radicand) - 0.5} < 0: state not normalizable at the origin (inadmissible sector)"
-    )
+    _, _, _, ell, why = _sector(p, n_theta, m)
+    if ell is None:
+        raise ValueError(why)
+    return ell
 
 
 def admissible_sectors(p: PotentialParams, m: int):
@@ -242,10 +228,11 @@ def admissible_sectors(p: PotentialParams, m: int):
     rounding, on the first n_theta whose radicand reaches 1/4, and so skips
     them in O(1).
     """
-    if p.beta + m * m < 0:
+    base = _sector(p, 0, m)[2]
+    if base is None:
         return
     need = 0.25 - (p.alpha - p.beta)
-    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - _sector(p, 0, m)[2]) / 2) - 1)
+    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - base) / 2) - 1)
     for n_theta in itertools.count(start):
         ell = admissible_ell(p, n_theta, m)
         if ell is not None:
@@ -260,9 +247,9 @@ def energy_floor(p: PotentialParams, m: int) -> float:
     that sector is inadmissible, and -inf where beta + m^2 < 0 leaves no
     state at this m.
     """
-    if p.beta + m * m < 0:
+    _, _, base, ell, _ = _sector(p, 0, m)
+    if base is None:
         return -math.inf
-    ell = admissible_ell(p, 0, m)
     return ladder_energy(p, 0, 0.0 if ell is None else ell)
 
 
@@ -290,7 +277,9 @@ def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
     / [Gamma(n_theta+k+1) Gamma(n_theta+lam+1)], evaluated through log-gamma
     differences so large degrees stay in range.
     """
-    lam, k, base, _ = _sector(p, n_theta, m)
+    lam, k, base, _, why = _sector(p, n_theta, m)
+    if base is None:
+        raise ValueError(why)
     eps = (p.hbar**2 / (2 * p.mu)) * base * base
     log_norm_sq = (
         math.log(2 * base)
@@ -307,5 +296,9 @@ def radial_mode(p: PotentialParams, n: int, n_theta: int, m: int) -> RadialMode:
     ladder_energy and the norm exp(radial_log_norm)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ell = effective_ell(p, n_theta, m)
+    return _radial_mode(p, n, effective_ell(p, n_theta, m))
+
+
+def _radial_mode(p: PotentialParams, n: int, ell: float) -> RadialMode:
+    """RadialMode of radial degree n in a sector with ell_tilde ell."""
     return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell), norm=math.exp(radial_log_norm(p, n, ell)))

@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 
+def _check_tau(tau: float) -> None:
+    """Reject a Euclidean time that is not positive and finite."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 @dataclass(frozen=True)
 class PropagatorQuery:
     """Endpoints, Euclidean time, and truncation cutoffs for the full kernel."""
@@ -87,8 +93,7 @@ class PropagatorQuery:
         for name in ("phi_a", "phi_b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.tau < math.inf:
-            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _check_tau(self.tau)
         if self.n_cut < 1 or self.ntheta_cut < 1:
             raise ValueError("n_cut and ntheta_cut must be >= 1")
         if self.m_cut < 0:
@@ -136,8 +141,7 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     """
     if not (0 < ra < math.inf and 0 < rb < math.inf):
         raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     ell = effective_ell(p, n_theta, m)
     wt = p.omega * tau
     scale = p.mu * p.omega / p.hbar
@@ -251,8 +255,7 @@ def radial_kernel_spectral(
     for name, pts in (("ra", a_pts), ("rb", b_pts)):
         if not np.all((pts > 0) & (pts < math.inf)):
             raise ValueError(f"radial_kernel_spectral requires finite {name} > 0, got {name}={pts}")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     if n_cut < 1:
         raise ValueError(f"n_cut must be >= 1, got {n_cut}")
     ell = effective_ell(p, n_theta, m)
@@ -354,8 +357,7 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     runs. Each |m| takes one Jacobi and one Laguerre recurrence for all its
     sectors.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     # outermost state sets the turning point; pad well past it
     ell_hi = effective_ell(p, ntheta_cut, m_cut)
     r_hi = math.sqrt(p.hbar / (p.mu * p.omega)) * (math.sqrt(4 * n_cut + 2 * ell_hi + 3) + 6.0)
@@ -463,8 +465,7 @@ def _lattice_setup(
     p: PotentialParams, n_theta: int, m: int, tau: float, spec: LatticeSpec
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Validate a lattice query; return (ell, eps, grid, trapezoid weights)."""
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     ell = effective_ell(p, n_theta, m)
     eps = tau / spec.n_slices
     grid = np.linspace(spec.r_min, spec.r_max, spec.n_grid)

@@ -3,9 +3,8 @@ eigenfunctions, full normalized wavefunctions, and state enumeration.
 
 Wavefunctions factorize as psi = R(r) Theta(theta) e^{i m phi} / sqrt(2 pi)
 with R orthonormal under r^2 dr on (0, inf) and Theta orthonormal under
-sin(theta) d(theta) on (0, pi/2). The combined normalization constant of an
-EigenState is kept alongside the factor norms; the two agree to rounding,
-which is one of the invariants the test-suite pins down.
+sin(theta) d(theta) on (0, pi/2). An EigenState holds the two factor
+modes, whose norms together normalize psi.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from .model import (
     PotentialParams,
     QuantumNumbers,
     RadialMode,
+    _radial_mode,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -29,7 +29,7 @@ from .model import (
     ladder_energy,
     radial_log_norm,
 )
-from .specfun import jacobi_all, laguerre, laguerre_all, log_gamma
+from .specfun import jacobi_all, laguerre, laguerre_all
 
 __all__ = [
     "EigenState",
@@ -47,12 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenState:
-    """One bound state: quantum numbers, factor modes, combined norm."""
+    """One bound state: quantum numbers and its angular and radial modes."""
 
     qn: QuantumNumbers
     angular: AngularMode
     radial: RadialMode
-    total_norm: float
 
     @property
     def energy(self) -> float:
@@ -124,29 +123,12 @@ def _sector_states(p: PotentialParams, ang: AngularMode, ell: float, ns, ms) -> 
     """EigenStates of one admissible sector: angular mode ang, ell_tilde ell,
     each radial n in ns and each signed m in ms, which share |m|.
 
-    The sector's log-gammas are taken once; each n has one RadialMode,
-    shared by every m.
+    Each n has one RadialMode, shared by every m.
     """
-    n_theta = ang.n_theta
-    # the combined constant of the full wavefunction equals
-    # radial.norm * angular.norm / sqrt(2 pi) up to rounding; its log is
-    # summed left to right, the n-independent terms first
-    head = (
-        math.log(2 / math.pi)
-        + 1.5 * math.log(p.mu * p.omega / p.hbar)
-        + math.log(2 * n_theta + ang.k + ang.lam + 1)
-    )
-    g_n = log_gamma(n_theta + 1.0)
-    g_nkl = log_gamma(n_theta + ang.k + ang.lam + 1)
-    g_nk = log_gamma(n_theta + ang.k + 1)
-    g_nl = log_gamma(n_theta + ang.lam + 1)
     states = []
     for n in ns:
-        rad = RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell), norm=math.exp(radial_log_norm(p, n, ell)))
-        log_total_sq = head + log_gamma(n + 1.0) + g_n + g_nkl - g_nk - g_nl - log_gamma(n + ell + 1.5)
-        total_norm = math.exp(0.5 * log_total_sq)
-        for m in ms:
-            states.append(EigenState(QuantumNumbers(n=n, n_theta=n_theta, m=m), ang, rad, total_norm))
+        rad = _radial_mode(p, n, ell)
+        states += [EigenState(QuantumNumbers(n=n, n_theta=ang.n_theta, m=m), ang, rad) for m in ms]
     return states
 
 
@@ -169,7 +151,7 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     (non-bound lambda, fall-to-center radicand, ell_tilde < 0) hold no
     states and are skipped; admissibility is restored at larger n_theta
     or |m|, so skipping never ends a scan early. Each sector's angular
-    mode and log-gammas are built once, and sectors +m and -m share them.
+    mode is built once, and sectors +m and -m share it.
     """
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")

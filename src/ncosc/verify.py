@@ -318,7 +318,9 @@ def check_angular_spectrum_agreement() -> Outcome:
     for lam, k in itertools.product((0.5, 1.0, 2.0), (0.5, 1.5)):
         eigs = oracle.angular_eigenvalues_fd(lam, k, grid, 4)
         for nt in range(4):
-            closed = 0.5 * (2 * nt + k + lam + 1) ** 2
+            # on this dyadic (lam, k) grid the couplings, and so the lam and k
+            # angular_mode derives from them, are exact
+            closed = angular_mode(PotentialParams(beta=lam * lam, gamma=k * k - 0.25), nt, 0).eps
             worst = max(worst, abs(eigs[nt] / closed - 1))
     return worst, 1e-6, "Poschl-Teller eigenvalues vs (2n+k+lam+1)^2/2, n<=3"
 

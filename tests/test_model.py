@@ -1,18 +1,20 @@
 """Potential definition, parameter validation, and the index maps."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncosc.model import (
     PotentialParams,
     QuantumNumbers,
-    angular_k,
-    angular_lambda,
+    admissible_ell,
+    admissible_sectors,
     angular_mode,
     effective_ell,
+    energy_floor,
     potential_cartesian,
     potential_spherical,
     radial_mode,
@@ -97,10 +99,10 @@ def test_cartesian_singular_axis_guards():
 
 def test_index_maps_by_hand():
     # lambda = sqrt(beta + m^2), k = sqrt(gamma + 1/4)
-    assert angular_lambda(COUPLED, 0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-    assert angular_lambda(COUPLED, 2) == pytest.approx(math.sqrt(4.5), rel=1e-15)
-    assert angular_lambda(COUPLED, -2) == angular_lambda(COUPLED, 2)
-    assert angular_k(COUPLED) == pytest.approx(1.5, rel=1e-15)
+    assert angular_mode(COUPLED, 0, 0).lam == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert angular_mode(COUPLED, 0, 2).lam == pytest.approx(math.sqrt(4.5), rel=1e-15)
+    assert angular_mode(COUPLED, 0, -2).lam == angular_mode(COUPLED, 0, 2).lam
+    assert angular_mode(COUPLED, 0, 0).k == pytest.approx(1.5, rel=1e-15)
     base = 1.5 + math.sqrt(0.5) + 1.0
     want = math.sqrt(base * base + 0.5) - 0.5
     assert effective_ell(COUPLED, 0, 0) == pytest.approx(want, rel=1e-15)
@@ -115,8 +117,9 @@ def test_index_maps_collapse_at_zero_couplings():
 
 
 def test_inadmissible_sectors_raise():
-    with pytest.raises(ValueError, match="beta \\+ m\\^2"):
-        angular_lambda(PotentialParams(beta=-2.0), 1)
+    for sector_reader in (effective_ell, angular_mode):
+        with pytest.raises(ValueError, match="beta \\+ m\\^2"):
+            sector_reader(PotentialParams(beta=-2.0), 0, 1)
     with pytest.raises(ValueError, match="fall-to-center"):
         effective_ell(PotentialParams(alpha=-7.0), 0, 0)
     # alpha - beta in (-(k+lam+1)^2, 0.25 - (k+lam+1)^2] lands ell_tilde < 0
@@ -150,3 +153,46 @@ def test_ell_is_even_in_m_and_monotone_in_ntheta(m, n_theta):
     ell = effective_ell(COUPLED, n_theta, m)
     assert ell == effective_ell(COUPLED, n_theta, -m)
     assert effective_ell(COUPLED, n_theta + 1, m) > ell
+
+
+# beta = -m^2 exactly at |m| = 2 (lambda = 0, still bound) and |m| = 1, and
+# alpha - beta << 0, where admissible_sectors skips ahead past hundreds of sectors
+SECTOR_COUPLINGS = st.one_of(
+    st.tuples(st.floats(-40.0, 40.0), st.sampled_from([-4.0, -1.0, -0.5, 0.0, 2.5]), st.floats(-0.24, 3.0)),
+    st.tuples(st.floats(-1e6, -1e3), st.floats(-9.0, 9.0), st.floats(-0.24, 3.0)),
+)
+
+
+@given(couplings=SECTOR_COUPLINGS, m=st.integers(-4, 4), n_max=st.integers(0, 40))
+@example(couplings=(0.0, -4.0, 0.0), m=2, n_max=3)
+@example(couplings=(-2.0, -4.0, 0.0), m=-2, n_max=3)
+@example(couplings=(-1e6, -4.0, 0.5), m=2, n_max=3)
+@settings(max_examples=300, deadline=None)
+def test_sector_readers_agree(couplings, m, n_max):
+    alpha, beta, gamma = couplings
+    p = PotentialParams(alpha=alpha, beta=beta, gamma=gamma)
+    bound = beta + m * m >= 0
+    assert (energy_floor(p, m) == -math.inf) == (not bound)
+    for n_theta in (0, n_max):
+        if bound:
+            assert angular_mode(p, n_theta, m).lam == math.sqrt(beta + m * m)
+        else:
+            with pytest.raises(ValueError, match="bound angular sector"):
+                angular_mode(p, n_theta, m)
+    if not bound:
+        assert list(admissible_sectors(p, m)) == []
+    # the radicand is about (2 n_theta)^2 + alpha - beta, so this passes the
+    # first admissible sector by n_max
+    stop = n_max + 1 + math.isqrt(int(max(0.0, beta - alpha)))
+    want = []
+    for n_theta in range(stop):
+        ell = admissible_ell(p, n_theta, m)
+        if ell is None:
+            with pytest.raises(ValueError):
+                effective_ell(p, n_theta, m)
+        else:
+            assert effective_ell(p, n_theta, m) == ell
+            want.append((n_theta, ell))
+    if bound:
+        got = list(itertools.islice(admissible_sectors(p, m), len(want) + 1))
+        assert got[:-1] == want and got[-1][0] >= stop

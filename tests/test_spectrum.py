@@ -142,12 +142,6 @@ def test_factor_orthonormality():
         assert aval == pytest.approx(want, abs=1e-11)
 
 
-def test_eigenstate_combined_norm_consistent_with_factors():
-    st_ = eigenstate(COUPLED, 2, 1, -1)
-    want = st_.radial.norm * st_.angular.norm / math.sqrt(2 * math.pi)
-    assert st_.total_norm == pytest.approx(want, rel=1e-12)
-
-
 def test_eigenstate_rejects_inadmissible_sector():
     with pytest.raises(ValueError, match="fall-to-center"):
         eigenstate(PotentialParams(alpha=-7.0), 0, 0, 0)
