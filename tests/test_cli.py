@@ -373,6 +373,14 @@ def test_verify_suite_passes(capsys):
     assert "# passed" in out
 
 
+def test_verify_all_matches_golden_table(capsys):
+    # `ncosc verify --suite all --no-timestamp`: every observed value of the
+    # 30 checks, to 17 digits
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--no-timestamp")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "verify_all.csv").read_bytes()
+
+
 def test_verify_timings_are_opt_in(capsys):
     # without --timings the JSON rows keep their five keys (the CSV header
     # is pinned by test_verify_suite_passes)
