@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle, propagator, spectrum, verify
-from .model import PotentialParams, QuantumNumbers, energy_floor
+from .model import PotentialParams, QuantumNumbers, energy_floor, radial_extent
 
 __all__ = ["main", "build_parser"]
 
@@ -180,23 +180,22 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     sigma = math.sqrt(p.hbar / (p.mu * p.omega))
     ra = args.ra if args.ra is not None else 0.1 * sigma
     rb = args.rb if args.rb is not None else 5.0 * sigma
-    if not 0 < ra < rb:
-        raise CliError(f"radial range requires 0 < ra < rb, got ({ra}, {rb})")
+    if not 0 < ra < rb < math.inf:
+        raise CliError(f"radial range requires 0 < ra < rb < inf, got ({ra}, {rb})")
     rs = np.linspace(ra, rb, args.points)
     ths = math.pi / 2 * np.arange(1, 10) / 10.0
     phs = 2 * math.pi * np.arange(8) / 8.0
     psi = spectrum.full_wavefunction(p, qn, rs[:, None, None], ths[None, :, None], phs[None, None, :])
 
-    # norm by independent quadrature; the phi factor integrates to 1 exactly
+    # norm by independent quadrature out to radial_extent; the phi factor integrates to 1 exactly
     rad = oracle.inner_product_radial(
         lambda r: spectrum.radial_wavefunction(p, state.radial, qn.n, r),
         lambda r: spectrum.radial_wavefunction(p, state.radial, qn.n, r),
-        oracle.default_radial_grid(p),
+        radial_extent(p, qn.n, state.radial.ell_tilde),
     ).value
     ang = oracle.inner_product_angular(
         lambda t: spectrum.angular_wavefunction(state.angular, t),
         lambda t: spectrum.angular_wavefunction(state.angular, t),
-        oracle.default_angular_grid(),
     ).value
     norm = math.sqrt(rad * ang)
 

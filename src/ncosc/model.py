@@ -34,8 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .specfun import log_gamma
-
 __all__ = [
     "PotentialParams",
     "QuantumNumbers",
@@ -49,6 +47,7 @@ __all__ = [
     "energy_floor",
     "ladder_energy",
     "radial_log_norm",
+    "radial_extent",
     "angular_mode",
     "radial_mode",
 ]
@@ -109,11 +108,10 @@ class AngularMode:
 
 @dataclass(frozen=True)
 class RadialMode:
-    """Effective angular momentum, energy, and radial norm of one state."""
+    """Effective angular momentum and energy of one state."""
 
     ell_tilde: float
     energy: float
-    norm: float
 
 
 def potential_spherical(p: PotentialParams, r, theta):
@@ -266,7 +264,15 @@ def radial_log_norm(p: PotentialParams, n, ell):
     lead = math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar)
     if isinstance(n, np.ndarray) or isinstance(ell, np.ndarray):
         return 0.5 * (lead + (gammaln(n + 1.0) - gammaln(n + ell + 1.5)))
-    return 0.5 * (lead + (log_gamma(n + 1.0) - log_gamma(n + ell + 1.5)))
+    return 0.5 * (lead + (math.lgamma(n + 1.0) - math.lgamma(n + ell + 1.5)))
+
+
+def radial_extent(p: PotentialParams, n: int, ell: float) -> float:
+    """Radius past which every radial state of degree <= n and ell_tilde <= ell
+    has decayed: 6 oscillator lengths past the outermost classical turning
+    point sqrt(4n + 2 ell_tilde + 3) sqrt(hbar/(mu omega)), and never less
+    than 12 oscillator lengths."""
+    return math.sqrt(p.hbar / (p.mu * p.omega)) * max(12.0, math.sqrt(4 * n + 2 * ell + 3) + 6.0)
 
 
 def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
@@ -283,22 +289,18 @@ def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
     eps = (p.hbar**2 / (2 * p.mu)) * base * base
     log_norm_sq = (
         math.log(2 * base)
-        + log_gamma(n_theta + 1.0)
-        + log_gamma(n_theta + k + lam + 1)
-        - log_gamma(n_theta + k + 1)
-        - log_gamma(n_theta + lam + 1)
+        + math.lgamma(n_theta + 1.0)
+        + math.lgamma(n_theta + k + lam + 1)
+        - math.lgamma(n_theta + k + 1)
+        - math.lgamma(n_theta + lam + 1)
     )
     return AngularMode(lam=lam, k=k, n_theta=n_theta, eps=eps, norm=math.exp(0.5 * log_norm_sq))
 
 
 def radial_mode(p: PotentialParams, n: int, n_theta: int, m: int) -> RadialMode:
-    """Build the radial data for state (n, n_theta, m): ell_tilde, its
-    ladder_energy and the norm exp(radial_log_norm)."""
+    """Build the radial data for state (n, n_theta, m): ell_tilde and its
+    ladder_energy."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return _radial_mode(p, n, effective_ell(p, n_theta, m))
-
-
-def _radial_mode(p: PotentialParams, n: int, ell: float) -> RadialMode:
-    """RadialMode of radial degree n in a sector with ell_tilde ell."""
-    return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell), norm=math.exp(radial_log_norm(p, n, ell)))
+    ell = effective_ell(p, n_theta, m)
+    return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell))

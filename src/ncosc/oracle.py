@@ -38,34 +38,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid with Dirichlet endpoints at lo and hi.
+    """Uniform finite-difference grid on [0, hi] with Dirichlet endpoints.
 
-    Interior nodes sit at lo + j*h for j = 1..n_points with spacing
-    h = (hi - lo)/(n_points + 1); the boundary values are pinned to zero
-    and never stored.
+    Interior nodes sit at j*h for j = 1..n_points with spacing
+    h = hi/(n_points + 1); the boundary values are pinned to zero and never
+    stored.
     """
 
-    lo: float
     hi: float
     n_points: int
     richardson: bool = True
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"grid requires lo < hi, got [{self.lo}, {self.hi}]")
+        if not 0.0 < self.hi:
+            raise ValueError(f"grid requires hi > 0, got {self.hi}")
         if self.n_points < 64:
             raise ValueError(f"n_points must be >= 64, got {self.n_points}")
 
     @property
     def h(self) -> float:
-        return (self.hi - self.lo) / (self.n_points + 1)
+        return self.hi / (self.n_points + 1)
 
     def nodes(self) -> np.ndarray:
-        return self.lo + self.h * np.arange(1, self.n_points + 1)
+        return self.h * np.arange(1, self.n_points + 1)
 
     def refined(self) -> "GridSpec":
         """Same interval with spacing halved; coarse nodes are a subset."""
-        return GridSpec(self.lo, self.hi, 2 * self.n_points + 1, self.richardson)
+        return GridSpec(self.hi, 2 * self.n_points + 1, self.richardson)
 
 
 class QuadratureResult(NamedTuple):
@@ -77,11 +76,11 @@ class QuadratureResult(NamedTuple):
 
 def default_radial_grid(p: PotentialParams, n_points: int = 2000) -> GridSpec:
     """Box large enough that all low-lying bound states decay below 1e-14."""
-    return GridSpec(0.0, 12.0 * math.sqrt(p.hbar / (p.mu * p.omega)), n_points)
+    return GridSpec(12.0 * math.sqrt(p.hbar / (p.mu * p.omega)), n_points)
 
 
 def default_angular_grid(n_points: int = 2000) -> GridSpec:
-    return GridSpec(0.0, math.pi / 2, n_points)
+    return GridSpec(math.pi / 2, n_points)
 
 
 def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
@@ -134,8 +133,8 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     n_theta, m : int
         Angular sector; must be admissible for these couplings.
     grid : GridSpec
-        Radial box [0, hi]. lo must be 0; the box is checked a posteriori
-        against the highest returned eigenvalue.
+        Radial box [0, hi], checked a posteriori against the highest
+        returned eigenvalue.
     count : int
         Number of eigenvalues, >= 1.
 
@@ -146,8 +145,6 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if grid.lo != 0.0:
-        raise ValueError(f"radial grid must start at 0, got lo={grid.lo}")
     ell = effective_ell(p, n_theta, m)
     cf = p.hbar * p.hbar * ell * (ell + 1) / (2 * p.mu)
 
@@ -180,7 +177,7 @@ def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> 
         raise ValueError(f"lam must be >= 0, got {lam}")
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    if abs(grid.lo) > 1e-12 or abs(grid.hi - math.pi / 2) > 1e-12:
+    if abs(grid.hi - math.pi / 2) > 1e-12:
         raise ValueError("angular grid must span (0, pi/2)")
     # below 1/2 the wall exponent enters the limit-circle regime: the
     # discrete Dirichlet eigenvalue still converges, but only
@@ -242,20 +239,20 @@ def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
 
 
 def inner_product_radial(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
-                         grid: GridSpec) -> QuadratureResult:
-    """<f, g> = int_lo^hi f(r) g(r) r^2 dr with a reported error estimate."""
+                         r_max: float) -> QuadratureResult:
+    """<f, g> = int_0^r_max f(r) g(r) r^2 dr with a reported error estimate."""
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return np.asarray(f(r)) * np.asarray(g(r)) * r * r
 
-    return _panel_refine(integrand, grid.lo, grid.hi)
+    return _panel_refine(integrand, 0.0, r_max)
 
 
-def inner_product_angular(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
-                          grid: GridSpec) -> QuadratureResult:
-    """<f, g> = int f(theta) g(theta) sin(theta) d(theta) over the grid interval."""
+def inner_product_angular(f: Callable[[np.ndarray], np.ndarray],
+                          g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
+    """<f, g> = int_0^{pi/2} f(theta) g(theta) sin(theta) d(theta) with a reported error estimate."""
 
     def integrand(th: np.ndarray) -> np.ndarray:
         return np.asarray(f(th)) * np.asarray(g(th)) * np.sin(th)
 
-    return _panel_refine(integrand, grid.lo, grid.hi)
+    return _panel_refine(integrand, 0.0, math.pi / 2)

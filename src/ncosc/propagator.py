@@ -28,14 +28,16 @@ from scipy.special import ive
 from .model import (
     AngularMode,
     PotentialParams,
+    admissible_ell,
     admissible_sectors,
     angular_mode,
     effective_ell,
     ladder_energy,
+    radial_extent,
     radial_log_norm,
 )
 from .oracle import gauss_panels
-from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_bessel_ie_from_log, log_gamma
+from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_bessel_ie_from_log
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 # math.exp overflows past this
@@ -270,7 +272,7 @@ def radial_kernel_spectral(
     log_qq = np.log(p.mu * p.omega / p.hbar * a_pts * b_pts)
 
     def log_envelope(n: int):
-        log_c = log_gamma(n + a + 1) - log_gamma(n + 1.0) - log_gamma(a + 1)
+        log_c = math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1)
         return -ladder_energy(p, n, ell) * tau / p.hbar + 2 * radial_log_norm(p, n, ell) + ell * log_qq + 2 * log_c
 
     ratio = y * (n_cut + a + 2) / (n_cut + 2)
@@ -349,19 +351,21 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     """Integral of the diagonal truncated kernel over the half-space.
 
     Computes int K(a, a; tau) r^2 sin(theta) dr d(theta) d(phi) by tensor
-    Gauss-Legendre quadrature (8 radial panels of 50 nodes out past the
-    outermost turning point, 4 angular panels of 40 nodes), with the phi
-    integral done exactly (the diagonal kills the azimuthal phase). Equals
-    the partition-function partial sum over the same index box up to
-    quadrature error, which is the trace-consistency check the verify suite
-    runs. Each |m| takes one Jacobi and one Laguerre recurrence for all its
-    sectors.
+    Gauss-Legendre quadrature (8 radial panels of 50 nodes out to the
+    radial_extent of the outermost state, 4 angular panels of 40 nodes),
+    with the phi integral done exactly (the diagonal kills the azimuthal
+    phase). Equals the partition-function partial sum over the same index
+    box up to quadrature error, which is the trace-consistency check the
+    verify suite runs. Each |m| takes one Jacobi and one Laguerre recurrence
+    for all its sectors. A box that holds no bound sector integrates to 0.
     """
     _check_tau(tau)
-    # outermost state sets the turning point; pad well past it
-    ell_hi = effective_ell(p, ntheta_cut, m_cut)
-    r_hi = math.sqrt(p.hbar / (p.mu * p.omega)) * (math.sqrt(4 * n_cut + 2 * ell_hi + 3) + 6.0)
-    xr, wr = gauss_panels(0.0, r_hi, n_panels=8, n_nodes=50)
+    # ell_tilde and admissibility grow with n_theta and |m|: the corner
+    # sector is the outermost one, and admissible if any sector is
+    ell_hi = admissible_ell(p, ntheta_cut, m_cut)
+    if ell_hi is None:
+        return 0.0
+    xr, wr = gauss_panels(0.0, radial_extent(p, n_cut, ell_hi), n_panels=8, n_nodes=50)
     xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=40)
     wr_meas = wr * xr * xr
     wt_meas = wth * np.sin(xt)

@@ -1,5 +1,6 @@
-"""Special-function kernel: log-gamma, generalized Laguerre and Jacobi
-polynomials, and the modified Bessel function of the first kind.
+"""Special-function kernel: the Gamma ratio, generalized Laguerre and
+Jacobi polynomials, and the modified Bessel function of the first kind.
+Log-gamma is math.lgamma, a few ulp across its whole domain.
 
 Everything downstream (wavefunction norms, closed-form kernels, spectral
 sums) is built from these callables, so they are kept free of any
@@ -22,7 +23,6 @@ import numpy as np
 from scipy.special.cython_special import ive as _ive
 
 __all__ = [
-    "log_gamma",
     "gamma_ratio",
     "laguerre",
     "laguerre_all",
@@ -46,24 +46,12 @@ def _check_degree(n: int) -> None:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 
-def log_gamma(x: float) -> float:
-    """Return ln Gamma(x) for x > 0.
-
-    Delegates to the platform lgamma, which holds relative error at a few
-    ulp across the whole domain, including near the zeros at x=1 and x=2
-    where a naive series would cancel badly.
-    """
-    if x <= 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def gamma_ratio(num: float, den: float) -> float:
     """Gamma(num)/Gamma(den) as an exponentiated log difference.
 
     Safe for arguments far past 170 where Gamma itself overflows.
     """
-    return math.exp(log_gamma(num) - log_gamma(den))
+    return math.exp(math.lgamma(num) - math.lgamma(den))
 
 
 def laguerre(n: int, a: float, x):
@@ -157,7 +145,7 @@ def _log_bessel_series(nu: float, x: float) -> float:
     past the linear floating range.
     """
     # t_0 = (x/2)^nu / Gamma(nu+1); remaining terms by ratio recurrence
-    log_t0 = nu * math.log(0.5 * x) - log_gamma(nu + 1)
+    log_t0 = nu * math.log(0.5 * x) - math.lgamma(nu + 1)
     q = 0.25 * x * x
     term = 1.0
     total = 1.0
@@ -233,7 +221,7 @@ def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
     float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
     above it the leading term e^x / sqrt(2 pi x) of its expansion."""
     if log_x < _LOG_TINY:
-        return nu * (log_x - math.log(2.0)) - log_gamma(nu + 1)
+        return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
     if log_x > _LOG_HUGE:
         return -0.5 * (math.log(2 * math.pi) + log_x)
     return log_bessel_ie(nu, math.exp(log_x))
@@ -253,16 +241,17 @@ def bessel_i(nu: float, x: float) -> float:
     return math.exp(lg)
 
 
-def bessel_short_time_ratio(m: int, a: float, eps: float) -> float:
-    """Ratio of exact I_m(a/eps) to its short-time (large-argument) form.
+def bessel_short_time_ratio(m: int, eps: float) -> float:
+    """Ratio of exact I_m(1/eps) to its short-time (large-argument) form.
 
-    The comparison form is (eps/2 pi a)^{1/2} exp[a/eps - (eps/2a)(m^2 - 1/4)].
-    The ratio tends to 1 as eps -> 0. Both sides carry e^{a/eps}, which
-    cancels exactly: the exact side enters scaled, as ln I_m(a/eps) - a/eps.
+    The comparison form is (eps/2 pi)^{1/2} exp[1/eps - (eps/2)(m^2 - 1/4)];
+    I_m(a/eps) at another a > 0 is the same ratio at eps/a. The ratio tends
+    to 1 as eps -> 0. Both sides carry e^{1/eps}, which cancels exactly: the
+    exact side enters scaled, as ln I_m(1/eps) - 1/eps.
     """
-    if a <= 0 or eps <= 0:
-        raise ValueError(f"bessel_short_time_ratio requires a > 0 and eps > 0, got a={a}, eps={eps}")
+    if eps <= 0:
+        raise ValueError(f"bessel_short_time_ratio requires eps > 0, got eps={eps}")
     order = abs(int(m))
-    log_exact = log_bessel_ie(float(order), a / eps)
-    log_asym = 0.5 * math.log(eps / (2 * math.pi * a)) - (eps / (2 * a)) * (m * m - 0.25)
+    log_exact = log_bessel_ie(float(order), 1.0 / eps)
+    log_asym = 0.5 * math.log(eps / (2 * math.pi)) - (eps / 2.0) * (m * m - 0.25)
     return math.exp(log_exact - log_asym)

@@ -4,7 +4,7 @@ eigenfunctions, full normalized wavefunctions, and state enumeration.
 Wavefunctions factorize as psi = R(r) Theta(theta) e^{i m phi} / sqrt(2 pi)
 with R orthonormal under r^2 dr on (0, inf) and Theta orthonormal under
 sin(theta) d(theta) on (0, pi/2). An EigenState holds the two factor
-modes, whose norms together normalize psi.
+modes; the radial norm follows from n and ell_tilde (radial_log_norm).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .model import (
     PotentialParams,
     QuantumNumbers,
     RadialMode,
-    _radial_mode,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -96,7 +95,8 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
 def radial_wavefunction(p: PotentialParams, mode: RadialMode, n: int, r):
     """R(r) = norm e^{-mu omega r^2/2 hbar} (sqrt(mu omega/hbar) r)^{ell} L_n^{ell+1/2}(mu omega r^2/hbar).
 
-    Orthonormal under the r^2 dr measure on (0, inf). Accepts scalar or
+    Orthonormal under the r^2 dr measure on (0, inf), with norm
+    exp(radial_log_norm) of n and the mode's ell_tilde. Accepts scalar or
     ndarray r > 0.
     """
     ra = np.asarray(r, dtype=float)
@@ -104,7 +104,8 @@ def radial_wavefunction(p: PotentialParams, mode: RadialMode, n: int, r):
         raise ValueError("radial_wavefunction requires r > 0")
     q = np.sqrt(p.mu * p.omega / p.hbar) * ra
     x = q * q
-    val = mode.norm * np.exp(-0.5 * x) * q**mode.ell_tilde * laguerre(n, mode.ell_tilde + 0.5, x)
+    norm = math.exp(radial_log_norm(p, n, mode.ell_tilde))
+    val = norm * np.exp(-0.5 * x) * q**mode.ell_tilde * laguerre(n, mode.ell_tilde + 0.5, x)
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -127,7 +128,7 @@ def _sector_states(p: PotentialParams, ang: AngularMode, ell: float, ns, ms) -> 
     """
     states = []
     for n in ns:
-        rad = _radial_mode(p, n, ell)
+        rad = RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell))
         states += [EigenState(QuantumNumbers(n=n, n_theta=ang.n_theta, m=m), ang, rad) for m in ms]
     return states
 

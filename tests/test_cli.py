@@ -269,6 +269,21 @@ def test_wavefunction_radial_node_count(capsys):
     assert sum(a != b for a, b in zip(signs, signs[1:])) == 2
 
 
+@pytest.mark.parametrize("argv", [["--n", "40"], ["--n", "40", "--ntheta", "5", "--m", "7", "--alpha", "3"]])
+def test_wavefunction_norm_of_states_reaching_past_twelve_lengths(capsys, argv):
+    # outer turning points at 12.8 and 14.1 oscillator lengths: the norm
+    # quadrature must reach past them, not stop at a fixed 12
+    code, out, _ = run_cli(capsys, "wavefunction", *argv, "--format", "json", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wavefunction_rejects_infinite_radial_range(capsys):
+    code, out, err = run_cli(capsys, "wavefunction", "--rb", "inf", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert "0 < ra < rb < inf, got (0.1, inf)" in err
+
+
 def test_wavefunction_rejects_inadmissible_sector(capsys):
     code, _, err = run_cli(capsys, "wavefunction", "--beta", "-2", "--m", "1")
     assert code == 2

@@ -463,14 +463,13 @@ def test_import_leaves_spline_module_unloaded():
 def test_angular_kernel_filters_eigenmodes():
     # projecting the kernel onto one eigenmode returns its Boltzmann weight
     from ncosc.model import angular_mode
-    from ncosc.oracle import default_angular_grid, inner_product_angular
+    from ncosc.oracle import inner_product_angular
     from ncosc.spectrum import angular_wavefunction
 
     mode = angular_mode(COUPLED, 1, 1)
     proj = inner_product_angular(
         lambda th: np.array([angular_kernel_spectral(COUPLED, 1, float(t), 0.6, 0.8, 12) for t in np.atleast_1d(th)]),
         lambda th: angular_wavefunction(mode, th),
-        default_angular_grid(64),
     ).value
     want = math.exp(-mode.eps * 0.8) * angular_wavefunction(mode, 0.6)
     assert proj == pytest.approx(want, rel=1e-8)
@@ -585,6 +584,15 @@ def test_query_validation():
         PropagatorQuery(**dict(kw, ra=0.0))
     with pytest.raises(ValueError, match="m_cut"):
         PropagatorQuery(**dict(kw, m_cut=-1))
+
+
+@pytest.mark.parametrize("p, m_cut", [(PotentialParams(alpha=-100.0), 2), (PotentialParams(beta=-3.0), 1)])
+def test_integrated_diagonal_kernel_of_a_box_without_bound_sectors(p, m_cut):
+    # every sector of the box is inadmissible: fall-to-center for the first,
+    # beta + m^2 < 0 for the second
+    q = PropagatorQuery(1.0, 1.2, 0.5, 0.7, 0.0, 0.3, 1.0, n_cut=5, ntheta_cut=2, m_cut=m_cut)
+    assert full_kernel_spectral(p, q) == 0
+    assert integrated_diagonal_kernel(p, 1.0, 5, 2, m_cut) == 0.0
 
 
 def test_integrated_diagonal_kernel_equals_state_sum():

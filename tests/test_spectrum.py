@@ -123,21 +123,18 @@ def test_angular_profiles_rows_equal_single_mode_evaluation():
 
 
 def test_factor_orthonormality():
-    rgrid = oracle.GridSpec(0.0, 14.0, 256)
-    agrid = oracle.default_angular_grid(256)
     for i, j, want in [(0, 0, 1.0), (0, 2, 0.0), (1, 3, 0.0), (3, 3, 1.0)]:
         mi, mj = radial_mode(COUPLED, i, 0, 1), radial_mode(COUPLED, j, 0, 1)
         val = oracle.inner_product_radial(
             lambda r, a=mi, n=i: radial_wavefunction(COUPLED, a, n, r),
             lambda r, b=mj, n=j: radial_wavefunction(COUPLED, b, n, r),
-            rgrid,
+            14.0,
         ).value
         assert val == pytest.approx(want, abs=1e-11)
         ai, aj = angular_mode(COUPLED, i, 1), angular_mode(COUPLED, j, 1)
         aval = oracle.inner_product_angular(
             lambda t, a=ai: angular_wavefunction(a, t),
             lambda t, b=aj: angular_wavefunction(b, t),
-            agrid,
         ).value
         assert aval == pytest.approx(want, abs=1e-11)
 
@@ -231,6 +228,14 @@ def test_energy_symmetry_and_monotonicity(n, n_theta, m):
     assert e == energy(COUPLED, QuantumNumbers(n, n_theta, -m))
     assert energy(COUPLED, QuantumNumbers(n + 1, n_theta, m)) == pytest.approx(e + 2.0, rel=1e-14)
     assert energy(COUPLED, QuantumNumbers(n, n_theta + 1, m)) > e
+
+
+def test_radial_wavefunction_norm_follows_its_degree():
+    # the radial norm belongs to the degree passed, not to the mode built
+    r = np.linspace(0.1, 6.0, 50)
+    for nt, m in ((0, 0), (2, 1)):
+        want = radial_wavefunction(COUPLED, radial_mode(COUPLED, 3, nt, m), 3, r)
+        assert np.array_equal(radial_wavefunction(COUPLED, radial_mode(COUPLED, 0, nt, m), 3, r), want)
 
 
 def test_wavefunction_domain_validation():
