@@ -302,5 +302,9 @@ def radial_mode(p: PotentialParams, n: int, n_theta: int, m: int) -> RadialMode:
     ladder_energy."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ell = effective_ell(p, n_theta, m)
+    return _radial_mode(p, n, effective_ell(p, n_theta, m))
+
+
+def _radial_mode(p: PotentialParams, n: int, ell: float) -> RadialMode:
+    """RadialMode of radial degree n in a sector with ell_tilde ell."""
     return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell))

@@ -21,6 +21,7 @@ from .model import (
     PotentialParams,
     QuantumNumbers,
     RadialMode,
+    _radial_mode,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -128,7 +129,7 @@ def _sector_states(p: PotentialParams, ang: AngularMode, ell: float, ns, ms) -> 
     """
     states = []
     for n in ns:
-        rad = RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell))
+        rad = _radial_mode(p, n, ell)
         states += [EigenState(QuantumNumbers(n=n, n_theta=ang.n_theta, m=m), ang, rad) for m in ms]
     return states
 
