@@ -161,6 +161,8 @@ def check_short_time_asymptotic() -> Outcome:
 
 @_check("specfun", "batch-consistency")
 def check_batch_consistency() -> Outcome:
+    # seven columns: laguerre_all steps them on Python floats, laguerre on
+    # numpy arrays, so the Laguerre half compares two implementations
     x = np.linspace(0.0, 12.0, 7)
     worst = 0.0
     la = sf.laguerre_all(8, 1.5, x)

@@ -13,7 +13,9 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from ncosc import specfun
 from ncosc.specfun import (
+    _FLOAT_COLUMNS,
     _log_bessel_series,
     bessel_i,
     bessel_short_time_ratio,
@@ -23,6 +25,7 @@ from ncosc.specfun import (
     laguerre,
     laguerre_all,
     log_bessel_ie,
+    log_bessel_ie_from_log,
 )
 
 # (n, a, x, mpmath value)
@@ -186,6 +189,80 @@ def test_laguerre_all_order_array_equals_per_order_calls():
         laguerre_all(3, np.array([0.5, -1.0]), x)
 
 
+# a wide call of this many points (and four orders) steps on numpy arrays;
+# narrow calls of up to _FLOAT_COLUMNS columns step on Python floats
+_WIDE = 2 * _FLOAT_COLUMNS + 2
+
+
+def _same_bits(got, want) -> bool:
+    """nan in the same places, every other entry the same bits (the sign of
+    a zero or an infinity included)."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+def _narrow_slices(data, wide_len):
+    """(start, count) of two narrow slices, one on each side of _FLOAT_COLUMNS."""
+    out = []
+    for lo, hi in ((1, _FLOAT_COLUMNS), (_FLOAT_COLUMNS + 1, wide_len)):
+        c = data.draw(st.integers(lo, hi))
+        out.append((data.draw(st.integers(0, wide_len - c)), c))
+    return out
+
+
+def _check_laguerre_slices(n_max, orders, x, data):
+    wide = laguerre_all(n_max, orders.reshape(2, 2), x)
+    flat = wide.reshape(n_max + 1, 4, len(x))
+    i = data.draw(st.integers(0, 3))
+    for j, c in _narrow_slices(data, len(x)):
+        assert _same_bits(laguerre_all(n_max, orders[i], x[j:j + c]), flat[:, i, j:j + c]), (i, j, c)
+    assert _same_bits(laguerre_all(n_max, orders[i], x[j]), flat[:, i, j:j + 1])
+    # a (2, 2) array of orders: four columns per point
+    c = _FLOAT_COLUMNS // 4
+    assert _same_bits(laguerre_all(n_max, orders.reshape(2, 2), x[j:j + c]), wide[..., j:j + c])
+
+
+@given(n_max=st.sampled_from([0, 1, 2, 3, 17, 80, 150]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_laguerre_all_steps_on_floats_with_the_numpy_bits(n_max, data):
+    """A narrow call, stepped on Python floats below the threshold, equals
+    the slice of a wide call, stepped on numpy arrays, bit for bit."""
+    orders = np.array(data.draw(st.lists(st.floats(-1.0, 40.0, exclude_min=True), min_size=4, max_size=4)))
+    x = np.array(data.draw(st.lists(st.floats(-5.0, 300.0), min_size=_WIDE, max_size=_WIDE)))
+    _check_laguerre_slices(n_max, orders, x, data)
+
+
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_laguerre_all_paths_agree_past_the_overflow_point(data):
+    """Near x = 2000 L_n^a(x) leaves the float range before n = 400; inf and
+    nan come out in the same places on both paths."""
+    orders = np.array([0.5, 3.7, 12.0, 40.5])
+    x = np.linspace(1990.0, 2010.0, _WIDE)
+    wide = laguerre_all(400, orders, x)
+    assert np.isinf(wide).any() and np.isnan(wide).any()
+    _check_laguerre_slices(400, orders, x, data)
+
+
+@given(n_max=st.sampled_from([0, 1, 2, 3, 17, 80, 150]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_jacobi_all_steps_on_floats_with_the_numpy_bits(n_max, data):
+    exponent = st.one_of(st.floats(-1.0, -0.999, exclude_min=True), st.floats(-1.0, 10.0, exclude_min=True))
+    a, b = data.draw(exponent), data.draw(exponent)
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=_WIDE, max_size=_WIDE)))
+    try:
+        wide = jacobi_all(n_max, a, b, x)
+    except ValueError:  # a + b + 2 rounds to 0: both paths refuse
+        with pytest.raises(ValueError, match="rounds to 0"):
+            jacobi_all(n_max, a, b, x[:1])
+        return
+    for j, c in _narrow_slices(data, _WIDE):
+        assert _same_bits(jacobi_all(n_max, a, b, x[j:j + c]), wide[:, j:j + c]), (j, c)
+    assert _same_bits(jacobi_all(n_max, a, b, x[j]), wide[:, j:j + 1])
+
+
 def test_scalar_input_gives_scalar_output():
     assert isinstance(laguerre(3, 0.5, 2.0), float)
     assert isinstance(jacobi(3, 0.5, 0.5, 0.2), float)
@@ -254,6 +331,43 @@ def test_domain_validation():
         bessel_i(-0.5, 1.0)
     with pytest.raises(ValueError, match="eps > 0"):
         bessel_short_time_ratio(1, 0.0)
+
+
+def test_jacobi_refuses_a_recurrence_that_divides_by_zero():
+    # a + b + 2 rounds to 0, and the degree-2 step would divide 0 by 0 (the
+    # numpy recurrence used to return nan rows); degrees 0 and 1 need no step
+    a = b = math.nextafter(-1.0, 0.0)
+    for x in (0.3, np.linspace(-1.0, 1.0, _WIDE)):
+        with pytest.raises(ValueError, match="rounds to 0"):
+            jacobi_all(2, a, b, x)
+        assert np.all(np.isfinite(jacobi_all(1, a, b, x)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: laguerre(2, math.nan, 1.0),
+    lambda: laguerre(2, math.inf, 1.0),
+    lambda: laguerre_all(2, math.nan, [1.0, 2.0]),
+    lambda: laguerre_all(2, np.array([0.5, math.inf]), [1.0, 2.0]),
+    lambda: jacobi(2, math.nan, 0.5, 0.1),
+    lambda: jacobi(2, 0.5, math.inf, 0.1),
+    lambda: jacobi_all(2, math.inf, 0.5, [0.1, 0.2]),
+    lambda: jacobi_all(2, 0.5, math.nan, [0.1, 0.2]),
+    lambda: log_bessel_ie(math.nan, 1.0),
+    lambda: bessel_i(math.nan, 1.0),
+    lambda: log_bessel_ie_from_log(math.nan, 0.0),
+    lambda: log_bessel_ie_from_log(math.nan, -1000.0),
+    lambda: log_bessel_ie_from_log(math.nan, 1000.0),
+])
+def test_nan_or_infinite_order_is_rejected(call, monkeypatch):
+    # the guard fires before any Bessel fallback runs; a NaN order used to
+    # run the ascending series to its iteration cap
+    def reached(*args):
+        raise AssertionError(f"fallback reached with {args}")
+
+    monkeypatch.setattr(specfun, "_log_bessel_series", reached)
+    monkeypatch.setattr(specfun, "_log_bessel_asymptotic", reached)
+    with pytest.raises(ValueError, match="> -1|>= 0"):
+        call()
 
 
 def test_short_time_ratio_bands():
