@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "PotentialParams",
@@ -263,6 +262,8 @@ def radial_log_norm(p: PotentialParams, n, ell):
     """
     lead = math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar)
     if isinstance(n, np.ndarray) or isinstance(ell, np.ndarray):
+        from scipy.special import gammaln
+
         return 0.5 * (lead + (gammaln(n + 1.0) - gammaln(n + ell + 1.5)))
     return 0.5 * (lead + (math.lgamma(n + 1.0) - math.lgamma(n + ell + 1.5)))
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import PotentialParams, effective_ell
 
@@ -91,6 +90,8 @@ def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: Grid
     tridiagonal matrix; eigenvalues come from bisection with Sturm counts,
     which is deterministic and cheap for the leading part of the spectrum.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = grid.h
     x = grid.nodes()
     kin = hbar * hbar / (2 * mu * h * h)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ive
 
 from .model import (
     AngularMode,
@@ -443,6 +442,8 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
     degrades the Trotter order from eps^2 to eps^(3/2) and loses the
     second-order convergence signature the ratio checks rely on.
     """
+    from scipy.special import ive
+
     vx = -p.v0 + 0.5 * p.mu * p.omega**2 * x**2
     vy = -p.v0 + 0.5 * p.mu * p.omega**2 * y**2
     if x is y:

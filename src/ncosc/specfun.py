@@ -13,8 +13,10 @@ dominate, and more of them together on numpy arrays. Both do the same IEEE
 operations in the same order and give the same bits.
 
 The Bessel routines are scalar and take one path: the scaled e^-x I_nu(x)
-of Amos's algorithm (ACM TOMS 644), through scipy's compiled scalar `ive`,
-the same function the lattice slice matrix evaluates on arrays. Two
+of Amos's algorithm (ACM TOMS 644), through scipy's compiled scalar `ive`
+(scipy.special.cython_special), the same function the lattice slice matrix
+evaluates on arrays. It is imported on the first Bessel call, not with this
+module, so the polynomial evaluators need numpy alone. Two
 fallbacks remain, each only where Amos cannot answer: the ascending series
 where e^-x I_nu(x) underflows to 0 or a subnormal while its logarithm
 still fits, and the 1/x expansion past Amos's argument limit
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special.cython_special import ive as _ive
 
 __all__ = [
     "gamma_ratio",
@@ -217,6 +218,17 @@ def jacobi_all(n_max: int, a: float, b: float, x) -> np.ndarray:
     return out
 
 
+def _ive(nu: float, x: float) -> float:
+    """e^-x I_nu(x) from scipy's compiled scalar ive, imported on the first
+    call: this stub rebinds the module's _ive to the compiled function, so
+    every later call goes to it directly, with no import on the hot path."""
+    global _ive
+    from scipy.special.cython_special import ive
+
+    _ive = ive
+    return ive(nu, x)
+
+
 def _log_bessel_series(nu: float, x: float) -> float:
     """ln I_nu(x) - x from the ascending series.
 
@@ -299,10 +311,11 @@ def log_bessel_ie(nu: float, x: float) -> float:
 def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
     """ln I_nu(x) - x at x = e^log_x, also where x is outside the normal
     float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
-    above it the leading term e^x / sqrt(2 pi x) of its expansion."""
+    above it the leading term e^x / sqrt(2 pi x) of its expansion. log_x =
+    -inf is x = 0 itself, where I_0 is 1 and every other order is 0."""
     if not nu >= 0:
         raise ValueError(f"log_bessel_ie_from_log requires nu >= 0, got nu={nu}")
-    if log_x < _LOG_TINY:
+    if -math.inf < log_x < _LOG_TINY:
         return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
     if log_x > _LOG_HUGE:
         return -0.5 * (math.log(2 * math.pi) + log_x)

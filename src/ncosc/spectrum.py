@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from .model import (
     AngularMode,
@@ -98,15 +97,21 @@ def radial_wavefunction(p: PotentialParams, mode: RadialMode, n: int, r):
 
     Orthonormal under the r^2 dr measure on (0, inf), with norm
     exp(radial_log_norm) of n and the mode's ell_tilde. Accepts scalar or
-    ndarray r > 0.
+    ndarray r > 0. The Laguerre polynomial is unscaled; past x = mu omega
+    r^2/hbar of about 1400 it can overflow, and OverflowError is raised.
     """
     ra = np.asarray(r, dtype=float)
     if np.any(ra <= 0):
         raise ValueError("radial_wavefunction requires r > 0")
     q = np.sqrt(p.mu * p.omega / p.hbar) * ra
     x = q * q
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag = laguerre(n, mode.ell_tilde + 0.5, x)
+    if not np.all(np.isfinite(lag)):
+        raise OverflowError(f"radial_wavefunction: a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n}, "
+                            "is beyond the float range")
     norm = math.exp(radial_log_norm(p, n, mode.ell_tilde))
-    val = norm * np.exp(-0.5 * x) * q**mode.ell_tilde * laguerre(n, mode.ell_tilde + 0.5, x)
+    val = norm * np.exp(-0.5 * x) * q**mode.ell_tilde * lag
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -186,6 +191,8 @@ def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, 
     serves them all: log_env has shape shape(ell) + (P,) and poly
     (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P.
     """
+    from scipy.special import xlogy
+
     ell = np.asarray(ell, dtype=float)
     ra = np.atleast_1d(np.asarray(r, dtype=float))
     x = (p.mu * p.omega / p.hbar) * ra * ra

@@ -278,6 +278,14 @@ def test_wavefunction_norm_of_states_reaching_past_twelve_lengths(capsys, argv):
     assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_wavefunction_past_the_laguerre_float_range_exits_2(capsys):
+    # the norm quadrature reaches x = 1657, where L_300 overflows: an error
+    # line and exit 2, not a RuntimeError traceback from a nan integrand
+    code, out, err = run_cli(capsys, "wavefunction", "--n", "300", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "beyond the float range" in err
+
+
 def test_wavefunction_rejects_infinite_radial_range(capsys):
     code, out, err = run_cli(capsys, "wavefunction", "--rb", "inf", "--no-timestamp")
     assert (code, out) == (2, "")

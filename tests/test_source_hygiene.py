@@ -1,5 +1,5 @@
-"""Static checks on the package source: no unused import, and every name
-in a module's __all__ defined by that module.
+"""Static checks on the package source: no unused import, every name in a
+module's __all__ defined by that module, and no scipy import at module level.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
@@ -58,3 +58,14 @@ def test_all_names_are_defined(path):
     tree = ast.parse(path.read_text())
     missing = [name for name in _all_names(tree) if name not in _defined(tree)]
     assert not missing, f"{path.name} lists undefined names in __all__: {', '.join(missing)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_scipy_is_imported_on_first_use(path):
+    # `import ncosc` loads numpy alone; scipy costs about 0.3 s of import
+    # and is needed only by the Bessel kernel, the lattice and the FD oracle
+    tree = ast.parse(path.read_text())
+    top = [node.lineno for node in tree.body
+           if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
+           or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")]
+    assert not top, f"{path.name} imports scipy at module level (lines {top}); import it where it is used"

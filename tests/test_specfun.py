@@ -320,6 +320,17 @@ def test_bessel_at_zero_argument():
     assert log_bessel_ie(1.0, 0.0) == -math.inf
 
 
+def test_log_bessel_ie_from_log_at_zero_argument():
+    # log_x = -inf is x = 0: ln I_0(0) - 0 = 0, and ln I_nu(0) = -inf for nu > 0
+    # (the leading-power branch used to form 0 * -inf = nan)
+    assert log_bessel_ie_from_log(0.0, -math.inf) == 0.0
+    assert log_bessel_ie_from_log(2.5, -math.inf) == -math.inf
+    # finite inputs keep their bits, the sign of a zero included
+    assert math.copysign(1.0, log_bessel_ie_from_log(0.0, -800.0)) == -1.0
+    assert log_bessel_ie_from_log(0.0, -800.0) == 0.0
+    assert log_bessel_ie_from_log(1.5, -800.0) == 1.5 * (-800.0 - math.log(2.0)) - math.lgamma(2.5)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError, match="non-negative integer"):
         laguerre(-1, 0.5, 1.0)

@@ -238,6 +238,17 @@ def test_radial_wavefunction_norm_follows_its_degree():
         assert np.array_equal(radial_wavefunction(COUPLED, radial_mode(COUPLED, 0, nt, m), 3, r), want)
 
 
+def test_radial_wavefunction_raises_where_its_laguerre_overflows():
+    # at n = 300, r = 40 (x = 1600) L_n overflows while the envelope
+    # underflows; their product used to be 0 * inf = nan
+    p = PotentialParams()
+    mode = radial_mode(p, 300, 0, 0)
+    for r in (40.0, np.array([1.0, 40.0])):
+        with pytest.raises(OverflowError, match="Laguerre polynomial .*, n = 300, is beyond the float range"):
+            radial_wavefunction(p, mode, 300, r)
+    assert math.isfinite(radial_wavefunction(p, mode, 300, 20.0))
+
+
 def test_wavefunction_domain_validation():
     mode = radial_mode(COUPLED, 0, 0, 0)
     with pytest.raises(ValueError, match="r > 0"):
