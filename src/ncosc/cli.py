@@ -109,7 +109,10 @@ def _emit(
         lines += [",".join(map(_cell, row)) for row in rows]
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -6,10 +6,11 @@ Everything downstream (wavefunction norms, closed-form kernels, spectral
 sums) is built from these callables, so they are kept free of any
 dependence on the rest of the package. Polynomial evaluators accept scalar
 or ndarray arguments. The stacked evaluators laguerre_all and jacobi_all
-step their three-term recurrence in one of two ways, chosen only by the
-number of (order, point) columns of the call: up to _FLOAT_COLUMNS of them
-one by one on Python floats, where numpy's fixed cost per call would
-dominate, and more of them together on numpy arrays. Both do the same IEEE
+each build a table of recurrence coefficients for one stepper, which runs
+P_k = ((c2 + c3 x) P_{k-1} - c4 P_{k-2}) / c1 from P_{-1} = 0 and P_0 = 1.
+It steps a call of up to _FLOAT_COLUMNS (order, point) columns column by
+column on Python floats, where numpy's fixed cost per operation would
+dominate, and a wider one on numpy arrays. Both do the same IEEE
 operations in the same order and give the same bits.
 
 The Bessel routines are scalar and take one path: the scaled e^-x I_nu(x)
@@ -48,9 +49,9 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 
-# laguerre_all and jacobi_all step a call of at most this many columns, one
-# (order, point) pair each, column by column on Python floats, and a wider
-# one on numpy arrays. On a 2-core Xeon (Python 3.11, numpy 2.4) a numpy
+# _three_term steps a call of at most this many columns, one (order, point)
+# pair each, column by column on Python floats, and a wider one on numpy
+# arrays. On a 2-core Xeon (Python 3.11, numpy 2.4) a numpy
 # step cost 3-4.4 us at any width up to 32 columns and a float step 0.13-0.15
 # us per column; with the fixed cost of stacking the columns, floats won up
 # to 24-28 columns at 25-80 degrees but only up to 12-16 at 8 degrees.
@@ -93,37 +94,47 @@ def laguerre(n: int, a: float, x):
     return float(cur) if np.ndim(x) == 0 else cur
 
 
-def _on_floats(n_max: int, shape: tuple, columns):
-    """A recurrence over the columns of shape, stacked to (n_max + 1,) + shape,
-    or None when shape holds more than _FLOAT_COLUMNS columns.
+def _three_term(rows, x: np.ndarray, lead: tuple = ()) -> np.ndarray:
+    """Stacked [P_0(x), ..., P_n(x)] of the three-term recurrence
+    P_k = ((c2 + c3 x) P_{k-1} - c4 P_{k-2}) / c1, from P_{-1} = 0 and P_0 = 1.
 
-    columns() steps each column, in the flat order of shape, on Python
-    floats and yields its n_max + 1 values. The caller steps a wider batch
-    on numpy arrays, with the same IEEE operations in the same order, so
-    the two ways give the same bits.
+    rows holds the (c1, c2, c3, c4) of degrees 1..n: a list of n tuples of
+    Python floats or, for an array of orders of shape lead, an ndarray of
+    shape (n, 4) + lead. The result has shape (n + 1,) + lead + shape(x).
+    Up to _FLOAT_COLUMNS (order, point) columns are stepped one by one on
+    Python floats, more together on numpy arrays, with the same IEEE
+    operations in the same order.
     """
-    n_cols = math.prod(shape)
-    if n_cols > _FLOAT_COLUMNS:
-        return None
-    out = np.empty((n_max + 1, n_cols))
-    for i, col in enumerate(columns()):
-        out[:, i] = col
-    return out.reshape((n_max + 1,) + shape)
-
-
-def _laguerre_columns(n_max: int, orders: np.ndarray, points: np.ndarray):
-    """[L_0^a(x), ..., L_{n_max}^a(x)] for each order a, then each point x,
-    on Python floats, step for step the arithmetic of laguerre_all's numpy
-    recurrence."""
-    for a in orders.ravel().tolist():
-        steps = [(2 * k + 1 + a, k + a, k + 1) for k in range(1, n_max)]
-        for x in points.ravel().tolist():
-            prev, cur = 1.0, 1 + a - x
-            col = [prev, cur]
-            for c, d, e in steps:
-                prev, cur = cur, ((c - x) * cur - d * prev) / e
-                col.append(cur)
-            yield col[: n_max + 1]
+    n = len(rows)
+    n_orders = math.prod(lead)
+    if n_orders * x.size <= _FLOAT_COLUMNS:
+        out = np.empty((n + 1, n_orders, x.size))
+        points = x.ravel().tolist()
+        tables = rows.reshape(n, 4, n_orders).transpose(2, 0, 1).tolist() if lead else [rows]
+        for i, table in enumerate(tables):
+            for j, v in enumerate(points):
+                prev, cur = 0.0, 1.0
+                col = [cur]
+                append = col.append
+                for c1, c2, c3, c4 in table:
+                    prev, cur = cur, ((c2 + c3 * v) * cur - c4 * prev) / c1
+                    append(cur)
+                out[:, i, j] = col
+        return out.reshape((n + 1,) + lead + x.shape)
+    c = np.asarray(rows, dtype=float).reshape((n, 4) + lead + (1,) * x.ndim)
+    # out[k + 1] holds P_k: c3 x + c2 of every degree is written first and
+    # then stepped in place, degree by degree; IEEE addition commutes, so
+    # these are the float path's operations
+    out = np.empty((n + 2,) + lead + x.shape)
+    out[0], out[1] = 0.0, 1.0
+    np.multiply(c[:, 2], x, out=out[2:])
+    out[2:] += c[:, 1]
+    for k, (c1, _, _, c4) in enumerate(c if lead else rows, start=2):
+        cur = out[k]
+        cur *= out[k - 1]
+        cur -= c4 * out[k - 2]
+        cur /= c1
+    return out[1:]
 
 
 def laguerre_all(n_max: int, a, x) -> np.ndarray:
@@ -134,28 +145,18 @@ def laguerre_all(n_max: int, a, x) -> np.ndarray:
     than repeated calls. An array of orders runs one recurrence for all of
     them: the result has shape (n_max + 1,) + shape(a) + shape(x), with x
     made at least 1-d, and each order's slice equals the call with that
-    order alone. A call with at most _FLOAT_COLUMNS (order, point) columns
-    steps each column on Python floats, a wider one steps all of them
-    together on numpy arrays; both do the same operations in the same
-    order and give the same bits.
+    order alone, bit for bit.
     """
     _check_degree(n_max)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     a = np.asarray(a, dtype=float)
     if not np.all((a > -1) & (a < math.inf)):
         raise ValueError(f"laguerre requires finite a > -1, got a={a}")
-    stacked = _on_floats(n_max, a.shape + xa.shape, lambda: _laguerre_columns(n_max, a, xa))
-    if stacked is not None:
-        return stacked
-    out = np.empty((n_max + 1,) + a.shape + xa.shape)
-    # a 0-d order as a Python float: numpy scalar arithmetic is twice as slow
-    a = float(a) if a.ndim == 0 else a.reshape(a.shape + (1,) * xa.ndim)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 1 + a - xa
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1 + a - xa) * out[k] - (k + a) * out[k - 1]) / (k + 1)
-    return out
+    # (k + 1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
+    k = np.arange(n_max, dtype=float).reshape((-1,) + (1,) * a.ndim)
+    rows = np.empty((n_max, 4) + a.shape)
+    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k + 1, 2 * k + 1 + a, -1.0, k + a
+    return _three_term(rows if a.ndim else rows.tolist(), xa, a.shape)
 
 
 def jacobi(n: int, a: float, b: float, x):
@@ -170,52 +171,27 @@ def jacobi(n: int, a: float, b: float, x):
     return float(arr[0]) if np.ndim(x) == 0 else arr
 
 
-def _jacobi_columns(n_max: int, p1: tuple, coeffs: list, points: np.ndarray):
-    """[P_0(x), ..., P_{n_max}(x)] for each point x on Python floats, step
-    for step the arithmetic of jacobi_all's numpy recurrence; P_1 = p1[0] +
-    p1[1] x, and coeffs holds the (c1, c2, c3, c4) of degrees 2..n_max."""
-    for x in points.ravel().tolist():
-        prev2, prev = 1.0, p1[0] + p1[1] * x
-        col = [prev2, prev]
-        for c1, c2, c3, c4 in coeffs:
-            prev2, prev = prev, ((c2 + c3 * x) * prev - c4 * prev2) / c1
-            col.append(prev)
-        yield col[: n_max + 1]
-
-
 def jacobi_all(n_max: int, a: float, b: float, x) -> np.ndarray:
     """Stacked Jacobi polynomials [P_0^{(a,b)}(x), ..., P_{n_max}^{(a,b)}(x)].
 
-    The result has shape (n_max + 1,) + shape(x), x made at least 1-d. At
-    most _FLOAT_COLUMNS points are stepped one by one on Python floats, more
-    together on numpy arrays; both do the same operations in the same order
-    and give the same bits.
+    The result has shape (n_max + 1,) + shape(x), x made at least 1-d.
     """
     _check_degree(n_max)
     if not (-1 < a < math.inf and -1 < b < math.inf):
         raise ValueError(f"jacobi requires finite a > -1 and b > -1, got a={a}, b={b}")
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    p1 = (0.5 * (a - b), 0.5 * (a + b + 2))
-    # standard three-term recurrence; all leading coefficients are
-    # positive for a,b > -1 once k >= 2, except that at k = 2 the factor
-    # s - 2 = a + b + 2 rounds to 0 when a + b is -2 to within an ulp
-    coeffs = []
+    # 2 P_1 = (a - b) + (a + b + 2) x, then the standard three-term
+    # recurrence; all leading coefficients are positive for a,b > -1 once
+    # k >= 2, except that at k = 2 the factor s - 2 = a + b + 2 rounds to 0
+    # when a + b is -2 to within an ulp
+    rows = [(1.0, 0.5 * (a - b), 0.5 * (a + b + 2), 0.0)][:n_max]
     for k in range(2, n_max + 1):
         s = 2 * k + a + b
-        coeffs.append((2 * k * (k + a + b) * (s - 2), (s - 1) * (a * a - b * b),
-                       (s - 1) * s * (s - 2), 2 * (k + a - 1) * (k + b - 1) * s))
-    if coeffs and coeffs[0][0] == 0:
+        rows.append((2 * k * (k + a + b) * (s - 2), (s - 1) * (a * a - b * b),
+                     (s - 1) * s * (s - 2), 2 * (k + a - 1) * (k + b - 1) * s))
+    if len(rows) > 1 and rows[1][0] == 0:
         raise ValueError(f"jacobi recurrence divides by a + b + 2, which rounds to 0 at a={a}, b={b}")
-    stacked = _on_floats(n_max, xa.shape, lambda: _jacobi_columns(n_max, p1, coeffs, xa))
-    if stacked is not None:
-        return stacked
-    out = np.empty((n_max + 1,) + xa.shape)
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = p1[0] + p1[1] * xa
-    for k, (c1, c2, c3, c4) in enumerate(coeffs, start=2):
-        out[k] = ((c2 + c3 * xa) * out[k - 1] - c4 * out[k - 2]) / c1
-    return out
+    return _three_term(rows, xa)
 
 
 def _ive(nu: float, x: float) -> float:

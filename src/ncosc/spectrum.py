@@ -83,6 +83,8 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
     flat = th.ravel()
     if flat.size and not (0 < flat.min() and flat.max() < math.pi / 2):
         raise ValueError("angular eigenfunctions require 0 < theta < pi/2")
+    if not modes:
+        raise ValueError("angular_profiles requires at least one mode")
     lam, k = modes[0].lam, modes[0].k
     if any(md.lam != lam or md.k != k for md in modes):
         raise ValueError("angular_profiles requires modes of one (lam, k)")

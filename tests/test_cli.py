@@ -546,6 +546,21 @@ def test_output_file_and_quiet_stdout(tmp_path, capsys):
     assert "\nn,n_theta,m," in text
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--emax", "3"),
+    ("verify", "--suite", "spectrum"),
+])
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    # exit 1 is reserved for a failed verification; an unwritable --output
+    # is a usage error like an unreadable --config
+    for target in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
+
+
 def test_console_script_round_trip():
     # the declared console script must behave like `python -m ncosc.cli`
     with PYPROJECT.open("rb") as fh:

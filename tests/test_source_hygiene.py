@@ -1,15 +1,19 @@
 """Static checks on the package source: no unused import, every name in a
-module's __all__ defined by that module, and no scipy import at module level.
+module's __all__ defined by that module, no scipy import at module level,
+and every function the benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "ncosc").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "ncosc").glob("*.py"))
 
 
 def _imports(tree: ast.Module, lines: list[str]):
@@ -69,3 +73,18 @@ def test_scipy_is_imported_on_first_use(path):
            if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")]
     assert not top, f"{path.name} imports scipy at module level (lines {top}); import it where it is used"
+
+
+def test_traced_names_resolve():
+    # perfbench/spans.py wraps these functions by name for the per-layer
+    # metrics; a renamed one would fail only a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    traced = set()
+    for layer, funcs in spans.TRACED.items():
+        module = importlib.import_module(f"ncosc.{layer}")
+        for name in funcs:
+            assert callable(getattr(module, name, None)), f"ncosc.{layer}.{name} is traced but not a function"
+            traced.add(f"{layer}.{name}")
+    assert set(spans.KEYED) <= traced

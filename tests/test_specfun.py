@@ -189,8 +189,9 @@ def test_laguerre_all_order_array_equals_per_order_calls():
         laguerre_all(3, np.array([0.5, -1.0]), x)
 
 
-# a wide call of this many points (and four orders) steps on numpy arrays;
-# narrow calls of up to _FLOAT_COLUMNS columns step on Python floats
+# the recurrence stepper takes a wide call of this many points (and four
+# orders) on numpy arrays, and a narrow one of up to _FLOAT_COLUMNS columns
+# on Python floats
 _WIDE = 2 * _FLOAT_COLUMNS + 2
 
 

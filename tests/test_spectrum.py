@@ -120,6 +120,8 @@ def test_angular_profiles_rows_equal_single_mode_evaluation():
         assert np.array_equal(row, angular_wavefunction(mode, th))
     with pytest.raises(ValueError, match="one \\(lam, k\\)"):
         angular_profiles([angular_mode(COUPLED, 0, 1), angular_mode(COUPLED, 0, 2)], th)
+    with pytest.raises(ValueError, match="at least one mode"):
+        angular_profiles([], th)
 
 
 def test_factor_orthonormality():
