@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -165,7 +166,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         [_param_comment(p), f"# emax={_fmt(args.emax)} mmax={m_max}"],
         {"params": _param_fields(p), "emax": args.emax, "mmax": m_max},
         ["n", "n_theta", "m", "lambda", "k", "ell_tilde", "energy"],
-        [(s.qn.n, s.qn.n_theta, s.qn.m, s.angular.lam, s.angular.k, s.radial.ell_tilde, s.energy)
+        [(s.qn.n, s.qn.n_theta, s.qn.m, s.angular.lam, s.angular.k, s.ell_tilde, s.energy)
          for s in states],
     )
     return 0
@@ -191,15 +192,10 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     psi = spectrum.full_wavefunction(p, qn, rs[:, None, None], ths[None, :, None], phs[None, None, :])
 
     # norm by independent quadrature out to radial_extent; the phi factor integrates to 1 exactly
-    rad = oracle.inner_product_radial(
-        lambda r: spectrum.radial_wavefunction(p, state.radial, qn.n, r),
-        lambda r: spectrum.radial_wavefunction(p, state.radial, qn.n, r),
-        radial_extent(p, qn.n, state.radial.ell_tilde),
-    ).value
-    ang = oracle.inner_product_angular(
-        lambda t: spectrum.angular_wavefunction(state.angular, t),
-        lambda t: spectrum.angular_wavefunction(state.angular, t),
-    ).value
+    radial = functools.partial(spectrum.radial_wavefunction, p, qn.n, state.ell_tilde)
+    angular = functools.partial(spectrum.angular_wavefunction, state.angular)
+    rad = oracle.inner_product_radial(radial, radial, radial_extent(p, qn.n, state.ell_tilde)).value
+    ang = oracle.inner_product_angular(angular, angular).value
     norm = math.sqrt(rad * ang)
 
     # one row per grid point, r slowest and phi fastest

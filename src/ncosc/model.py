@@ -37,7 +37,6 @@ __all__ = [
     "PotentialParams",
     "QuantumNumbers",
     "AngularMode",
-    "RadialMode",
     "potential_spherical",
     "potential_cartesian",
     "admissible_ell",
@@ -48,7 +47,6 @@ __all__ = [
     "radial_log_norm",
     "radial_extent",
     "angular_mode",
-    "radial_mode",
 ]
 
 
@@ -78,19 +76,26 @@ class PotentialParams:
             raise ValueError(f"gamma must exceed -1/4, got {self.gamma}")
 
 
+# the types a quantum number may have: Python and numpy integers
+_INTEGER = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial n, angular n_theta, azimuthal m."""
+    """Radial n, angular n_theta, azimuthal m: integers, n and n_theta >= 0."""
 
     n: int
     n_theta: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
-        if self.n_theta < 0:
-            raise ValueError(f"n_theta must be >= 0, got {self.n_theta}")
+        n, n_theta, m = self.n, self.n_theta, self.m
+        if not (isinstance(n, _INTEGER) and isinstance(n_theta, _INTEGER) and isinstance(m, _INTEGER)):
+            raise ValueError(f"quantum numbers must be integers, got n={n!r}, n_theta={n_theta!r}, m={m!r}")
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        if n_theta < 0:
+            raise ValueError(f"n_theta must be >= 0, got {n_theta}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +108,6 @@ class AngularMode:
     n_theta: int
     eps: float
     norm: float
-
-
-@dataclass(frozen=True)
-class RadialMode:
-    """Effective angular momentum and energy of one state."""
-
-    ell_tilde: float
-    energy: float
 
 
 def potential_spherical(p: PotentialParams, r, theta):
@@ -296,16 +293,3 @@ def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
         - math.lgamma(n_theta + lam + 1)
     )
     return AngularMode(lam=lam, k=k, n_theta=n_theta, eps=eps, norm=math.exp(0.5 * log_norm_sq))
-
-
-def radial_mode(p: PotentialParams, n: int, n_theta: int, m: int) -> RadialMode:
-    """Build the radial data for state (n, n_theta, m): ell_tilde and its
-    ladder_energy."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _radial_mode(p, n, effective_ell(p, n_theta, m))
-
-
-def _radial_mode(p: PotentialParams, n: int, ell: float) -> RadialMode:
-    """RadialMode of radial degree n in a sector with ell_tilde ell."""
-    return RadialMode(ell_tilde=ell, energy=ladder_energy(p, n, ell))

@@ -241,7 +241,9 @@ def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
 
 def inner_product_radial(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
                          r_max: float) -> QuadratureResult:
-    """<f, g> = int_0^r_max f(r) g(r) r^2 dr with a reported error estimate."""
+    """<f, g> = int_0^r_max f(r) g(r) r^2 dr, finite r_max > 0, with a reported error estimate."""
+    if not 0 < r_max < math.inf:
+        raise ValueError(f"inner_product_radial requires finite r_max > 0, got r_max={r_max}")
 
     def integrand(r: np.ndarray) -> np.ndarray:
         return np.asarray(f(r)) * np.asarray(g(r)) * r * r

@@ -3,8 +3,9 @@ eigenfunctions, full normalized wavefunctions, and state enumeration.
 
 Wavefunctions factorize as psi = R(r) Theta(theta) e^{i m phi} / sqrt(2 pi)
 with R orthonormal under r^2 dr on (0, inf) and Theta orthonormal under
-sin(theta) d(theta) on (0, pi/2). An EigenState holds the two factor
-modes; the radial norm follows from n and ell_tilde (radial_log_norm).
+sin(theta) d(theta) on (0, pi/2). R and the energy depend on (n, ell_tilde)
+alone, which the radial functions take as model.ladder_energy does; an
+EigenState is the flat record (qn, angular, ell_tilde, energy).
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .model import (
     AngularMode,
     PotentialParams,
     QuantumNumbers,
-    RadialMode,
-    _radial_mode,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -46,15 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenState:
-    """One bound state: quantum numbers and its angular and radial modes."""
+    """One bound state: quantum numbers, angular mode, the ell_tilde of its
+    sector and its energy ladder_energy(p, qn.n, ell_tilde)."""
 
     qn: QuantumNumbers
     angular: AngularMode
-    radial: RadialMode
-
-    @property
-    def energy(self) -> float:
-        return self.radial.energy
+    ell_tilde: float
+    energy: float
 
 
 def energy(p: PotentialParams, qn: QuantumNumbers) -> float:
@@ -94,58 +91,53 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
     return (norm * np.sin(flat) ** lam * np.cos(flat) ** (k + 0.5) * jac).reshape((len(modes),) + th.shape)
 
 
-def radial_wavefunction(p: PotentialParams, mode: RadialMode, n: int, r):
+def radial_wavefunction(p: PotentialParams, n: int, ell: float, r):
     """R(r) = norm e^{-mu omega r^2/2 hbar} (sqrt(mu omega/hbar) r)^{ell} L_n^{ell+1/2}(mu omega r^2/hbar).
 
-    Orthonormal under the r^2 dr measure on (0, inf), with norm
-    exp(radial_log_norm) of n and the mode's ell_tilde. Accepts scalar or
-    ndarray r > 0. The Laguerre polynomial is unscaled; past x = mu omega
-    r^2/hbar of about 1400 it can overflow, and OverflowError is raised.
+    The radial eigenfunction of degree n in a sector with ell_tilde ell,
+    orthonormal under the r^2 dr measure on (0, inf), with norm
+    exp(radial_log_norm(p, n, ell)). Accepts scalar or ndarray finite r > 0.
+    The Laguerre polynomial is unscaled; past x = mu omega r^2/hbar of about
+    1400 it can overflow, and OverflowError is raised.
     """
     ra = np.asarray(r, dtype=float)
-    if np.any(ra <= 0):
-        raise ValueError("radial_wavefunction requires r > 0")
+    if not np.all((ra > 0) & (ra < math.inf)):
+        raise ValueError("radial_wavefunction requires finite r > 0")
     q = np.sqrt(p.mu * p.omega / p.hbar) * ra
     x = q * q
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre(n, mode.ell_tilde + 0.5, x)
+        lag = laguerre(n, ell + 0.5, x)
     if not np.all(np.isfinite(lag)):
         raise OverflowError(f"radial_wavefunction: a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n}, "
                             "is beyond the float range")
-    norm = math.exp(radial_log_norm(p, n, mode.ell_tilde))
-    val = norm * np.exp(-0.5 * x) * q**mode.ell_tilde * lag
+    norm = math.exp(radial_log_norm(p, n, ell))
+    val = norm * np.exp(-0.5 * x) * q**ell * lag
     return float(val) if np.ndim(r) == 0 else val
 
 
 def full_wavefunction(p: PotentialParams, qn: QuantumNumbers, r, theta, phi):
     """psi(r, theta, phi) = R Theta e^{i m phi} / sqrt(2 pi), unit norm under
-    r^2 sin(theta) dr d(theta) d(phi) over the half-space theta < pi/2."""
+    r^2 sin(theta) dr d(theta) d(phi) over the half-space theta < pi/2.
+    Requires finite r > 0, 0 < theta < pi/2 and finite phi."""
+    ph = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(ph)):
+        raise ValueError("full_wavefunction requires finite phi")
     st = eigenstate(p, qn.n, qn.n_theta, qn.m)
-    rad = radial_wavefunction(p, st.radial, qn.n, r)
+    rad = radial_wavefunction(p, qn.n, st.ell_tilde, r)
     ang = angular_wavefunction(st.angular, theta)
-    ph = np.exp(1j * qn.m * np.asarray(phi, dtype=float))
-    val = rad * ang * ph / math.sqrt(2 * math.pi)
+    val = rad * ang * np.exp(1j * qn.m * ph) / math.sqrt(2 * math.pi)
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def _sector_states(p: PotentialParams, ang: AngularMode, ell: float, ns, ms) -> list[EigenState]:
-    """EigenStates of one admissible sector: angular mode ang, ell_tilde ell,
-    each radial n in ns and each signed m in ms, which share |m|.
-
-    Each n has one RadialMode, shared by every m.
-    """
-    states = []
-    for n in ns:
-        rad = _radial_mode(p, n, ell)
-        states += [EigenState(QuantumNumbers(n=n, n_theta=ang.n_theta, m=m), ang, rad) for m in ms]
-    return states
+def _eigenstate(p: PotentialParams, qn: QuantumNumbers, ang: AngularMode, ell: float) -> EigenState:
+    """The one EigenState builder: state qn of a sector with angular mode ang and ell_tilde ell."""
+    return EigenState(qn, ang, ell, ladder_energy(p, qn.n, ell))
 
 
 def eigenstate(p: PotentialParams, n: int, n_theta: int, m: int) -> EigenState:
     """Assemble the EigenState for (n, n_theta, m), rejecting inadmissible sectors."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _sector_states(p, angular_mode(p, n_theta, m), effective_ell(p, n_theta, m), [n], [m])[0]
+    qn = QuantumNumbers(n, n_theta, m)
+    return _eigenstate(p, qn, angular_mode(p, n_theta, m), effective_ell(p, n_theta, m))
 
 
 def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[EigenState]:
@@ -177,8 +169,10 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
             n_count = 1
             while ladder_energy(p, n_count, ell) <= e_max:
                 n_count += 1
-            states += _sector_states(p, angular_mode(p, n_theta, m), ell, range(n_count), signed)
-    states.sort(key=lambda s: (s.radial.energy, s.qn.n, s.qn.n_theta, s.qn.m))
+            ang = angular_mode(p, n_theta, m)
+            states += [_eigenstate(p, QuantumNumbers(n, n_theta, sm), ang, ell)
+                       for n in range(n_count) for sm in signed]
+    states.sort(key=lambda s: (s.energy, s.qn.n, s.qn.n_theta, s.qn.m))
     return states
 
 

@@ -17,8 +17,8 @@ from ncosc.model import (
     energy_floor,
     potential_cartesian,
     potential_spherical,
-    radial_mode,
 )
+from ncosc.spectrum import eigenstate
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
 
@@ -50,6 +50,13 @@ def test_quantum_number_validation():
     with pytest.raises(ValueError, match="n_theta must be >= 0"):
         QuantumNumbers(0, -2, 0)
     assert QuantumNumbers(0, 0, -3).m == -3  # m may be negative
+    # every quantum number is an integer; numpy integers count
+    for qn in ((0.5, 0, 0), (0, 1.0, 0), (0, 0, 0.5), (0, 0, math.nan), (0, 0, np.float64(1.0)), ("1", 0, 0)):
+        with pytest.raises(ValueError, match="quantum numbers must be integers"):
+            QuantumNumbers(*qn)
+    assert QuantumNumbers(np.int64(2), np.uint8(1), np.int32(-1)) == QuantumNumbers(2, 1, -1)
+    with pytest.raises(ValueError, match="quantum numbers must be integers"):
+        eigenstate(COUPLED, 0, 0, 0.5)
 
 
 def test_potential_value_by_hand():
@@ -142,9 +149,9 @@ def test_radial_mode_energy_scaling():
     ell = effective_ell(COUPLED, 1, 1)
     for hbar, omega, v0 in [(1.0, 1.0, 0.0), (2.0, 0.7, 1.5)]:
         p = PotentialParams(hbar=hbar, mu=1.0, omega=omega, v0=v0, alpha=1.0, beta=0.5, gamma=2.0)
-        mode = radial_mode(p, 2, 1, 1)
-        assert mode.energy == pytest.approx((4 + ell + 1.5) * hbar * omega - v0, rel=1e-14)
-        assert mode.ell_tilde == pytest.approx(ell, rel=1e-14)
+        state = eigenstate(p, 2, 1, 1)
+        assert state.energy == pytest.approx((4 + ell + 1.5) * hbar * omega - v0, rel=1e-14)
+        assert state.ell_tilde == pytest.approx(ell, rel=1e-14)
 
 
 @given(m=st.integers(-6, 6), n_theta=st.integers(0, 5))

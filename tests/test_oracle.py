@@ -144,6 +144,13 @@ def test_inner_product_reference_integrals():
     assert res.value == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("r_max", [math.inf, -math.inf, math.nan, -1.0, 0.0])
+def test_inner_product_radial_requires_finite_positive_r_max(r_max):
+    one = lambda x: np.ones_like(x)
+    with pytest.raises(ValueError, match="requires finite r_max > 0"):
+        inner_product_radial(one, one, r_max)
+
+
 @pytest.mark.parametrize("lo, hi, n_panels, n_nodes",
                          [(0.0, 12.0, 6, 48), (1e-9, math.pi / 2 - 1e-9, 4, 24), (-0.3, 17.3, 7, 5)])
 def test_gauss_panels_equal_panel_by_panel_rule(lo, hi, n_panels, n_nodes):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncosc import oracle
-from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, radial_mode
+from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, effective_ell
 from ncosc.spectrum import (
     angular_profiles,
     angular_wavefunction,
@@ -68,9 +68,9 @@ def test_angular_energy_by_hand():
 
 def test_radial_wavefunction_node_count():
     r = np.linspace(0.01, 8.0, 4000)
+    ell = effective_ell(COUPLED, 0, 0)
     for n in range(4):
-        mode = radial_mode(COUPLED, n, 0, 0)
-        vals = radial_wavefunction(COUPLED, mode, n, r)
+        vals = radial_wavefunction(COUPLED, n, ell, r)
         changes = int(np.sum(vals[:-1] * vals[1:] < 0))
         assert changes == n, f"expected {n} radial nodes, found {changes}"
 
@@ -87,17 +87,17 @@ def test_angular_wavefunction_node_count():
 def test_ground_state_positive_everywhere():
     r = np.linspace(0.01, 10.0, 500)
     th = np.linspace(1e-3, math.pi / 2 - 1e-3, 500)
-    assert np.all(radial_wavefunction(COUPLED, radial_mode(COUPLED, 0, 0, 0), 0, r) > 0)
+    assert np.all(radial_wavefunction(COUPLED, 0, effective_ell(COUPLED, 0, 0), r) > 0)
     assert np.all(angular_wavefunction(angular_mode(COUPLED, 0, 0), th) > 0)
 
 
 def test_radial_profiles_match_single_state_evaluation():
-    mode = radial_mode(COUPLED, 0, 1, 1)
+    ell = effective_ell(COUPLED, 1, 1)
     r = np.linspace(0.1, 6.0, 50)
-    stack = radial_profiles(COUPLED, mode.ell_tilde, 5, r)
+    stack = radial_profiles(COUPLED, ell, 5, r)
     assert stack.shape == (6, 50)
     for n in range(6):
-        want = radial_wavefunction(COUPLED, radial_mode(COUPLED, n, 1, 1), n, r)
+        want = radial_wavefunction(COUPLED, n, ell, r)
         assert np.allclose(stack[n], want, rtol=1e-13, atol=0)
 
 
@@ -125,11 +125,11 @@ def test_angular_profiles_rows_equal_single_mode_evaluation():
 
 
 def test_factor_orthonormality():
+    ell = effective_ell(COUPLED, 0, 1)
     for i, j, want in [(0, 0, 1.0), (0, 2, 0.0), (1, 3, 0.0), (3, 3, 1.0)]:
-        mi, mj = radial_mode(COUPLED, i, 0, 1), radial_mode(COUPLED, j, 0, 1)
         val = oracle.inner_product_radial(
-            lambda r, a=mi, n=i: radial_wavefunction(COUPLED, a, n, r),
-            lambda r, b=mj, n=j: radial_wavefunction(COUPLED, b, n, r),
+            lambda r, n=i: radial_wavefunction(COUPLED, n, ell, r),
+            lambda r, n=j: radial_wavefunction(COUPLED, n, ell, r),
             14.0,
         ).value
         assert val == pytest.approx(want, abs=1e-11)
@@ -185,7 +185,7 @@ def test_enumerated_states_equal_eigenstate(alpha, beta, gamma):
     for s in states:
         assert s == eigenstate(p, s.qn.n, s.qn.n_theta, s.qn.m), s.qn
     if (alpha, beta, gamma) == (-2.0, 0.0, 0.0):
-        assert states[0].radial.ell_tilde == 0.0
+        assert states[0].ell_tilde == 0.0
 
 
 def test_enumerate_states_invariants():
@@ -232,29 +232,28 @@ def test_energy_symmetry_and_monotonicity(n, n_theta, m):
     assert energy(COUPLED, QuantumNumbers(n, n_theta + 1, m)) > e
 
 
-def test_radial_wavefunction_norm_follows_its_degree():
-    # the radial norm belongs to the degree passed, not to the mode built
-    r = np.linspace(0.1, 6.0, 50)
-    for nt, m in ((0, 0), (2, 1)):
-        want = radial_wavefunction(COUPLED, radial_mode(COUPLED, 3, nt, m), 3, r)
-        assert np.array_equal(radial_wavefunction(COUPLED, radial_mode(COUPLED, 0, nt, m), 3, r), want)
-
-
 def test_radial_wavefunction_raises_where_its_laguerre_overflows():
     # at n = 300, r = 40 (x = 1600) L_n overflows while the envelope
     # underflows; their product used to be 0 * inf = nan
     p = PotentialParams()
-    mode = radial_mode(p, 300, 0, 0)
+    ell = effective_ell(p, 0, 0)
     for r in (40.0, np.array([1.0, 40.0])):
         with pytest.raises(OverflowError, match="Laguerre polynomial .*, n = 300, is beyond the float range"):
-            radial_wavefunction(p, mode, 300, r)
-    assert math.isfinite(radial_wavefunction(p, mode, 300, 20.0))
+            radial_wavefunction(p, 300, ell, r)
+    assert math.isfinite(radial_wavefunction(p, 300, ell, 20.0))
 
 
 def test_wavefunction_domain_validation():
-    mode = radial_mode(COUPLED, 0, 0, 0)
-    with pytest.raises(ValueError, match="r > 0"):
-        radial_wavefunction(COUPLED, mode, 0, np.array([0.5, -1.0]))
+    ell = effective_ell(COUPLED, 0, 0)
+    for r in (np.array([0.5, -1.0]), np.array([1.0, math.nan, math.inf]), math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="requires finite r > 0"):
+            radial_wavefunction(COUPLED, 0, ell, r)
+    qn = QuantumNumbers(1, 1, 2)
+    for phi in (math.nan, math.inf, -math.inf, np.array([0.3, math.nan])):
+        with pytest.raises(ValueError, match="requires finite phi"):
+            full_wavefunction(COUPLED, qn, 1.0, 0.7, phi)
+    with pytest.raises(ValueError, match="requires finite r > 0"):
+        full_wavefunction(COUPLED, qn, math.inf, 0.7, 0.3)
     amode = angular_mode(COUPLED, 0, 0)
     with pytest.raises(ValueError, match="0 < theta < pi/2"):
         angular_wavefunction(amode, math.pi / 2)
