@@ -1,0 +1,8 @@
+"""`python -m ncosc`: the command-line interface, as the `ncosc` script runs it."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,12 +21,24 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import oracle, propagator, spectrum, verify
-from .model import PotentialParams, QuantumNumbers, energy_floor, radial_extent
+from .model import PotentialParams, energy_floor, radial_extent
 
 __all__ = ["main", "build_parser"]
 
 # config keys that map to boolean flags rather than key=value options
 _BOOL_KEYS = {"no-timestamp", "lattice", "timings"}
+
+# the PotentialParams fields, in flag and output order, with their help;
+# each flag's default is the field's own
+_PHYSICS = {
+    "v0": "constant well depth (energy offset)",
+    "alpha": "isotropic 1/r^2 coupling",
+    "beta": "cos^2/sin^2 angular coupling",
+    "gamma": "1/cos^2 angular coupling, > -1/4",
+    "omega": "oscillator frequency",
+    "mu": "mass",
+    "hbar": "reduced Planck constant",
+}
 
 
 class CliError(Exception):
@@ -69,20 +81,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _params_from_args(args: argparse.Namespace) -> PotentialParams:
-    return PotentialParams(
-        hbar=args.hbar, mu=args.mu, omega=args.omega, v0=args.v0,
-        alpha=args.alpha, beta=args.beta, gamma=args.gamma,
-    )
-
-
-def _param_fields(p: PotentialParams) -> dict:
-    return {
-        "v0": p.v0, "alpha": p.alpha, "beta": p.beta, "gamma": p.gamma,
-        "omega": p.omega, "mu": p.mu, "hbar": p.hbar,
-    }
-
-
 def _cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -90,14 +88,19 @@ def _cell(v) -> str:
 
 
 def _emit(
-    args: argparse.Namespace, comments: list[str], meta: dict, columns: list[str], rows: Iterable[Sequence]
+    args: argparse.Namespace, p: PotentialParams | None, comments: list[str], meta: dict, columns: list[str],
+    rows: Iterable[Sequence],
 ) -> None:
     """Write one table in --format, led by the generation timestamp unless
-    --no-timestamp.
+    --no-timestamp, then by the physics parameters p unless p is None.
 
     CSV gets the comment lines, the header and one line per row; JSON gets
     the meta fields and "rows", one object per row keyed by columns.
     """
+    if p is not None:
+        params = {name: getattr(p, name) for name in _PHYSICS}
+        comments = ["# params " + " ".join(f"{k}={_fmt(v)}" for k, v in params.items()), *comments]
+        meta = {"params": params, **meta}
     stamp = not args.no_timestamp
     if args.format == "json":
         payload = {"generated": _timestamp()} if stamp else {}
@@ -116,10 +119,6 @@ def _emit(
             raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _param_comment(p: PotentialParams) -> str:
-    return "# params " + " ".join(f"{k}={_fmt(v)}" for k, v in _param_fields(p).items())
 
 
 def _margin(observed: float, tolerance: float) -> float:
@@ -154,17 +153,15 @@ def _derive_m_max(p: PotentialParams, e_max: float) -> int:
     return max(0, first_above - 1)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    p = _params_from_args(args)
+def cmd_spectrum(args: argparse.Namespace, p: PotentialParams) -> int:
     m_max = args.m if args.m is not None else _derive_m_max(p, args.emax)
-    if m_max < 0:
-        raise CliError(f"m cutoff must be >= 0, got {m_max}")
     states = spectrum.enumerate_states(p, e_max=args.emax, m_max=m_max)
 
     _emit(
         args,
-        [_param_comment(p), f"# emax={_fmt(args.emax)} mmax={m_max}"],
-        {"params": _param_fields(p), "emax": args.emax, "mmax": m_max},
+        p,
+        [f"# emax={_fmt(args.emax)} mmax={m_max}"],
+        {"emax": args.emax, "mmax": m_max},
         ["n", "n_theta", "m", "lambda", "k", "ell_tilde", "energy"],
         [(s.qn.n, s.qn.n_theta, s.qn.m, s.angular.lam, s.angular.k, s.ell_tilde, s.energy)
          for s in states],
@@ -174,10 +171,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------- wavefunction
 
-def cmd_wavefunction(args: argparse.Namespace) -> int:
-    p = _params_from_args(args)
-    qn = QuantumNumbers(n=args.n, n_theta=args.ntheta, m=args.m)
-    state = spectrum.eigenstate(p, qn.n, qn.n_theta, qn.m)  # rejects inadmissible sectors
+def cmd_wavefunction(args: argparse.Namespace, p: PotentialParams) -> int:
+    state = spectrum.eigenstate(p, args.n, args.ntheta, args.m)  # rejects inadmissible sectors
+    qn = state.qn
 
     if args.points < 2:
         raise CliError(f"--points must be >= 2, got {args.points}")
@@ -202,16 +198,9 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
     cols = np.broadcast_arrays(rs[:, None, None], ths[None, :, None], phs[None, None, :], psi.real, psi.imag)
     _emit(
         args,
-        [
-            _param_comment(p),
-            f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}",
-            f"# norm {_fmt(norm)}",
-        ],
-        {
-            "params": _param_fields(p),
-            "state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy},
-            "norm": norm,
-        },
+        p,
+        [f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}", f"# norm {_fmt(norm)}"],
+        {"state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy}, "norm": norm},
         ["r", "theta", "phi", "re_psi", "im_psi"],
         zip(*(c.ravel().tolist() for c in cols)),
     )
@@ -220,50 +209,34 @@ def cmd_wavefunction(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- propagator
 
-def cmd_propagator(args: argparse.Namespace) -> int:
-    p = _params_from_args(args)
-    if args.n < 1:
-        raise CliError(f"spectral cutoff --n must be >= 1, got {args.n}")
+def cmd_propagator(args: argparse.Namespace, p: PotentialParams) -> int:
     _require_nonnegative("--tol", args.tol)
     _require_nonnegative("--lattice-tol", args.lattice_tol)
-    closed = propagator.radial_kernel_closed(p, args.ntheta, args.m, args.ra, args.rb, args.tau)
-    spec_val = propagator.radial_kernel_spectral(p, args.ntheta, args.m, args.ra, args.rb, args.tau, args.n)
-    # relative to the closed value, which underflows to 0 at long times
-    rel_spectral = _margin(abs(closed - spec_val.value), abs(closed))
-
-    entries: list[tuple[str, float]] = [
-        ("closed", closed),
-        ("spectral", spec_val.value),
-        ("spectral_tail_bound", spec_val.tail_bound),
-        ("rel_diff_spectral_vs_closed", rel_spectral),
-    ]
-    failures: list[str] = []
-    if rel_spectral > args.tol:
-        failures.append(
-            f"spectral route off by {rel_spectral:.3e} > tolerance {args.tol:.3e}; "
-            f"raise the spectral cutoff above --n {args.n}"
-        )
+    query = (p, args.ntheta, args.m, args.ra, args.rb, args.tau)
+    closed = propagator.radial_kernel_closed(*query)
+    spectral = propagator.radial_kernel_spectral(*query, args.n)
+    # (route, value, its extra rows, tolerance, hint), each checked against the closed value
+    routes = [("spectral", spectral.value, [("spectral_tail_bound", spectral.tail_bound)],
+               args.tol, f"raise the spectral cutoff above --n {args.n}")]
     if args.lattice:
-        spec_l = propagator.LatticeSpec(n_slices=args.slices)
-        lat = propagator.lattice_radial_kernel(p, args.ntheta, args.m, args.ra, args.rb, args.tau, spec_l)
-        rel_lattice = _margin(abs(closed - lat), abs(closed))
-        entries.append(("lattice", lat))
-        entries.append(("rel_diff_lattice_vs_closed", rel_lattice))
-        if rel_lattice > args.lattice_tol:
-            failures.append(
-                f"lattice route off by {rel_lattice:.3e} > tolerance {args.lattice_tol:.3e}; "
-                f"raise the slice count above --slices {args.slices}"
-            )
+        lat = propagator.lattice_radial_kernel(*query, propagator.LatticeSpec(n_slices=args.slices))
+        routes.append(("lattice", lat, [], args.lattice_tol, f"raise the slice count above --slices {args.slices}"))
+
+    entries: list[tuple[str, float]] = [("closed", closed)]
+    failures: list[str] = []
+    for route, value, extra, tol, hint in routes:
+        # relative to the closed value, which underflows to 0 at long times
+        rel = _margin(abs(closed - value), abs(closed))
+        entries += [(route, value), *extra, (f"rel_diff_{route}_vs_closed", rel)]
+        if rel > tol:
+            failures.append(f"{route} route off by {rel:.3e} > tolerance {tol:.3e}; {hint}")
 
     _emit(
         args,
-        [
-            _param_comment(p),
-            f"# query ra={_fmt(args.ra)} rb={_fmt(args.rb)} tau={_fmt(args.tau)}"
-            f" ntheta={args.ntheta} m={args.m} ncut={args.n}",
-        ],
+        p,
+        [f"# query ra={_fmt(args.ra)} rb={_fmt(args.rb)} tau={_fmt(args.tau)}"
+         f" ntheta={args.ntheta} m={args.m} ncut={args.n}"],
         {
-            "params": _param_fields(p),
             "query": {"ra": args.ra, "rb": args.rb, "tau": args.tau,
                       "ntheta": args.ntheta, "m": args.m, "ncut": args.n},
         },
@@ -279,7 +252,7 @@ def cmd_propagator(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- verify
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, p: None) -> int:
     _require_nonnegative("--tol-scale", args.tol_scale)
     results = verify.run_suite(args.suite, tol_scale=args.tol_scale)
     n_pass = sum(r.passed for r in results)
@@ -295,6 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     _emit(
         args,
+        p,
         [f"# suite={args.suite} tol-scale={_fmt(args.tol_scale)}", f"# passed {n_pass}/{len(results)}"],
         {"suite": args.suite, "tol_scale": args.tol_scale, "all_passed": n_pass == len(results)},
         columns,
@@ -306,13 +280,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- parsing
 
 def _add_physics_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--v0", type=float, default=0.0, help="constant well depth (energy offset)")
-    sp.add_argument("--alpha", type=float, default=0.0, help="isotropic 1/r^2 coupling")
-    sp.add_argument("--beta", type=float, default=0.0, help="cos^2/sin^2 angular coupling")
-    sp.add_argument("--gamma", type=float, default=0.0, help="1/cos^2 angular coupling, > -1/4")
-    sp.add_argument("--omega", type=float, default=1.0, help="oscillator frequency")
-    sp.add_argument("--mu", type=float, default=1.0, help="mass")
-    sp.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
+    for name, text in _PHYSICS.items():
+        sp.add_argument(f"--{name}", type=float, default=getattr(PotentialParams, name), help=text)
 
 
 def _add_output_flags(sp: argparse.ArgumentParser) -> None:
@@ -423,7 +392,9 @@ def main(argv: list[str] | None = None) -> int:
             # flags, parsed later, win
             rest = rest[:1] + _config_tokens(known.config) + rest[1:]
         args = build_parser().parse_args(rest)
-        return args.func(args)
+        # verify takes no physics flags, and so no PotentialParams
+        physics = {name: getattr(args, name) for name in _PHYSICS if name in args}
+        return args.func(args, PotentialParams(**physics) if physics else None)
     except (CliError, argparse.ArgumentError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -76,8 +76,16 @@ class PotentialParams:
             raise ValueError(f"gamma must exceed -1/4, got {self.gamma}")
 
 
-# the types a quantum number may have: Python and numpy integers
+# the types a quantum number, count or cutoff may have: Python and numpy integers
 _INTEGER = (int, np.integer)
+
+
+def _check_count(name: str, value, floor: int) -> None:
+    """Reject a count or cutoff that is not an integer >= floor."""
+    if not isinstance(value, _INTEGER):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -111,15 +119,16 @@ class AngularMode:
 
 
 def potential_spherical(p: PotentialParams, r, theta):
-    """V(r, theta); r > 0 and theta strictly inside (0, pi/2).
+    """V(r, theta); finite r > 0 and theta strictly inside (0, pi/2).
 
     Accepts scalars or broadcastable arrays.
     """
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("potential_spherical requires r > 0")
-    if np.any(theta <= 0) or np.any(theta >= math.pi / 2):
+    # phrased so that NaN fails too
+    if not np.all((r > 0) & (r < math.inf)):
+        raise ValueError("potential_spherical requires finite r > 0")
+    if not np.all((theta > 0) & (theta < math.pi / 2)):
         raise ValueError("potential_spherical requires 0 < theta < pi/2")
     c = p.hbar**2 / (2 * p.mu * r**2)
     sin2 = np.sin(theta) ** 2
@@ -144,6 +153,8 @@ def potential_cartesian(p: PotentialParams, x, y, z):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
+        raise ValueError("potential_cartesian requires finite x, y and z")
     r2 = x**2 + y**2 + z**2
     rho2 = x**2 + y**2
     if np.any(r2 == 0):
@@ -174,8 +185,10 @@ def _sector(
     ell_tilde >= 0, which rules out the fall-to-center regime (negative
     radicand) as well. Otherwise ell is None and why gives the reason; where
     beta + m^2 < 0, lam, k and base are None too. Raises ValueError for
-    n_theta < 0.
+    non-integer n_theta or m, and for n_theta < 0.
     """
+    if not (isinstance(n_theta, _INTEGER) and isinstance(m, _INTEGER)):
+        raise ValueError(f"sector indices must be integers, got n_theta={n_theta!r}, m={m!r}")
     if n_theta < 0:
         raise ValueError(f"n_theta must be >= 0, got {n_theta}")
     lam_sq = p.beta + m * m

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import PotentialParams, effective_ell
+from .model import PotentialParams, _check_count, effective_ell
 
 __all__ = [
     "GridSpec",
@@ -49,10 +49,9 @@ class GridSpec:
     richardson: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.hi:
-            raise ValueError(f"grid requires hi > 0, got {self.hi}")
-        if self.n_points < 64:
-            raise ValueError(f"n_points must be >= 64, got {self.n_points}")
+        if not 0.0 < self.hi < math.inf:
+            raise ValueError(f"grid requires finite hi > 0, got {self.hi}")
+        _check_count("n_points", self.n_points, 64)
 
     @property
     def h(self) -> float:
@@ -144,8 +143,7 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     numpy.ndarray
         Eigenvalues sorted ascending.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count("count", count, 1)
     ell = effective_ell(p, n_theta, m)
     cf = p.hbar * p.hbar * ell * (ell + 1) / (2 * p.mu)
 
@@ -172,8 +170,7 @@ def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> 
     problem stays well posed but loses convergence order, which is
     reported as a warning.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_count("count", count, 1)
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if k <= 0:

@@ -27,6 +27,7 @@ import numpy as np
 from .model import (
     AngularMode,
     PotentialParams,
+    _check_count,
     admissible_ell,
     admissible_sectors,
     angular_mode,
@@ -95,10 +96,9 @@ class PropagatorQuery:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         _check_tau(self.tau)
-        if self.n_cut < 1 or self.ntheta_cut < 1:
-            raise ValueError("n_cut and ntheta_cut must be >= 1")
-        if self.m_cut < 0:
-            raise ValueError(f"m_cut must be >= 0, got {self.m_cut}")
+        _check_count("n_cut", self.n_cut, 1)
+        _check_count("ntheta_cut", self.ntheta_cut, 1)
+        _check_count("m_cut", self.m_cut, 0)
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,10 @@ class LatticeSpec:
     n_grid: int = 400
 
     def __post_init__(self) -> None:
-        if self.n_slices < 1:
-            raise ValueError(f"n_slices must be >= 1, got {self.n_slices}")
+        _check_count("n_slices", self.n_slices, 1)
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ValueError("lattice grid requires 0 < r_min < r_max < inf")
-        if self.n_grid < 16:
-            raise ValueError(f"n_grid must be >= 16, got {self.n_grid}")
+        _check_count("n_grid", self.n_grid, 16)
 
 
 class SpectralKernel(NamedTuple):
@@ -257,8 +255,7 @@ def radial_kernel_spectral(
         if not np.all((pts > 0) & (pts < math.inf)):
             raise ValueError(f"radial_kernel_spectral requires finite {name} > 0, got {name}={pts}")
     _check_tau(tau)
-    if n_cut < 1:
-        raise ValueError(f"n_cut must be >= 1, got {n_cut}")
+    _check_count("n_cut", n_cut, 1)
     ell = effective_ell(p, n_theta, m)
     scalar = a_pts.ndim == 0
     where = f" with endpoints ({ra}, {rb})" if scalar else ""
@@ -297,8 +294,7 @@ def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau:
         raise ValueError("angles must lie in (0, pi/2)")
     if not 0 < s_tau < math.inf:
         raise ValueError(f"s_tau must be positive and finite, got {s_tau}")
-    if ntheta_cut < 1:
-        raise ValueError(f"ntheta_cut must be >= 1, got {ntheta_cut}")
+    _check_count("ntheta_cut", ntheta_cut, 1)
     modes = [angular_mode(p, n_theta, m) for n_theta in range(ntheta_cut + 1)]
     n_pts = th_a.size
     prof = angular_profiles(modes, np.concatenate([th_a.ravel(), th_b.ravel()]))
@@ -357,8 +353,11 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     box up to quadrature error, which is the trace-consistency check the
     verify suite runs. Each |m| takes one Jacobi and one Laguerre recurrence
     for all its sectors. A box that holds no bound sector integrates to 0.
+    The three cutoffs are integers >= 0.
     """
     _check_tau(tau)
+    for name, cut in (("n_cut", n_cut), ("ntheta_cut", ntheta_cut), ("m_cut", m_cut)):
+        _check_count(name, cut, 0)
     # ell_tilde and admissibility grow with n_theta and |m|: the corner
     # sector is the outermost one, and admissible if any sector is
     ell_hi = admissible_ell(p, ntheta_cut, m_cut)
@@ -422,8 +421,8 @@ def quartic_moment_check(a: float) -> float:
     nodes and weights avoid the ~1e-15 node-placement noise of constructed
     Gauss rules, which the a^(-5/2) amplification at small a would expose.
     """
-    if a <= 0:
-        raise ValueError(f"quartic_moment_check requires a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"quartic_moment_check requires finite a > 0, got {a}")
     h = 0.25
     v = h * np.arange(-36, 37)
     diff = math.fsum(h * (v**4 - 0.75) * np.exp(-v * v))

@@ -20,6 +20,7 @@ from .model import (
     AngularMode,
     PotentialParams,
     QuantumNumbers,
+    _check_count,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -156,8 +157,7 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     """
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    _check_count("m_max", m_max, 0)
     states: list[EigenState] = []
     for m in range(0, m_max + 1):
         if energy_floor(p, m) > e_max:

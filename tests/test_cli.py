@@ -2,8 +2,9 @@
 
 Most cases drive cli.main() in process. One case runs the console-script
 entry point declared in pyproject.toml in a separate process, the way the
-generated wrapper does, and checks it against `python -m ncosc.cli`; where an
-installed `ncosc` executable is on PATH, that is checked too.
+generated wrapper does, and checks it and `python -m ncosc` against
+`python -m ncosc.cli`; where an installed `ncosc` executable is on PATH, that
+is checked too.
 """
 
 import itertools
@@ -375,6 +376,16 @@ def test_nan_tolerance_is_rejected(capsys, argv):
     assert f"error: {argv[-2]} must be >= 0, got nan" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--m", "-1"], "m_max must be >= 0, got -1"),
+    (["propagator", "--n", "0"], "n_cut must be >= 1, got 0"),
+])
+def test_cutoff_below_its_floor_exits_2(capsys, argv, message):
+    # the library's own check, reached through the CLI, names the bound and the value
+    code, out, err = run_cli(capsys, *argv, "--no-timestamp")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_propagator_reports_unreached_tolerance(capsys):
     code, out, err = run_cli(capsys, "propagator", "--n", "5", "--tol", "1e-15",
                              "--no-timestamp")
@@ -581,6 +592,7 @@ def test_console_script_round_trip():
     assert expected[0] == 0
     assert expected[1].splitlines()[-1] == "1,0,1,1,0.5,2,5.5"
     assert run([sys.executable, "-c", WRAPPER, "ncosc", scripts["ncosc"]]) == expected
+    assert run([sys.executable, "-m", "ncosc"]) == expected
     installed = shutil.which("ncosc")
     if installed is not None:
         assert run([installed]) == expected

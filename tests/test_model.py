@@ -18,6 +18,7 @@ from ncosc.model import (
     potential_cartesian,
     potential_spherical,
 )
+from ncosc.propagator import radial_kernel_closed
 from ncosc.spectrum import eigenstate
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
@@ -79,6 +80,13 @@ def test_potential_domain():
         potential_spherical(COUPLED, 1.0, math.pi / 2)
     with pytest.raises(ValueError, match="theta"):
         potential_spherical(COUPLED, 1.0, 0.0)
+    for r in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite r > 0"):
+            potential_spherical(COUPLED, r, 0.5)
+    with pytest.raises(ValueError, match="theta"):
+        potential_spherical(COUPLED, 1.0, math.nan)
+    with pytest.raises(ValueError, match="finite x, y and z"):
+        potential_cartesian(COUPLED, math.nan, 1.0, 1.0)
 
 
 @given(r=st.floats(0.05, 8.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
@@ -132,6 +140,13 @@ def test_inadmissible_sectors_raise():
     # alpha - beta in (-(k+lam+1)^2, 0.25 - (k+lam+1)^2] lands ell_tilde < 0
     with pytest.raises(ValueError, match="not normalizable"):
         effective_ell(PotentialParams(alpha=-2.1), 0, 0)
+    # non-integer sector indices name no sector
+    with pytest.raises(ValueError, match="sector indices must be integers"):
+        angular_mode(PotentialParams(), 0, 0.5)
+    with pytest.raises(ValueError, match="sector indices must be integers"):
+        effective_ell(PotentialParams(), 1.5, 0.5)
+    with pytest.raises(ValueError, match="sector indices must be integers"):
+        radial_kernel_closed(PotentialParams(), 0, 0.5, 1.0, 1.2, 0.7)
 
 
 def test_angular_mode_eigenvalue():

@@ -30,6 +30,8 @@ COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
 def test_grid_spec_validation():
     with pytest.raises(ValueError, match="hi > 0"):
         GridSpec(0.0, 100)
+    with pytest.raises(ValueError, match="finite hi > 0"):
+        GridSpec(math.inf, 100)
     with pytest.raises(ValueError, match="n_points must be >= 64"):
         GridSpec(1.0, 10)
 

@@ -28,6 +28,7 @@ from ncosc.propagator import (
     radial_kernel_closed,
     radial_kernel_spectral,
 )
+from ncosc.oracle import GridSpec
 from ncosc.spectrum import enumerate_states
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
@@ -320,6 +321,9 @@ def test_hille_hardy_residual_small_on_seeded_draws():
 def test_quartic_moment_identity_across_scales():
     for a in (0.1, 0.5, 1.0, 10.0, 100.0):
         assert quartic_moment_check(a) <= 1e-12, a
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite a > 0"):
+            quartic_moment_check(a)
 
 
 def test_lattice_spec_validation():
@@ -329,6 +333,36 @@ def test_lattice_spec_validation():
         LatticeSpec(n_slices=4, r_min=2.0, r_max=1.0, n_grid=400)
     with pytest.raises(ValueError, match="n_grid"):
         LatticeSpec(n_slices=4, r_min=0.02, r_max=8.0, n_grid=8)
+
+
+_QUERY = dict(ra=1.0, rb=1.2, theta_a=0.5, theta_b=0.6, phi_a=0.1, phi_b=0.2, tau=0.7)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: PropagatorQuery(**_QUERY, n_cut=10, ntheta_cut=3, m_cut=2.5), "m_cut must be an integer",
+                 id="query-m_cut"),
+    pytest.param(lambda: PropagatorQuery(**_QUERY, n_cut=10.0, ntheta_cut=3, m_cut=2), "n_cut must be an integer",
+                 id="query-n_cut"),
+    pytest.param(lambda: angular_kernel_spectral(COUPLED, 0, 0.5, 0.6, 1.0, 2.5), "ntheta_cut must be an integer",
+                 id="angular-ntheta_cut"),
+    pytest.param(lambda: radial_kernel_spectral(COUPLED, 0, 0, 1.0, 1.0, 1.0, 2.5), "n_cut must be an integer",
+                 id="radial-n_cut"),
+    pytest.param(lambda: enumerate_states(COUPLED, 6.0, 2.5), "m_max must be an integer", id="enumerate-m_max"),
+    pytest.param(lambda: LatticeSpec(n_slices=2.5), "n_slices must be an integer", id="lattice-n_slices"),
+    pytest.param(lambda: LatticeSpec(4, n_grid=400.5), "n_grid must be an integer", id="lattice-n_grid"),
+    pytest.param(lambda: GridSpec(12.0, 500.5), "n_points must be an integer", id="grid-n_points"),
+    pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, -1, 3, 3), "n_cut must be >= 0, got -1",
+                 id="trace-n_cut-floor"),
+    pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, 5, -1, 3), "ntheta_cut must be >= 0, got -1",
+                 id="trace-ntheta_cut-floor"),
+    pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, 5, 3, -1), "m_cut must be >= 0, got -1",
+                 id="trace-m_cut-floor"),
+    pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, 5, 3, 1.5), "m_cut must be an integer",
+                 id="trace-m_cut"),
+])
+def test_counts_and_cutoffs_must_be_integers_at_their_floor(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_lattice_kernel_converges_to_closed_form():
