@@ -3,10 +3,8 @@ spherical and Cartesian coordinates, and the derived spectral indices.
 
 The potential is
 
-    V(r, theta) = -v0 + mu omega^2 r^2 / 2
-                  + alpha hbar^2 / (2 mu r^2)
-                  + beta  hbar^2 cos^2(theta) / (2 mu r^2 sin^2(theta))
-                  + gamma hbar^2 / (2 mu r^2 cos^2(theta))
+    V(r, theta) = -v0 + mu omega^2 r^2 / 2 + hbar^2 c(theta) / (2 mu r^2),
+    c(theta)    = alpha + beta cot^2(theta) + gamma / cos^2(theta)
 
 on r > 0, theta in (0, pi/2). The gamma barrier decouples the two
 hemispheres, so the domain stays the upper half even at gamma = 0; in the
@@ -130,17 +128,16 @@ def potential_spherical(p: PotentialParams, r, theta):
         raise ValueError("potential_spherical requires finite r > 0")
     if not np.all((theta > 0) & (theta < math.pi / 2)):
         raise ValueError("potential_spherical requires 0 < theta < pi/2")
-    c = p.hbar**2 / (2 * p.mu * r**2)
-    sin2 = np.sin(theta) ** 2
     cos2 = np.cos(theta) ** 2
-    out = (
-        -p.v0
-        + 0.5 * p.mu * p.omega**2 * r**2
-        + p.alpha * c
-        + p.beta * c * cos2 / sin2
-        + p.gamma * c / cos2
-    )
+    out = _radial_potential(p, p.alpha + p.beta * cos2 / np.sin(theta) ** 2 + p.gamma / cos2, r)
     return float(out) if out.ndim == 0 else out
+
+
+def _radial_potential(p: PotentialParams, c, r):
+    """-v0 + mu omega^2 r^2 / 2 + hbar^2 c / (2 mu r^2) at checked r > 0: V at
+    c = c(theta), the separated radial potential at c = ell_tilde (ell_tilde + 1)."""
+    # dividing by r twice keeps the c = 0 term at 0 where r * r underflows
+    return -p.v0 + 0.5 * p.mu * p.omega**2 * r * r + p.hbar * p.hbar * c / (2 * p.mu) / r / r
 
 
 def potential_cartesian(p: PotentialParams, x, y, z):

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .model import PotentialParams, _check_count, effective_ell
+from .model import PotentialParams, _check_count, _radial_potential, effective_ell, radial_extent
 
 __all__ = [
     "GridSpec",
@@ -74,7 +74,7 @@ class QuadratureResult(NamedTuple):
 
 def default_radial_grid(p: PotentialParams, n_points: int = 2000) -> GridSpec:
     """Box large enough that all low-lying bound states decay below 1e-14."""
-    return GridSpec(12.0 * math.sqrt(p.hbar / (p.mu * p.omega)), n_points)
+    return GridSpec(radial_extent(p, 0, 0.0), n_points)
 
 
 def default_angular_grid(n_points: int = 2000) -> GridSpec:
@@ -133,8 +133,8 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     n_theta, m : int
         Angular sector; must be admissible for these couplings.
     grid : GridSpec
-        Radial box [0, hi], checked a posteriori against the highest
-        returned eigenvalue.
+        Radial box [0, hi]; checked a posteriori, V_ell(hi) must exceed the
+        highest returned eigenvalue by 40 hbar omega.
     count : int
         Number of eigenvalues, >= 1.
 
@@ -145,16 +145,12 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     """
     _check_count("count", count, 1)
     ell = effective_ell(p, n_theta, m)
-    cf = p.hbar * p.hbar * ell * (ell + 1) / (2 * p.mu)
-
-    def v_of_r(r: np.ndarray) -> np.ndarray:
-        return -p.v0 + 0.5 * p.mu * p.omega**2 * r * r + cf / (r * r)
-
+    v_of_r = functools.partial(_radial_potential, p, ell * (ell + 1))
     eigs = _solve_with_richardson(v_of_r, grid, count, p.hbar, p.mu)
-    wall = 0.5 * p.mu * p.omega**2 * grid.hi**2
+    wall = v_of_r(grid.hi)
     if wall < eigs[-1] + 40 * p.hbar * p.omega:
         raise ValueError(
-            f"radial box hi={grid.hi} too small: wall height {wall:.3g} must exceed "
+            f"radial box hi={grid.hi} too small: V_ell(hi) = {wall:.3g} must exceed "
             f"the highest requested eigenvalue {eigs[-1]:.3g} by 40*hbar*omega"
         )
     return eigs

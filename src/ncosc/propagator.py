@@ -28,6 +28,7 @@ from .model import (
     AngularMode,
     PotentialParams,
     _check_count,
+    _radial_potential,
     admissible_ell,
     admissible_sectors,
     angular_mode,
@@ -443,8 +444,7 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
     """
     from scipy.special import ive
 
-    vx = -p.v0 + 0.5 * p.mu * p.omega**2 * x**2
-    vy = -p.v0 + 0.5 * p.mu * p.omega**2 * y**2
+    vx, vy = _radial_potential(p, 0.0, x), _radial_potential(p, 0.0, y)
     if x is y:
         # the kernel is symmetric: evaluate the upper triangle and mirror it
         rows, cols = np.triu_indices(len(x))

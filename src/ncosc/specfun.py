@@ -219,8 +219,8 @@ def _log_bessel_series(nu: float, x: float) -> float:
     total = 1.0
     offset = 0.0
     # k is counted as a float, which keeps the arithmetic off the mixed
-    # int-float path; the cap on the count is unreachable for the
-    # supported domain and guards hangs
+    # int-float path; the terms grow until k (k + nu) = x^2/4, so the cap
+    # on the count is reached where x is far past nu (nu = 4e4, x = 1e6)
     k = 0.0
     for _ in range(200000):
         k += 1.0
@@ -234,7 +234,8 @@ def _log_bessel_series(nu: float, x: float) -> float:
             term *= scale
             offset -= math.log(scale)
     else:
-        raise RuntimeError(f"bessel series failed to converge: nu={nu}, x={x}")
+        raise ValueError(f"ln I_nu(x) not computable at nu={nu}, x={x}: ive underflows there "
+                         "and the ascending series needs more than 200000 terms")
     return log_t0 + offset + math.log(total) - x
 
 
@@ -267,7 +268,8 @@ def log_bessel_ie(nu: float, x: float) -> float:
     Where I_nu(x) is multiplied by a Gaussian of order e^-x, as in the
     closed radial kernel, the two exponents cancel; this form keeps the
     difference without forming either. It is ln ive(nu, x) wherever ive
-    returns a normal float.
+    returns a normal float. Raises ValueError where ive underflows and the
+    ascending series would need more than 200000 terms.
     """
     if not (nu >= 0 and 0 <= x < math.inf):
         raise ValueError(f"log_bessel_ie requires nu >= 0 and finite x >= 0, got nu={nu}, x={x}")

@@ -27,6 +27,7 @@ from . import specfun as sf
 from .model import (
     PotentialParams,
     QuantumNumbers,
+    _radial_potential,
     admissible_ell,
     angular_mode,
     effective_ell,
@@ -221,33 +222,34 @@ def check_gram_identity() -> Outcome:
     return worst, 1e-8, "8 lowest states at couplings (1, 0.5, 2), entrywise vs identity"
 
 
+def _orthonormality_defect(funcs, inner) -> float:
+    """Largest |<f_i, f_j> - delta_ij| over j <= i, with inner(f, g) the quadrature."""
+    worst = 0.0
+    for i, fi in enumerate(funcs):
+        for j, fj in enumerate(funcs[: i + 1]):
+            worst = max(worst, abs(inner(fi, fj).value - (1.0 if i == j else 0.0)))
+    return worst
+
+
 @_check("spectrum", "angular-orthonormality")
 def check_angular_orthonormality() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
     worst = 0.0
     for m in (0, 1):
-        modes = [angular_mode(p, nt, m) for nt in range(4)]
-        for i, mi in enumerate(modes):
-            for j, mj in enumerate(modes[: i + 1]):
-                val = oracle.inner_product_angular(
-                    lambda t, a=mi: spectrum.angular_wavefunction(a, t),
-                    lambda t, b=mj: spectrum.angular_wavefunction(b, t),
-                ).value
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
+        angular = [functools.partial(spectrum.angular_wavefunction, angular_mode(p, nt, m)) for nt in range(4)]
+        worst = max(worst, _orthonormality_defect(angular, oracle.inner_product_angular))
     return worst, 1e-10, "<Theta_i, Theta_j> = delta_ij under sin(theta) d(theta)"
 
 
 @_check("spectrum", "radial-orthonormality")
 def check_radial_orthonormality() -> Outcome:
     p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
+    inner = functools.partial(oracle.inner_product_radial, r_max=12.0)
     worst = 0.0
     for ntheta, m in ((0, 0), (1, 1)):
         ell = effective_ell(p, ntheta, m)
         radial = [functools.partial(spectrum.radial_wavefunction, p, n, ell) for n in range(4)]
-        for i, fi in enumerate(radial):
-            for j, fj in enumerate(radial[: i + 1]):
-                val = oracle.inner_product_radial(fi, fj, 12.0).value
-                worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
+        worst = max(worst, _orthonormality_defect(radial, inner))
     return worst, 1e-10, "<R_i, R_j> = delta_ij under r^2 dr"
 
 
@@ -362,7 +364,7 @@ def check_variational_bound() -> Outcome:
         ell = effective_ell(p, 0, 0)
         u = x * spectrum.radial_wavefunction(p, 0, ell, x)
         kin = p.hbar**2 / (2 * p.mu * grid.h**2)
-        v = -p.v0 + 0.5 * p.mu * p.omega**2 * x * x + p.hbar**2 * ell * (ell + 1) / (2 * p.mu * x * x)
+        v = _radial_potential(p, ell * (ell + 1), x)
         hu = (2 * kin + v) * u
         hu[:-1] -= kin * u[1:]
         hu[1:] -= kin * u[:-1]
@@ -481,9 +483,7 @@ def check_semigroup() -> Outcome:
     spec_full = propagator.LatticeSpec(n_slices=64)
     g, k_half = propagator.lattice_kernel_grid(p0, 0, 0, 0.5, spec_half)
     _, k_full = propagator.lattice_kernel_grid(p0, 0, 0, 1.0, spec_full)
-    h = g[1] - g[0]
-    w = np.full(len(g), h)
-    w[0] = w[-1] = 0.5 * h
+    w = propagator._lattice_setup(p0, 0, 0, 0.5, spec_half)[3]
     composed = (k_half * (w * g * g)[None, :]) @ k_half
     ia, ib = 39, 59  # grid nodes at r = 0.8 and 1.2
     # the endpoint route propagates a vector instead of powering the grid

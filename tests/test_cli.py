@@ -386,6 +386,15 @@ def test_cutoff_below_its_floor_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_propagator_past_the_bessel_series_cap_exits_2(capsys):
+    # nu = 40001.5 at x = 8.5e5: ive underflows and the ascending series
+    # needs more than 200000 terms, so an error line, not a traceback
+    code, out, err = run_cli(capsys, "propagator", "--m", "40000", "--ra", "1000", "--rb", "1000",
+                             "--tau", "1", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nu=40001.5, x=850918." in err
+
+
 def test_propagator_reports_unreached_tolerance(capsys):
     code, out, err = run_cli(capsys, "propagator", "--n", "5", "--tol", "1e-15",
                              "--no-timestamp")

@@ -89,6 +89,14 @@ def test_potential_domain():
         potential_cartesian(COUPLED, math.nan, 1.0, 1.0)
 
 
+def test_potential_where_r_squared_underflows():
+    # r * r is 0 below r of about 1.5e-162: with no coupling the centrifugal
+    # term is 0, not 0 * inf, and with couplings it is the barrier's +inf
+    assert potential_spherical(PotentialParams(), 1e-170, 0.5) == 0.0
+    with np.errstate(over="ignore"):
+        assert potential_spherical(COUPLED, 1e-170, 0.5) == math.inf
+
+
 @given(r=st.floats(0.05, 8.0), theta=st.floats(0.05, math.pi / 2 - 0.05))
 @settings(max_examples=300, deadline=None)
 def test_cartesian_and_spherical_forms_agree(r, theta):

@@ -101,6 +101,22 @@ def test_undersized_box_rejected_after_solve():
         radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(4.0, 2000), 4)
 
 
+def test_box_wall_counts_the_energy_offset():
+    # the wall is the potential at hi, -v0 included: a deep well lowers it
+    # with the levels, so this box is too small at any v0
+    with pytest.raises(ValueError, match="radial box"):
+        radial_eigenvalues_fd(PotentialParams(v0=100.0), 0, 0, GridSpec(6.3, 2000), 6)
+
+
+def test_default_box_holds_a_raised_ladder():
+    # at v0 = -30 the levels and the wall rise together: the 12-length box
+    # holds the lowest four levels
+    p = PotentialParams(v0=-30.0)
+    eigs = radial_eigenvalues_fd(p, 0, 0, default_radial_grid(p, 3000), 4)
+    want = [energy(p, QuantumNumbers(n, 0, 0)) for n in range(4)]
+    assert eigs == pytest.approx(want, rel=1e-6)
+
+
 def test_angular_solver_validation():
     grid = default_angular_grid(256)
     with pytest.raises(ValueError, match="lam must be >= 0"):

@@ -391,6 +391,18 @@ def test_lattice_bandwidth_guards():
                               LatticeSpec(n_slices=2, r_min=0.02, r_max=8.0, n_grid=400))
 
 
+def test_lattice_grid_starting_where_r_squared_underflows():
+    # below r_min of about 1.5e-162, r * r is 0: the harmonic split must stay
+    # finite there and leave the kernel away from the origin unchanged
+    spec = LatticeSpec(32, r_min=1e-300)
+    # the slice entries at r_min are e^-inf = 0, and their logs warn on the way
+    with np.errstate(divide="ignore"):
+        ref = lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, LatticeSpec(32, r_min=1e-150))
+        _, kern = lattice_kernel_grid(PotentialParams(), 0, 0, 0.5, spec)
+        assert lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, spec) == ref
+    assert np.all(np.isfinite(kern))
+
+
 def test_lattice_endpoints_must_lie_on_grid_interval():
     with pytest.raises(ValueError, match="inside"):
         lattice_radial_kernel(PotentialParams(), 0, 0, 9.0, 1.0, 0.5, LATTICE_64)

@@ -151,6 +151,13 @@ def test_log_bessel_ie_continuous_at_each_handoff_and_never_nan():
             assert math.isfinite(log_bessel_ie(nu, float(x))), (nu, x)
 
 
+def test_log_bessel_ie_past_the_series_cap_raises_value_error():
+    # ive underflows at (4e4, 1e6) and the ascending series needs more than
+    # its 200000 terms there: a promised error naming the point
+    with pytest.raises(ValueError, match=r"nu=40000\.0, x=1000000\.0"):
+        log_bessel_ie(4e4, 1e6)
+
+
 def test_log_bessel_series_agrees_with_ive():
     # the series was the main path over x < 36 and x < 4.5 nu^2 + 25; it
     # stays an independent route checking Amos there (past x of about 100
