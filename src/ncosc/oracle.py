@@ -167,10 +167,10 @@ def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> 
     reported as a warning.
     """
     _check_count("count", count, 1)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be >= 0 and finite, got {lam}")
+    if not 0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     if abs(grid.hi - math.pi / 2) > 1e-12:
         raise ValueError("angular grid must span (0, pi/2)")
     # below 1/2 the wall exponent enters the limit-circle regime: the

@@ -38,13 +38,9 @@ from .model import (
     radial_log_norm,
 )
 from .oracle import gauss_panels
-from .specfun import bessel_i, laguerre_all, log_bessel_ie, log_bessel_ie_from_log
+from .specfun import _LOG_HUGE, bessel_i, laguerre_all, log_bessel_ie_from_log
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
-# math.exp overflows past this
-_LOG_MAX = math.log(np.finfo(float).max)
-# below this a float is subnormal
-_TINY = float(np.finfo(float).tiny)
 _LN2 = math.log(2.0)
 # powers of two beyond this are 0 or overflow in any float sum
 _EXP_CLIP = 1 << 20
@@ -131,13 +127,16 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
 
     Assembled as ln K and exponentiated once, so a kernel that fits in a
-    float is returned even where its factors do not. The Bessel factor
-    enters scaled, as ln I_{ell+1/2}(z) - z with z = mu omega ra rb/(hbar sinh omega tau),
-    and z joins the Gaussian exponent, which becomes
+    float is returned even where its factors do not. Every factor is taken
+    from its logarithm: ln(ra rb) as a sum of logs, ln(mu omega/(hbar sinh omega tau))
+    through expm1, which does not overflow past omega tau = 710 and gives
+    ln(omega tau) where sinh is subnormal, and the Bessel factor scaled, as
+    ln I_{ell+1/2}(z) - z at ln z, z = mu omega ra rb/(hbar sinh omega tau).
+    specfun alone handles the float range of z. z joins the Gaussian
+    exponent, which becomes
     -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
     at short times ln I and the Gaussian are both of order 1/tau and would
-    cancel. Where z or sinh(omega tau) leaves the normal float range, both
-    are taken from logarithms, so tiny endpoints and times keep every digit.
+    cancel.
     """
     if not (0 < ra < math.inf and 0 < rb < math.inf):
         raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
@@ -145,31 +144,18 @@ def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb
     ell = effective_ell(p, n_theta, m)
     wt = p.omega * tau
     scale = p.mu * p.omega / p.hbar
-    # z = 0 or inf below marks a z that must be taken from logarithms
-    if wt >= 700:
-        # sinh overflows near wt = 710; here sinh = cosh = e^wt / 2 to the last bit
-        log_sh, coth, th_half, z = wt - _LN2, 1.0, 1.0, 0.0
-    else:
-        sh, ch = math.sinh(wt), math.cosh(wt)
-        th_half = sh / (ch + 1)
-        if sh >= _TINY:
-            log_sh, coth, z = math.log(sh), ch / sh, scale * ra * rb / sh
-        else:
-            # a subnormal sinh equals omega tau, and coth overflows
-            log_sh, coth, z = math.log(p.omega) + math.log(tau), math.inf, math.inf
-    rr = ra * rb  # may underflow
-    log_rr = math.log(rr) if rr >= _TINY else math.log(ra) + math.log(rb)
-    log_pref = math.log(scale) - log_sh
-    nu = ell + 0.5
-    d = ra - rb
+    log_rr = math.log(ra) + math.log(rb)
+    # ln(scale / sinh wt), with ln sinh wt = wt - ln 2 + ln(1 - e^{-2 wt})
+    log_a = math.log(scale) - (wt - _LN2 + math.log(-math.expm1(-2 * wt)))
+    d = ra - rb  # d^2 / tanh(wt) is 0 at d = 0 even where tanh(wt) is subnormal
     log_k = (
-        log_pref
-        + (log_bessel_ie(nu, z) if _TINY <= z < math.inf else log_bessel_ie_from_log(nu, log_pref + log_rr))
-        - 0.5 * scale * ((d * d * coth if d else 0.0) + 2 * rr * th_half)
+        log_a
+        + log_bessel_ie_from_log(ell + 0.5, log_a + log_rr)
+        - 0.5 * scale * (d * d / math.tanh(wt) + 2 * ra * rb * math.tanh(0.5 * wt))
         + p.v0 * tau / p.hbar
         - 0.5 * log_rr
     )
-    if log_k > _LOG_MAX:
+    if log_k > _LOG_HUGE:
         raise OverflowError(
             f"radial_kernel_closed at tau={tau} with endpoints ({ra}, {rb}) is e^{log_k:.6g}, "
             "beyond the float range"
@@ -183,7 +169,7 @@ def _to_float(exponent, mantissa, what: str):
     with np.errstate(divide="ignore"):
         log_abs = exponent * _LN2 + np.log(np.abs(mantissa))
     worst = float(np.max(log_abs, initial=-math.inf))
-    if worst > _LOG_MAX:
+    if worst > _LOG_HUGE:
         raise OverflowError(f"{what} is e^{worst:.6g}, beyond the float range")
     return np.ldexp(mantissa, np.clip(exponent, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
 
@@ -278,7 +264,7 @@ def radial_kernel_spectral(
     else:
         # 1 - y from expm1: at short times y rounds to 1
         log_tail = log_envelope(0) - (a + 1) * math.log(-math.expm1(-2 * p.omega * tau))
-    tail = np.where(log_tail > _LOG_MAX, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_MAX)), math.ulp(0.0)))
+    tail = np.where(log_tail > _LOG_HUGE, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_HUGE)), math.ulp(0.0)))
     if scalar:
         return SpectralKernel(value=float(value), tail_bound=float(tail))
     return SpectralKernel(value=value, tail_bound=tail)
@@ -388,12 +374,12 @@ def hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float) -> fl
     RHS is the sum over n <= 150 of
     s^{2n+ell+3/2} n! e^{-(X+Y)/2} (XY)^{(ell+1/2)/2} L_n(X) L_n(Y) / Gamma(n+ell+3/2).
     """
-    if x_val <= 0 or y_val <= 0:
-        raise ValueError("hille_hardy_residual requires positive X and Y")
+    if not (0 < x_val < math.inf and 0 < y_val < math.inf):
+        raise ValueError(f"hille_hardy_residual requires finite positive X and Y, got x_val={x_val}, y_val={y_val}")
     if not 0 < s < 1:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if ell < 0:
-        raise ValueError(f"ell must be >= 0, got {ell}")
+    if not 0 <= ell < math.inf:
+        raise ValueError(f"ell must be finite and >= 0, got {ell}")
     a = ell + 0.5
     one_m = 1 - s * s
     lhs = (
@@ -452,12 +438,14 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
         rows, cols = np.ix_(np.arange(len(x)), np.arange(len(y)))
     xr, yc = x[rows], y[cols]
     dr = xr - yc
-    log_t = (
-        np.log(p.mu * np.sqrt(xr * yc) / (p.hbar * eps))
-        + np.log(ive(ell + 0.5, p.mu * xr * yc / (p.hbar * eps)))
-        - p.mu * dr * dr / (2 * p.hbar * eps)
-        - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
-    )
+    # where xr yc or ive underflows to 0, ln 0 = -inf is the intended e^-inf = 0 entry
+    with np.errstate(divide="ignore"):
+        log_t = (
+            np.log(p.mu * np.sqrt(xr * yc) / (p.hbar * eps))
+            + np.log(ive(ell + 0.5, p.mu * xr * yc / (p.hbar * eps)))
+            - p.mu * dr * dr / (2 * p.hbar * eps)
+            - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
+        )
     if x is not y:
         return np.exp(log_t)
     out = np.empty((len(x), len(x)))

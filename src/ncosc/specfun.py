@@ -259,7 +259,8 @@ def _log_bessel_asymptotic(nu: float, x: float) -> float:
         prev_mag = mag
         if mag < 1e-18:
             break
-    return math.log(total) - 0.5 * math.log(2 * math.pi * x)
+    # 2 pi x overflows past x = 2.9e307, so its logarithm is taken as a sum
+    return math.log(total) - 0.5 * (math.log(2 * math.pi) + math.log(x))
 
 
 def log_bessel_ie(nu: float, x: float) -> float:
@@ -271,9 +272,10 @@ def log_bessel_ie(nu: float, x: float) -> float:
     returns a normal float. Raises ValueError where ive underflows and the
     ascending series would need more than 200000 terms.
     """
-    if not (nu >= 0 and 0 <= x < math.inf):
-        raise ValueError(f"log_bessel_ie requires nu >= 0 and finite x >= 0, got nu={nu}, x={x}")
-    scaled = _ive(float(nu), float(x))
+    if not (0 <= nu < math.inf and 0 <= x < math.inf):
+        raise ValueError(f"log_bessel_ie requires finite nu >= 0 and finite x >= 0, got nu={nu}, x={x}")
+    nu, x = float(nu), float(x)
+    scaled = _ive(nu, x)
     if scaled >= _TINY:
         return math.log(scaled)
     if x == 0:  # and nu > 0: ive(0, 0) = 1 returned above
@@ -291,8 +293,8 @@ def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
     float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
     above it the leading term e^x / sqrt(2 pi x) of its expansion. log_x =
     -inf is x = 0 itself, where I_0 is 1 and every other order is 0."""
-    if not nu >= 0:
-        raise ValueError(f"log_bessel_ie_from_log requires nu >= 0, got nu={nu}")
+    if not 0 <= nu < math.inf:
+        raise ValueError(f"log_bessel_ie_from_log requires finite nu >= 0, got nu={nu}")
     if -math.inf < log_x < _LOG_TINY:
         return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
     if log_x > _LOG_HUGE:
@@ -306,8 +308,8 @@ def bessel_i(nu: float, x: float) -> float:
     exp(log_bessel_ie(nu, x) + x); results exceeding the floating range
     raise OverflowError rather than returning inf.
     """
-    if not (nu >= 0 and x >= 0):
-        raise ValueError(f"bessel_i requires nu >= 0 and x >= 0, got nu={nu}, x={x}")
+    if not (0 <= nu < math.inf and x >= 0):
+        raise ValueError(f"bessel_i requires finite nu >= 0 and x >= 0, got nu={nu}, x={x}")
     lg = log_bessel_ie(nu, x) + x
     if lg > _LOG_HUGE:
         raise OverflowError(f"bessel_i result exceeds floating range: ln I_{nu}({x}) = {lg:.6g}")
@@ -322,9 +324,12 @@ def bessel_short_time_ratio(m: int, eps: float) -> float:
     to 1 as eps -> 0. Both sides carry e^{1/eps}, which cancels exactly: the
     exact side enters scaled, as ln I_m(1/eps) - 1/eps.
     """
-    if eps <= 0:
-        raise ValueError(f"bessel_short_time_ratio requires eps > 0, got eps={eps}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"bessel_short_time_ratio requires finite eps > 0, got eps={eps}")
     order = abs(int(m))
     log_exact = log_bessel_ie(float(order), 1.0 / eps)
     log_asym = 0.5 * math.log(eps / (2 * math.pi)) - (eps / 2.0) * (m * m - 0.25)
-    return math.exp(log_exact - log_asym)
+    log_ratio = log_exact - log_asym
+    if log_ratio > _LOG_HUGE:
+        raise OverflowError(f"bessel_short_time_ratio at m={m}, eps={eps} is e^{log_ratio:.6g}, beyond the float range")
+    return math.exp(log_ratio)

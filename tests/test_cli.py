@@ -215,6 +215,7 @@ GOLDEN_ARGS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGS))
+@pytest.mark.filterwarnings("error")
 def test_spectrum_matches_golden_table(capsys, name, fmt):
     code, out, _ = run_cli(capsys, "spectrum", *GOLDEN_ARGS[name], "--format", fmt, "--no-timestamp")
     assert code == 0
@@ -237,6 +238,7 @@ WAVEFUNCTION_GOLDEN_ARGS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(WAVEFUNCTION_GOLDEN_ARGS))
+@pytest.mark.filterwarnings("error")
 def test_wavefunction_matches_golden_table(capsys, name, fmt):
     code, out, _ = run_cli(capsys, "wavefunction", *WAVEFUNCTION_GOLDEN_ARGS[name], "--format", fmt,
                            "--no-timestamp")
@@ -343,6 +345,7 @@ PROPAGATOR_GOLDEN_ARGS = {
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", sorted(PROPAGATOR_GOLDEN_ARGS))
+@pytest.mark.filterwarnings("error")
 def test_propagator_matches_golden_table(capsys, name, fmt):
     argv, want_code = PROPAGATOR_GOLDEN_ARGS[name]
     code, out, _ = run_cli(capsys, "propagator", *argv, "--format", fmt, "--no-timestamp")
@@ -416,6 +419,7 @@ def test_verify_suite_passes(capsys):
     assert "# passed" in out
 
 
+@pytest.mark.filterwarnings("error")
 def test_verify_all_matches_golden_table(capsys):
     # `ncosc verify --suite all --no-timestamp`: every observed value of the
     # 30 checks, to 17 digits

@@ -28,7 +28,7 @@ from ncosc.propagator import (
     radial_kernel_closed,
     radial_kernel_spectral,
 )
-from ncosc.oracle import GridSpec
+from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid
 from ncosc.spectrum import enumerate_states
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
@@ -97,10 +97,11 @@ def _closed_kernel_mp(ell, ra, rb, tau):
                 * mpmath.exp(-(ra * ra + rb * rb) * mpmath.cosh(tau) / (2 * sh)))
 
 
-@pytest.mark.parametrize("tau", [1e-320, 1e-300, 1e-20, 1e-9, 2e-3])
+@pytest.mark.parametrize("tau", [1e-320, 1.1e-308, 2.2e-308, 1e-300, 1e-20, 1e-9, 2e-3])
 def test_closed_kernel_at_short_times_matches_mpmath(tau):
     # ln I and the Gaussian exponent are both of order 1/tau and cancel;
-    # at 1e-320 sinh(tau) is subnormal and coth overflows
+    # at 1e-320 sinh(tau) is subnormal and coth overflows, and sinh(tau)
+    # leaves the normal range between 2.2e-308 and 1.1e-308
     for ra, rb in [(1.0, 1.0), (3.0, 3.0), (1.0, 1.0 + 1e-10)]:
         want = _closed_kernel_mp(1.0, ra, rb, tau)
         got = radial_kernel_closed(PotentialParams(), 0, 0, ra, rb, tau)
@@ -109,13 +110,22 @@ def test_closed_kernel_at_short_times_matches_mpmath(tau):
 
 def test_closed_kernel_at_tiny_endpoints_matches_mpmath():
     # ell_tilde = 0 (alpha = -2) tends to a constant as r -> 0; ell_tilde = 1
-    # falls like r^2 and leaves the float range below r = 1e-162
-    for p, ell in [(PotentialParams(alpha=-2.0), 0.0), (PotentialParams(), 1.0)]:
-        for r in (1e-100, 1e-155, 1e-160, 1e-170, 1e-300):
-            want = _closed_kernel_mp(ell, r, r, 1.0)
-            got = radial_kernel_closed(p, 0, 0, r, r, 1.0)
-            assert abs(got - want) <= 1e-13 * want + 5e-324, (ell, r)
+    # falls like r^2 and leaves the float range below r = 1e-162; r^2 leaves
+    # the normal range between 1.6e-154 and 1.4e-154
+    radii = (1e-100, 1.6e-154, 1.4e-154, 1e-155, 1e-160, 1e-170, 1e-300)
+    cases = [(PotentialParams(alpha=-2.0), 0.0, r) for r in radii]
+    cases += [(PotentialParams(), 1.0, r) for r in radii if r != 1.6e-154]
+    for p, ell, r in cases:
+        want = _closed_kernel_mp(ell, r, r, 1.0)
+        got = radial_kernel_closed(p, 0, 0, r, r, 1.0)
+        assert abs(got - want) <= 1e-13 * want + 5e-324, (ell, r)
     assert radial_kernel_closed(PotentialParams(), 0, 0, 1e-170, 1e-170, 1.0) == 0.0
+    # at (ell_tilde = 1, r = 1.6e-154) K = 4.5e-309 = e^-710, and 1e-13 of it
+    # is less than one ulp of ln K (1.1e-13): ln K is a sum of terms up to
+    # ln I = -1064 in size, so a few of its ulps is what log space can hold
+    want = _closed_kernel_mp(1.0, 1.6e-154, 1.6e-154, 1.0)
+    got = radial_kernel_closed(PotentialParams(), 0, 0, 1.6e-154, 1.6e-154, 1.0)
+    assert abs(got - want) <= 4 * math.ulp(math.log(want)) * want
 
 
 @pytest.mark.parametrize("call, name", [
@@ -131,6 +141,10 @@ def test_closed_kernel_at_tiny_endpoints_matches_mpmath():
     (lambda: PropagatorQuery(1.0, 1.0, 0.5, 0.5, 0.0, 0.0, math.inf, 10, 2, 2), "tau"),
     (lambda: angular_kernel_spectral(PotentialParams(), 0, 0.5, 0.5, math.nan, 4), "s_tau"),
     (lambda: lattice_kernel_grid(PotentialParams(), 0, 0, math.nan, LATTICE_64), "tau"),
+    (lambda: hille_hardy_residual(math.nan, 1.0, 0.5, 1.0), "x_val"),
+    (lambda: hille_hardy_residual(1.0, 1.0, 0.5, math.inf), "ell"),
+    (lambda: angular_eigenvalues_fd(math.nan, 1.5, default_angular_grid(256), 1), "lam must"),
+    (lambda: angular_eigenvalues_fd(1.0, math.nan, default_angular_grid(256), 1), "k must"),
 ])
 def test_non_finite_input_raises_value_error(call, name):
     with pytest.raises(ValueError, match=name):
@@ -218,17 +232,18 @@ def test_full_kernel_at_large_x_matches_closed_sectors():
 
 def test_closed_kernel_past_sinh_range():
     # sinh(omega tau) overflows past tau ~ 710; the kernel grows like
-    # e^{-E_0 tau/hbar}, E_0 = -1/2 here, and still fits
+    # e^{-E_0 tau/hbar}, E_0 = -1/2 here, and still fits; the other times
+    # straddle 700 and 710
     p = PotentialParams(v0=3.0)
-    for tau in (650.0, 800.0):
+    for tau in (650.0, 699.99, 700.01, 709.5, 710.5, 800.0):
         spectral = radial_kernel_spectral(p, 0, 0, 1.2, 0.7, tau, 5).value
         assert radial_kernel_closed(p, 0, 0, 1.2, 0.7, tau) == pytest.approx(spectral, rel=1e-11)
     assert radial_kernel_closed(PotentialParams(), 0, 0, 1.2, 0.7, 800.0) == 0.0
 
 
 def test_closed_kernel_bessel_argument_from_its_log_in_range():
-    # past omega tau = 700, and where sinh(omega tau) is subnormal, the
-    # Bessel argument z is taken from its logarithm; in both cases here z
+    # the Bessel argument z is taken from its logarithm, past omega tau =
+    # 700 and where sinh(omega tau) is subnormal alike; in both cases here z
     # itself is a normal float (1.3e-306 and 1e300)
     got = radial_kernel_closed(PotentialParams(v0=3.0), 0, 0, 1.0, 1.0, 705.0)
     assert got == pytest.approx(6.7905380162459842e+152, rel=1e-13)  # mpmath, 50 digits
@@ -391,15 +406,16 @@ def test_lattice_bandwidth_guards():
                               LatticeSpec(n_slices=2, r_min=0.02, r_max=8.0, n_grid=400))
 
 
+@pytest.mark.filterwarnings("error")
 def test_lattice_grid_starting_where_r_squared_underflows():
     # below r_min of about 1.5e-162, r * r is 0: the harmonic split must stay
-    # finite there and leave the kernel away from the origin unchanged
+    # finite there and leave the kernel away from the origin unchanged. The
+    # slice entries where ive (from r_min = 1e-150) or r r' (at 1e-300)
+    # underflows are e^-inf = 0, and taking their logs must not warn
     spec = LatticeSpec(32, r_min=1e-300)
-    # the slice entries at r_min are e^-inf = 0, and their logs warn on the way
-    with np.errstate(divide="ignore"):
-        ref = lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, LatticeSpec(32, r_min=1e-150))
-        _, kern = lattice_kernel_grid(PotentialParams(), 0, 0, 0.5, spec)
-        assert lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, spec) == ref
+    ref = lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, LatticeSpec(32, r_min=1e-150))
+    _, kern = lattice_kernel_grid(PotentialParams(), 0, 0, 0.5, spec)
+    assert lattice_radial_kernel(PotentialParams(), 0, 0, 0.8, 1.2, 0.5, spec) == ref
     assert np.all(np.isfinite(kern))
 
 

@@ -121,6 +121,11 @@ def test_log_bessel_ie_where_ive_cannot_answer():
         for x in (1e9, 1.07e9, 2e9, 1e12):
             assert log_bessel_ie(nu, x) == pytest.approx(_mp_log_bessel_ie(nu, x), rel=1e-14), (nu, x)
     assert math.isnan(scipy.special.ive(0.5, 2e9))
+    # up to the largest float, where 2 pi x overflows (past x = 2.9e307);
+    # there ln I - x is -ln(2 pi x)/2 to far below rounding
+    for x in (1e300, 3e307, np.finfo(float).max):
+        want = float(-mpmath.log(2 * mpmath.pi * mpmath.mpf(x)) / 2)
+        assert log_bessel_ie(1.5, x) == pytest.approx(want, rel=1e-14), x
 
 
 def test_log_bessel_ie_continuous_at_each_handoff_and_never_nan():
@@ -350,6 +355,17 @@ def test_domain_validation():
         bessel_i(-0.5, 1.0)
     with pytest.raises(ValueError, match="eps > 0"):
         bessel_short_time_ratio(1, 0.0)
+    # infinite orders, and an eps that is infinite or NaN
+    for call in (lambda: log_bessel_ie(math.inf, 1.0), lambda: log_bessel_ie_from_log(math.inf, 0.0),
+                 lambda: bessel_i(math.inf, 1.0)):
+        with pytest.raises(ValueError, match="nu >= 0"):
+            call()
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps > 0"):
+            bessel_short_time_ratio(1, eps)
+    # e^{1/eps} no longer cancels anything here: the ratio is e^{3.75e299}
+    with pytest.raises(OverflowError, match="beyond the float range"):
+        bessel_short_time_ratio(1, 1e300)
 
 
 def test_jacobi_refuses_a_recurrence_that_divides_by_zero():
