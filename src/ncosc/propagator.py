@@ -38,6 +38,7 @@ from .model import (
     radial_log_norm,
 )
 from .oracle import gauss_panels
+from . import specfun
 from .specfun import _LOG_HUGE, bessel_i, laguerre_all, log_bessel_ie_from_log
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
@@ -126,32 +127,31 @@ class SpectralKernel(NamedTuple):
 def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
     """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
 
-    Assembled as ln K and exponentiated once, so a kernel that fits in a
-    float is returned even where its factors do not. Every factor is taken
-    from its logarithm: ln(ra rb) as a sum of logs, ln(mu omega/(hbar sinh omega tau))
-    through expm1, which does not overflow past omega tau = 710 and gives
-    ln(omega tau) where sinh is subnormal, and the Bessel factor scaled, as
-    ln I_{ell+1/2}(z) - z at ln z, z = mu omega ra rb/(hbar sinh omega tau).
-    specfun alone handles the float range of z. z joins the Gaussian
-    exponent, which becomes
-    -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
-    at short times ln I and the Gaussian are both of order 1/tau and would
-    cancel.
+    One expression for ln K, exponentiated once, in which every factor is a
+    logarithm; specfun alone handles the float range of the Bessel argument
+    z = mu omega ra rb/(hbar sinh omega tau). The functions of omega tau come
+    from s = (1 - e^{-omega tau})/(omega tau), 1 at omega tau = 0, and the
+    product omega tau is never logged, so the kernel keeps its digits where it
+    is subnormal or 0. ln I_{ell+1/2}(z) - z enters scaled, and z joins the
+    Gaussian exponent -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
+    at short times both are of order 1/tau and would cancel.
     """
     if not (0 < ra < math.inf and 0 < rb < math.inf):
         raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
-    _check_tau(tau)
-    ell = effective_ell(p, n_theta, m)
     wt = p.omega * tau
-    scale = p.mu * p.omega / p.hbar
+    if not (0 < tau and wt < math.inf):
+        raise ValueError(f"tau must be positive with omega tau finite, got tau={tau}, omega={p.omega}")
+    ell = effective_ell(p, n_theta, m)
+    s = specfun._exprel(-wt)
+    u = wt * s  # 1 - e^{-omega tau}; tanh(omega tau/2) = u/(2 - u)
+    c = s * (2 - u)  # (1 - e^{-2 omega tau})/(omega tau); coth(omega tau) = (2 - u (2 - u))/(omega tau c)
     log_rr = math.log(ra) + math.log(rb)
-    # ln(scale / sinh wt), with ln sinh wt = wt - ln 2 + ln(1 - e^{-2 wt})
-    log_a = math.log(scale) - (wt - _LN2 + math.log(-math.expm1(-2 * wt)))
-    d = ra - rb  # d^2 / tanh(wt) is 0 at d = 0 even where tanh(wt) is subnormal
+    log_a = math.log(2 * p.mu / p.hbar) - math.log(tau) - math.log(c) - wt  # ln(mu omega/(hbar sinh omega tau))
+    d = ra - rb
     log_k = (
         log_a
         + log_bessel_ie_from_log(ell + 0.5, log_a + log_rr)
-        - 0.5 * scale * (d * d / math.tanh(wt) + 2 * ra * rb * math.tanh(0.5 * wt))
+        - p.mu / p.hbar * (0.5 * d * d / tau * (2 - u * (2 - u)) / c + p.omega * ra * (rb * u) / (2 - u))
         + p.v0 * tau / p.hbar
         - 0.5 * log_rr
     )

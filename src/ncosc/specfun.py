@@ -194,15 +194,19 @@ def jacobi_all(n_max: int, a: float, b: float, x) -> np.ndarray:
     return _three_term(rows, xa)
 
 
-def _ive(nu: float, x: float) -> float:
-    """e^-x I_nu(x) from scipy's compiled scalar ive, imported on the first
-    call: this stub rebinds the module's _ive to the compiled function, so
-    every later call goes to it directly, with no import on the hot path."""
-    global _ive
-    from scipy.special.cython_special import ive
+def _compiled(name: str):
+    """Stub for scipy's compiled scalar `name`: its first call rebinds the
+    module's _<name> to the compiled function, so later calls pay no import."""
+    def stub(*args):
+        from scipy.special import cython_special
+        fn = globals()["_" + name] = getattr(cython_special, name)
+        return fn(*args)
 
-    _ive = ive
-    return ive(nu, x)
+    return stub
+
+
+_ive = _compiled("ive")  # e^-x I_nu(x)
+_exprel = _compiled("exprel")  # (e^x - 1)/x, 1 at x = 0
 
 
 def _log_bessel_series(nu: float, x: float) -> float:
@@ -299,7 +303,9 @@ def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
         return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
     if log_x > _LOG_HUGE:
         return -0.5 * (math.log(2 * math.pi) + log_x)
-    return log_bessel_ie(nu, math.exp(log_x))
+    x = math.exp(log_x)
+    scaled = _ive(nu, x)  # log_bessel_ie's first path, here without its checks
+    return math.log(scaled) if scaled >= _TINY else log_bessel_ie(nu, x)
 
 
 def bessel_i(nu: float, x: float) -> float:

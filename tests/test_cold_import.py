@@ -63,3 +63,12 @@ def test_first_bessel_call_binds_the_compiled_ive():
         "from scipy.special.cython_special import ive\n"
         "assert specfun._ive is ive\n"
     )
+
+
+def test_first_closed_kernel_call_binds_the_compiled_exprel():
+    loaded_after(
+        "from ncosc import propagator, specfun\n"
+        "propagator.radial_kernel_closed(propagator.PotentialParams(), 0, 0, 1.0, 1.0, 0.5)\n"
+        "from scipy.special.cython_special import exprel\n"
+        "assert specfun._exprel is exprel\n"
+    )

@@ -87,14 +87,16 @@ def test_closed_kernel_short_time_is_finite():
     assert val == pytest.approx(free, rel=1e-5)
 
 
-def _closed_kernel_mp(ell, ra, rb, tau):
-    """The closed kernel at unit scales, in the unscaled textbook form, with
-    digits enough to survive the cancellation of its two large exponents."""
-    with mpmath.workdps(40 + max(0, int(-math.log10(tau)))):
-        ra, rb, tau = mpmath.mpf(ra), mpmath.mpf(rb), mpmath.mpf(tau)
-        sh = mpmath.sinh(tau)
-        return (mpmath.besseli(ell + 0.5, ra * rb / sh) / sh / mpmath.sqrt(ra * rb)
-                * mpmath.exp(-(ra * ra + rb * rb) * mpmath.cosh(tau) / (2 * sh)))
+def _closed_kernel_mp(ell, ra, rb, tau, omega=1.0):
+    """The closed kernel at mu = hbar = 1, in the unscaled textbook form, with
+    omega tau formed exactly and digits enough to survive the cancellation of
+    its two large exponents."""
+    with mpmath.workdps(40 + max(0, int(-math.log10(omega) - math.log10(tau)))):
+        ra, rb, omega = mpmath.mpf(ra), mpmath.mpf(rb), mpmath.mpf(omega)
+        wt = omega * mpmath.mpf(tau)
+        sh = mpmath.sinh(wt)
+        return (omega * mpmath.besseli(ell + 0.5, omega * ra * rb / sh) / sh / mpmath.sqrt(ra * rb)
+                * mpmath.exp(-omega * (ra * ra + rb * rb) * mpmath.cosh(wt) / (2 * sh)))
 
 
 @pytest.mark.parametrize("tau", [1e-320, 1.1e-308, 2.2e-308, 1e-300, 1e-20, 1e-9, 2e-3])
@@ -106,6 +108,17 @@ def test_closed_kernel_at_short_times_matches_mpmath(tau):
         want = _closed_kernel_mp(1.0, ra, rb, tau)
         got = radial_kernel_closed(PotentialParams(), 0, 0, ra, rb, tau)
         assert abs(got - want) <= 1e-13 * want + 5e-324, (ra, rb, tau)
+
+
+@pytest.mark.parametrize("omega, tau", [(1.3, 1e-320), (0.1, 5e-324), (0.7, 2e-308), (2.3, 1e-300)])
+def test_closed_kernel_at_short_times_off_unit_omega_matches_mpmath(omega, tau):
+    # the float product omega tau is subnormal at (1.3, 1e-320) and
+    # (0.7, 2e-308) and rounds to 0 at (0.1, 5e-324); the reference forms it exactly
+    p = PotentialParams(omega=omega)
+    for ra, rb in [(1.0, 1.0), (3.0, 3.0), (1.0, 1.0 + 1e-10)]:
+        want = _closed_kernel_mp(1.0, ra, rb, tau, omega)
+        got = radial_kernel_closed(p, 0, 0, ra, rb, tau)
+        assert abs(got - want) <= 1e-13 * want + 5e-324, (ra, rb)
 
 
 def test_closed_kernel_at_tiny_endpoints_matches_mpmath():
@@ -134,6 +147,7 @@ def test_closed_kernel_at_tiny_endpoints_matches_mpmath():
     (lambda: enumerate_states(PotentialParams(alpha=math.nan), 5.0, 2), "alpha"),
     (lambda: radial_kernel_closed(PotentialParams(), 0, 0, 1.0, 1.0, math.nan), "tau"),
     (lambda: radial_kernel_closed(PotentialParams(), 0, 0, math.inf, 1.0, 1.0), "ra"),
+    (lambda: radial_kernel_closed(PotentialParams(omega=2.0), 0, 0, 1.0, 1.0, 1e308), "omega tau"),
     (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, 1.0, 1.0, math.nan, 10), "tau"),
     (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, math.nan, 1.0, 1.0, 10), "ra"),
     (lambda: radial_kernel_spectral(PotentialParams(), 0, 0, 1.0, [1.0, math.inf], 1.0, 10), "rb"),
@@ -250,6 +264,11 @@ def test_closed_kernel_bessel_argument_from_its_log_in_range():
     # at tau = 1e-320 the kernel between (1e-10, 1e-10) is the free kernel
     p, r, tau = PotentialParams(), 1e-10, 1e-320
     free = math.sqrt(p.mu / (2 * math.pi * p.hbar)) / math.sqrt(tau) / (r * r)
+    assert radial_kernel_closed(p, 0, 0, r, r, tau) == pytest.approx(free, rel=1e-13)
+    # and where omega tau rounds to 0 and ra rb = 9e320 overflows, so that
+    # 1 - e^{-omega tau} = 0 must not meet ra rb = inf
+    p, r, tau = PotentialParams(omega=0.1), 3e160, 5e-324
+    free = math.sqrt(p.mu / (2 * math.pi * p.hbar)) / math.sqrt(tau) / r / r
     assert radial_kernel_closed(p, 0, 0, r, r, tau) == pytest.approx(free, rel=1e-13)
 
 
