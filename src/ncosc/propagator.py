@@ -1,5 +1,4 @@
-"""Euclidean-time kernels: the closed radial form, spectral sums, the
-Hille-Hardy identity residual, the quartic-moment identity, and a
+"""Euclidean-time kernels: the closed radial form, spectral sums, and a
 transfer-matrix lattice propagator for the discretized radial action.
 
 All kernels live at imaginary time tau > 0, where they are positive and
@@ -12,7 +11,8 @@ every identity is numerically checkable. The closed radial kernel
 
 integrates against the r^2 dr measure, matching the spectral form
 sum_n e^{-E_n tau/hbar} R_n(ra) R_n(rb); the lattice kernel is normalized
-to the same convention.
+to the same convention. ln K is coded once, in _log_radial_kernel, and the
+lattice slice is that expression at omega = 0, the free radial kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .model import (
 )
 from .oracle import gauss_panels
 from . import specfun
-from .specfun import _LOG_HUGE, bessel_i, laguerre_all, log_bessel_ie_from_log
+from .specfun import _LOG_HUGE, _TINY, log_bessel_ie_from_log
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 _LN2 = math.log(2.0)
@@ -55,8 +55,6 @@ __all__ = [
     "angular_kernel_spectral",
     "full_kernel_spectral",
     "integrated_diagonal_kernel",
-    "hille_hardy_residual",
-    "quartic_moment_check",
     "lattice_radial_kernel",
     "lattice_kernel_grid",
 ]
@@ -124,37 +122,42 @@ class SpectralKernel(NamedTuple):
     tail_bound: float
 
 
-def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
-    """Closed-form Euclidean radial kernel for the (n_theta, m) sector.
+def _log_radial_kernel(mu_over_hbar: float, omega: float, nu: float, ra, rb, tau: float):
+    """ln K/e^{v0 tau/hbar} of order nu = ell + 1/2, at endpoints ra and rb
+    that are floats or broadcast arrays; at omega = 0 it is the free radial kernel.
 
-    One expression for ln K, exponentiated once, in which every factor is a
-    logarithm; specfun alone handles the float range of the Bessel argument
+    One expression in which every factor is a logarithm; specfun alone
+    handles the float range of the Bessel argument
     z = mu omega ra rb/(hbar sinh omega tau). The functions of omega tau come
     from s = (1 - e^{-omega tau})/(omega tau), 1 at omega tau = 0, and the
     product omega tau is never logged, so the kernel keeps its digits where it
-    is subnormal or 0. ln I_{ell+1/2}(z) - z enters scaled, and z joins the
+    is subnormal or 0. ln I_nu(z) - z enters scaled, and z joins the
     Gaussian exponent -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
     at short times both are of order 1/tau and would cancel.
     """
-    if not (0 < ra < math.inf and 0 < rb < math.inf):
-        raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
-    wt = p.omega * tau
-    if not (0 < tau and wt < math.inf):
-        raise ValueError(f"tau must be positive with omega tau finite, got tau={tau}, omega={p.omega}")
-    ell = effective_ell(p, n_theta, m)
+    wt = omega * tau
     s = specfun._exprel(-wt)
     u = wt * s  # 1 - e^{-omega tau}; tanh(omega tau/2) = u/(2 - u)
     c = s * (2 - u)  # (1 - e^{-2 omega tau})/(omega tau); coth(omega tau) = (2 - u (2 - u))/(omega tau c)
-    log_rr = math.log(ra) + math.log(rb)
-    log_a = math.log(2 * p.mu / p.hbar) - math.log(tau) - math.log(c) - wt  # ln(mu omega/(hbar sinh omega tau))
+    # math.log on floats: np.log on two floats would add about 40% to a closed-kernel call
+    log = math.log if type(ra) is type(rb) is float else np.log
+    log_rr = log(ra) + log(rb)
+    log_a = math.log(2 * mu_over_hbar) - math.log(tau) - math.log(c) - wt  # ln(mu omega/(hbar sinh omega tau))
     d = ra - rb
-    log_k = (
-        log_a
-        + log_bessel_ie_from_log(ell + 0.5, log_a + log_rr)
-        - p.mu / p.hbar * (0.5 * d * d / tau * (2 - u * (2 - u)) / c + p.omega * ra * (rb * u) / (2 - u))
-        + p.v0 * tau / p.hbar
-        - 0.5 * log_rr
-    )
+    return (log_a + log_bessel_ie_from_log(nu, log_a + log_rr)
+            - mu_over_hbar * (0.5 * d * d / tau * (2 - u * (2 - u)) / c + omega * ra * (rb * u) / (2 - u))
+            - 0.5 * log_rr)
+
+
+def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
+    """Closed-form Euclidean radial kernel for the (n_theta, m) sector,
+    exp(_log_radial_kernel + v0 tau/hbar), exponentiated once."""
+    if not (0 < ra < math.inf and 0 < rb < math.inf):
+        raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
+    if not (0 < tau and p.omega * tau < math.inf):
+        raise ValueError(f"tau must be positive with omega tau finite, got tau={tau}, omega={p.omega}")
+    ell = effective_ell(p, n_theta, m)
+    log_k = _log_radial_kernel(p.mu / p.hbar, p.omega, ell + 0.5, ra, rb, tau) + p.v0 * tau / p.hbar
     if log_k > _LOG_HUGE:
         raise OverflowError(
             f"radial_kernel_closed at tau={tau} with endpoints ({ra}, {rb}) is e^{log_k:.6g}, "
@@ -262,8 +265,11 @@ def radial_kernel_spectral(
     if ratio < 1:
         log_tail = log_envelope(n_cut + 1) - math.log1p(-ratio)
     else:
-        # 1 - y from expm1: at short times y rounds to 1
-        log_tail = log_envelope(0) - (a + 1) * math.log(-math.expm1(-2 * p.omega * tau))
+        # 1 - y from expm1 (y rounds to 1 at short times), and below the normal
+        # range as 2 omega tau from its factors, since that product may round to 0
+        one_m_y = -math.expm1(-2 * p.omega * tau)
+        log_one_m_y = math.log(one_m_y) if one_m_y >= _TINY else _LN2 + math.log(p.omega) + math.log(tau)
+        log_tail = log_envelope(0) - (a + 1) * log_one_m_y
     tail = np.where(log_tail > _LOG_HUGE, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_HUGE)), math.ulp(0.0)))
     if scalar:
         return SpectralKernel(value=float(value), tail_bound=float(tail))
@@ -367,69 +373,17 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     return total
 
 
-def hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float) -> float:
-    """|LHS - RHS| of the bilinear Laguerre generating identity.
-
-    LHS = s/(1-s^2) exp[-(X+Y)(1+s^2)/(2(1-s^2))] I_{ell+1/2}(2 sqrt(XY) s/(1-s^2));
-    RHS is the sum over n <= 150 of
-    s^{2n+ell+3/2} n! e^{-(X+Y)/2} (XY)^{(ell+1/2)/2} L_n(X) L_n(Y) / Gamma(n+ell+3/2).
-    """
-    if not (0 < x_val < math.inf and 0 < y_val < math.inf):
-        raise ValueError(f"hille_hardy_residual requires finite positive X and Y, got x_val={x_val}, y_val={y_val}")
-    if not 0 < s < 1:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
-    if not 0 <= ell < math.inf:
-        raise ValueError(f"ell must be finite and >= 0, got {ell}")
-    a = ell + 0.5
-    one_m = 1 - s * s
-    lhs = (
-        (s / one_m)
-        * math.exp(-0.5 * (x_val + y_val) * (1 + s * s) / one_m)
-        * bessel_i(a, 2 * math.sqrt(x_val * y_val) * s / one_m)
-    )
-    lx, ly = laguerre_all(150, a, [x_val, y_val]).T
-    ns = np.arange(lx.size)
-    # n! / Gamma(n+ell+3/2) is half the squared radial norm at unit scale
-    log_coeff = 2 * radial_log_norm(PotentialParams(), ns, ell) - math.log(2.0)
-    weights = np.exp(
-        (2 * ns + ell + 1.5) * math.log(s) + log_coeff - 0.5 * (x_val + y_val) + 0.5 * a * math.log(x_val * y_val)
-    )
-    rhs = float(np.sum(weights * lx * ly))
-    return abs(lhs - rhs)
-
-
-def quartic_moment_check(a: float) -> float:
-    """Residual of int u^4 e^{-a u^2} du = (3/4a^2) int e^{-a u^2} du over the line.
-
-    Both integrals are evaluated on shared trapezoid nodes after rescaling
-    u = v/sqrt(a), which keeps the quadrature at unit width for every a.
-    The trapezoid rule is spectrally accurate for entire integrands that
-    decay below machine precision inside the window, and its exact dyadic
-    nodes and weights avoid the ~1e-15 node-placement noise of constructed
-    Gauss rules, which the a^(-5/2) amplification at small a would expose.
-    """
-    if not 0 < a < math.inf:
-        raise ValueError(f"quartic_moment_check requires finite a > 0, got {a}")
-    h = 0.25
-    v = h * np.arange(-36, 37)
-    diff = math.fsum(h * (v**4 - 0.75) * np.exp(-v * v))
-    return a**-2.5 * abs(diff)
-
-
 def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
     """One-slice Euclidean kernel between row points x and column points y,
     flat-measure normalization.
 
     The centrifugal part of the sliced radial action is resummed into the
-    exact free-radial slice (mu/hbar eps) sqrt(r r') I_{ell+1/2}(mu r r'/hbar eps)
-    e^{-mu(r^2+r'^2)/2 hbar eps}, which carries the r=0 boundary condition
-    exactly; only the smooth harmonic part is split symmetrically across the
-    slice endpoints. A naive e^{-eps V_eff} splitting of the 1/r^2 term
-    degrades the Trotter order from eps^2 to eps^(3/2) and loses the
-    second-order convergence signature the ratio checks rely on.
+    exact free radial kernel, _log_radial_kernel at omega = 0, which carries
+    the r=0 boundary condition exactly; only the smooth harmonic part is split
+    symmetrically across the slice endpoints. A naive e^{-eps V_eff} splitting
+    of the 1/r^2 term degrades the Trotter order from eps^2 to eps^(3/2) and
+    loses the second-order convergence signature the ratio checks rely on.
     """
-    from scipy.special import ive
-
     vx, vy = _radial_potential(p, 0.0, x), _radial_potential(p, 0.0, y)
     if x is y:
         # the kernel is symmetric: evaluate the upper triangle and mirror it
@@ -437,15 +391,12 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
     else:
         rows, cols = np.ix_(np.arange(len(x)), np.arange(len(y)))
     xr, yc = x[rows], y[cols]
-    dr = xr - yc
-    # where xr yc or ive underflows to 0, ln 0 = -inf is the intended e^-inf = 0 entry
-    with np.errstate(divide="ignore"):
-        log_t = (
-            np.log(p.mu * np.sqrt(xr * yc) / (p.hbar * eps))
-            + np.log(ive(ell + 0.5, p.mu * xr * yc / (p.hbar * eps)))
-            - p.mu * dr * dr / (2 * p.hbar * eps)
-            - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
-        )
+    # the flat measure r r' in parentheses, so that the sum is symmetric in r, r'
+    log_t = (
+        _log_radial_kernel(p.mu / p.hbar, 0.0, ell + 0.5, xr, yc, eps)
+        + (np.log(xr) + np.log(yc))
+        - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
+    )
     if x is not y:
         return np.exp(log_t)
     out = np.empty((len(x), len(x)))

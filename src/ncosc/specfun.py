@@ -1,6 +1,6 @@
-"""Special-function kernel: the Gamma ratio, generalized Laguerre and
-Jacobi polynomials, and the modified Bessel function of the first kind.
-Log-gamma is math.lgamma, a few ulp across its whole domain.
+"""Special-function kernel: generalized Laguerre and Jacobi polynomials,
+and the modified Bessel function of the first kind. Log-gamma is
+math.lgamma, a few ulp across its whole domain.
 
 Everything downstream (wavefunction norms, closed-form kernels, spectral
 sums) is built from these callables, so they are kept free of any
@@ -13,12 +13,13 @@ column on Python floats, where numpy's fixed cost per operation would
 dominate, and a wider one on numpy arrays. Both do the same IEEE
 operations in the same order and give the same bits.
 
-The Bessel routines are scalar and take one path: the scaled e^-x I_nu(x)
-of Amos's algorithm (ACM TOMS 644), through scipy's compiled scalar `ive`
-(scipy.special.cython_special), the same function the lattice slice matrix
-evaluates on arrays. It is imported on the first Bessel call, not with this
+The Bessel routines take one path: the scaled e^-x I_nu(x) of Amos's
+algorithm (ACM TOMS 644), through scipy's compiled scalar `ive` on floats
+and its ufunc on the arrays that log_bessel_ie_from_log takes from the
+lattice. scipy is imported on the first Bessel call, not with this
 module, so the polynomial evaluators need numpy alone. Two
-fallbacks remain, each only where Amos cannot answer: the ascending series
+fallbacks remain, each only where Amos cannot answer, on floats (one
+array entry at a time): the ascending series
 where e^-x I_nu(x) underflows to 0 or a subnormal while its logarithm
 still fits, and the 1/x expansion past Amos's argument limit
 (x > 2^30 - 1/2), where it returns nan. Log-space variants exist where the
@@ -32,7 +33,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "gamma_ratio",
     "laguerre",
     "laguerre_all",
     "jacobi",
@@ -40,7 +40,6 @@ __all__ = [
     "bessel_i",
     "log_bessel_ie",
     "log_bessel_ie_from_log",
-    "bessel_short_time_ratio",
 ]
 
 # exp() overflows past this; used to signal out-of-range Bessel results
@@ -61,14 +60,6 @@ _FLOAT_COLUMNS = 12
 def _check_degree(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
-
-
-def gamma_ratio(num: float, den: float) -> float:
-    """Gamma(num)/Gamma(den) as an exponentiated log difference.
-
-    Safe for arguments far past 170 where Gamma itself overflows.
-    """
-    return math.exp(math.lgamma(num) - math.lgamma(den))
 
 
 def laguerre(n: int, a: float, x):
@@ -292,13 +283,25 @@ def log_bessel_ie(nu: float, x: float) -> float:
     return _log_bessel_series(nu, x)
 
 
-def log_bessel_ie_from_log(nu: float, log_x: float) -> float:
+def log_bessel_ie_from_log(nu: float, log_x):
     """ln I_nu(x) - x at x = e^log_x, also where x is outside the normal
     float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
     above it the leading term e^x / sqrt(2 pi x) of its expansion. log_x =
-    -inf is x = 0 itself, where I_0 is 1 and every other order is 0."""
+    -inf is x = 0 itself, where I_0 is 1 and every other order is 0. On an
+    array log_x, scipy's `ive` ufunc serves the normal range and the float
+    path every other entry."""
     if not 0 <= nu < math.inf:
         raise ValueError(f"log_bessel_ie_from_log requires finite nu >= 0, got nu={nu}")
+    # floats skip the isinstance test, which would add about 2% to a closed-kernel call
+    if type(log_x) is not float and isinstance(log_x, np.ndarray):
+        from scipy.special import ive
+
+        scaled = ive(nu, np.exp(np.minimum(log_x, _LOG_HUGE)))
+        ok = (log_x >= _LOG_TINY) & (log_x <= _LOG_HUGE) & (scaled >= _TINY)
+        out = np.log(np.where(ok, scaled, 1.0))
+        for i in np.flatnonzero(~ok):
+            out.flat[i] = log_bessel_ie_from_log(nu, float(log_x.flat[i]))
+        return out
     if -math.inf < log_x < _LOG_TINY:
         return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
     if log_x > _LOG_HUGE:
@@ -320,22 +323,3 @@ def bessel_i(nu: float, x: float) -> float:
     if lg > _LOG_HUGE:
         raise OverflowError(f"bessel_i result exceeds floating range: ln I_{nu}({x}) = {lg:.6g}")
     return math.exp(lg)
-
-
-def bessel_short_time_ratio(m: int, eps: float) -> float:
-    """Ratio of exact I_m(1/eps) to its short-time (large-argument) form.
-
-    The comparison form is (eps/2 pi)^{1/2} exp[1/eps - (eps/2)(m^2 - 1/4)];
-    I_m(a/eps) at another a > 0 is the same ratio at eps/a. The ratio tends
-    to 1 as eps -> 0. Both sides carry e^{1/eps}, which cancels exactly: the
-    exact side enters scaled, as ln I_m(1/eps) - 1/eps.
-    """
-    if not 0 < eps < math.inf:
-        raise ValueError(f"bessel_short_time_ratio requires finite eps > 0, got eps={eps}")
-    order = abs(int(m))
-    log_exact = log_bessel_ie(float(order), 1.0 / eps)
-    log_asym = 0.5 * math.log(eps / (2 * math.pi)) - (eps / 2.0) * (m * m - 0.25)
-    log_ratio = log_exact - log_asym
-    if log_ratio > _LOG_HUGE:
-        raise OverflowError(f"bessel_short_time_ratio at m={m}, eps={eps} is e^{log_ratio:.6g}, beyond the float range")
-    return math.exp(log_ratio)

@@ -8,7 +8,8 @@ compared. The registry alone builds the CheckResult: it times the call
 and scales the tolerance by the caller's tol_scale, so the harness itself
 is falsifiable: tol_scale=0 must fail every check whose observed
 deviation is nonzero. Checks are pure and independent; they run serially
-here so report order is deterministic.
+here so report order is deterministic. Fixtures that only checks use are
+private helpers beside their checks.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
     angular_mode,
     effective_ell,
     ladder_energy,
+    radial_log_norm,
 )
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "run_check"]
@@ -144,13 +146,40 @@ def check_bessel_recurrence() -> Outcome:
     return worst, 1e-12, "three-term recurrence consistency, internal"
 
 
+def _gamma_ratio(num: float, den: float) -> float:
+    """Gamma(num)/Gamma(den) as an exponentiated log difference.
+
+    Safe for arguments far past 170 where Gamma itself overflows.
+    """
+    return math.exp(math.lgamma(num) - math.lgamma(den))
+
+
 @_check("specfun", "gamma-identity")
 def check_gamma_identity() -> Outcome:
     worst = 0.0
     for x in (0.3, 1.0, 2.5, 7.7, 41.0, 200.5):
-        worst = max(worst, abs(sf.gamma_ratio(x + 1.0, x) - x) / x)
+        worst = max(worst, abs(_gamma_ratio(x + 1.0, x) - x) / x)
         worst = max(worst, abs(math.lgamma(x + 1.0) - math.lgamma(x) - math.log(x)))
     return worst, 1e-12, "Gamma(x+1)/Gamma(x) = x in ratio and log form"
+
+
+def _bessel_short_time_ratio(m: int, eps: float) -> float:
+    """Ratio of exact I_m(1/eps) to its short-time (large-argument) form.
+
+    The comparison form is (eps/2 pi)^{1/2} exp[1/eps - (eps/2)(m^2 - 1/4)];
+    I_m(a/eps) at another a > 0 is the same ratio at eps/a. The ratio tends
+    to 1 as eps -> 0. Both sides carry e^{1/eps}, which cancels exactly: the
+    exact side enters scaled, as ln I_m(1/eps) - 1/eps.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"bessel_short_time_ratio requires finite eps > 0, got eps={eps}")
+    order = abs(int(m))
+    log_exact = sf.log_bessel_ie(float(order), 1.0 / eps)
+    log_asym = 0.5 * math.log(eps / (2 * math.pi)) - (eps / 2.0) * (m * m - 0.25)
+    log_ratio = log_exact - log_asym
+    if log_ratio > sf._LOG_HUGE:
+        raise OverflowError(f"bessel_short_time_ratio at m={m}, eps={eps} is e^{log_ratio:.6g}, beyond the float range")
+    return math.exp(log_ratio)
 
 
 @_check("specfun", "short-time-asymptotic")
@@ -160,7 +189,7 @@ def check_short_time_asymptotic() -> Outcome:
     worst = 0.0
     for eps, band in ((1e-2, 1e-3), (1e-3, 1e-4)):
         for m in (0, 1, 2, 5):
-            dev = abs(sf.bessel_short_time_ratio(m, eps) - 1.0)
+            dev = abs(_bessel_short_time_ratio(m, eps) - 1.0)
             worst = max(worst, dev / band)
     return worst, 1.0, "deviation over band: 1e-3 at eps=1e-2, 1e-4 at eps=1e-3, m in {0,1,2,5}"
 
@@ -398,6 +427,37 @@ def check_closed_vs_spectral() -> Outcome:
     return worst, 1e-10, "5x5 endpoint grid, tau in {0.5, 1, 2}, two coupling sets"
 
 
+def _hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float) -> float:
+    """|LHS - RHS| of the bilinear Laguerre generating identity.
+
+    LHS = s/(1-s^2) exp[-(X+Y)(1+s^2)/(2(1-s^2))] I_{ell+1/2}(2 sqrt(XY) s/(1-s^2));
+    RHS is the sum over n <= 150 of
+    s^{2n+ell+3/2} n! e^{-(X+Y)/2} (XY)^{(ell+1/2)/2} L_n(X) L_n(Y) / Gamma(n+ell+3/2).
+    """
+    if not (0 < x_val < math.inf and 0 < y_val < math.inf):
+        raise ValueError(f"hille_hardy_residual requires finite positive X and Y, got x_val={x_val}, y_val={y_val}")
+    if not 0 < s < 1:
+        raise ValueError(f"s must lie in (0, 1), got {s}")
+    if not 0 <= ell < math.inf:
+        raise ValueError(f"ell must be finite and >= 0, got {ell}")
+    a = ell + 0.5
+    one_m = 1 - s * s
+    lhs = (
+        (s / one_m)
+        * math.exp(-0.5 * (x_val + y_val) * (1 + s * s) / one_m)
+        * sf.bessel_i(a, 2 * math.sqrt(x_val * y_val) * s / one_m)
+    )
+    lx, ly = sf.laguerre_all(150, a, [x_val, y_val]).T
+    ns = np.arange(lx.size)
+    # n! / Gamma(n+ell+3/2) is half the squared radial norm at unit scale
+    log_coeff = 2 * radial_log_norm(PotentialParams(), ns, ell) - math.log(2.0)
+    weights = np.exp(
+        (2 * ns + ell + 1.5) * math.log(s) + log_coeff - 0.5 * (x_val + y_val) + 0.5 * a * math.log(x_val * y_val)
+    )
+    rhs = float(np.sum(weights * lx * ly))
+    return abs(lhs - rhs)
+
+
 @_check("propagator", "hille-hardy")
 def check_hille_hardy() -> Outcome:
     rng = np.random.default_rng(20260817)
@@ -407,13 +467,31 @@ def check_hille_hardy() -> Outcome:
         y = float(rng.uniform(1e-6, 3.0))
         s = float(rng.uniform(0.1, 0.7))
         ell = float(rng.uniform(0.0, 6.0))
-        worst = max(worst, propagator.hille_hardy_residual(x, y, s, ell))
+        worst = max(worst, _hille_hardy_residual(x, y, s, ell))
     return worst, 1e-10, "20 seeded draws, X,Y in (0,3], s in [0.1,0.7], ell in [0,6], 150 terms"
+
+
+def _quartic_moment_check(a: float) -> float:
+    """Residual of int u^4 e^{-a u^2} du = (3/4a^2) int e^{-a u^2} du over the line.
+
+    Both integrals are evaluated on shared trapezoid nodes after rescaling
+    u = v/sqrt(a), which keeps the quadrature at unit width for every a.
+    The trapezoid rule is spectrally accurate for entire integrands that
+    decay below machine precision inside the window, and its exact dyadic
+    nodes and weights avoid the ~1e-15 node-placement noise of constructed
+    Gauss rules, which the a^(-5/2) amplification at small a would expose.
+    """
+    if not 0 < a < math.inf:
+        raise ValueError(f"quartic_moment_check requires finite a > 0, got {a}")
+    h = 0.25
+    v = h * np.arange(-36, 37)
+    diff = math.fsum(h * (v**4 - 0.75) * np.exp(-v * v))
+    return a**-2.5 * abs(diff)
 
 
 @_check("propagator", "quartic-moment")
 def check_quartic_moment() -> Outcome:
-    worst = max(propagator.quartic_moment_check(a) for a in (0.1, 0.5, 1.0, 10.0, 100.0))
+    worst = max(_quartic_moment_check(a) for a in (0.1, 0.5, 1.0, 10.0, 100.0))
     return worst, 1e-12, "Gaussian fourth-moment identity across four decades of a"
 
 

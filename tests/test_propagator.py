@@ -17,19 +17,19 @@ from ncosc.model import PotentialParams, effective_ell
 from ncosc.propagator import (
     LatticeSpec,
     PropagatorQuery,
+    _log_radial_kernel,
     _slice_matrix,
     angular_kernel_spectral,
     full_kernel_spectral,
-    hille_hardy_residual,
     integrated_diagonal_kernel,
     lattice_kernel_grid,
     lattice_radial_kernel,
-    quartic_moment_check,
     radial_kernel_closed,
     radial_kernel_spectral,
 )
 from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid
 from ncosc.spectrum import enumerate_states
+from ncosc.verify import _hille_hardy_residual as hille_hardy_residual, _quartic_moment_check as quartic_moment_check
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
 LATTICE_64 = LatticeSpec(n_slices=64, r_min=0.02, r_max=8.0, n_grid=400)
@@ -300,6 +300,7 @@ def _log_uniform(lo, hi):
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=0.1, ra=28.0, rb=28.0, n_cut=400)
 # short times, where the closed kernel's two large exponents cancel; at
 # 1e-320 sinh(tau) is subnormal
+@example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=5e-324, ra=1.0, rb=1.0, n_cut=5)
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-320, ra=1.0, rb=1.0, n_cut=5)
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-300, ra=1.0, rb=1.0, n_cut=5)
 @example(alpha=0.0, beta=0.0, gamma=0.0, v0=0.0, n_theta=0, m=0, tau=1e-20, ra=1.0, rb=1.0, n_cut=5)
@@ -340,6 +341,18 @@ def test_kernel_routes_finite_or_fail_with_reason(alpha, beta, gamma, v0, n_thet
     s_bb = radial_kernel_spectral(p, n_theta, m, rb, rb, tau, n_cut).value
     allowance = spectral.tail_bound + 1e-10 * abs(closed) + 1e-12 * (s_aa + s_bb)
     assert abs(closed - spectral.value) <= allowance
+
+
+def test_spectral_tail_bound_where_omega_tau_rounds_to_zero():
+    # at omega = 0.1, 2 omega tau is 0 at tau = 5e-324 and subnormal at
+    # 1e-320: ln(1 - e^{-2 omega tau}) is taken from ln omega + ln tau there
+    # (log of -expm1(0) used to raise a bare math domain error)
+    p = PotentialParams(omega=0.1)
+    for tau in (5e-324, 1e-320):
+        closed = radial_kernel_closed(p, 0, 0, 1.0, 1.0, tau)
+        spectral = radial_kernel_spectral(p, 0, 0, 1.0, 1.0, tau, 10)
+        assert math.isfinite(closed) and math.isfinite(spectral.value)
+        assert abs(closed - spectral.value) <= spectral.tail_bound
 
 
 def test_hille_hardy_residual_small_on_seeded_draws():
@@ -485,6 +498,41 @@ def test_slice_matrix_mirrors_its_upper_triangle():
             big = full > 1e-8 * full.max()
             assert np.max(np.abs(half[big] / full[big] - 1)) <= 1e-14
             assert np.max(np.abs(half - full)) <= 1e-14 * full.max()
+
+
+def test_log_radial_kernel_at_zero_omega_is_the_free_kernel():
+    # at nu = 1/2 the free radial kernel is elementary,
+    # (e^{-(ra-rb)^2/2tau} - e^{-(ra+rb)^2/2tau}) / (ra rb sqrt(2 pi tau)) at
+    # mu = hbar = 1, and shares no code with the Bessel path; compared in
+    # log space, over the lattice box, on arrays and on floats
+    r = np.geomspace(0.02, 8.0, 40)
+    ra, rb = np.meshgrid(r, r, indexing="ij")
+    for tau in np.geomspace(0.01, 5.0, 12):
+        want = (-(ra - rb) ** 2 / (2 * tau) + np.log(-np.expm1(-2 * ra * rb / tau))
+                - np.log(ra * rb * np.sqrt(2 * np.pi * tau)))
+        got = _log_radial_kernel(1.0, 0.0, 0.5, ra, rb, tau)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), tau
+        one = _log_radial_kernel(1.0, 0.0, 0.5, 1.1, 0.7, float(tau))
+        assert isinstance(one, float)
+        want_one = -0.08 / tau + math.log(-math.expm1(-1.54 / tau)) - math.log(0.77 * math.sqrt(2 * math.pi * tau))
+        assert abs(one - want_one) <= 1e-13 * max(1.0, abs(want_one)), tau
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_radial_kernel_arrays_match_scalar_calls():
+    # the array path takes scipy's ive ufunc and np.log where floats take the
+    # compiled scalar ive and math.log; at nu = 300.5 ive underflows over
+    # much of the grid, and those entries take the float path
+    r = np.geomspace(0.05, 4.0, 25)
+    ra, rb = r[:, None], r[None, :]
+    for nu in (0.5, 1.5, 5.77, 40.5, 300.5):
+        for omega in (0.0, 1.3):
+            for tau in (1e-3, 0.02, 0.3, 2.0):
+                batch = _log_radial_kernel(0.7, omega, nu, ra, rb, tau)
+                assert batch.shape == (25, 25)
+                for i, j in np.ndindex(25, 25):
+                    one = _log_radial_kernel(0.7, omega, nu, float(r[i]), float(r[j]), tau)
+                    assert abs(batch[i, j] - one) <= 1e-13 * max(1.0, abs(one)), (nu, omega, tau, i, j)
 
 
 def test_lattice_grid_powering_matches_reference_chain():

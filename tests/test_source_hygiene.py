@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, every name in a
 module's __all__ defined by that module, no scipy import at module level,
-and every function the benchmark's traced run wraps still present.
+scipy's Bessel ive reached from specfun alone, and every function the
+benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
@@ -73,6 +74,20 @@ def test_scipy_is_imported_on_first_use(path):
            if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names))
            or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")]
     assert not top, f"{path.name} imports scipy at module level (lines {top}); import it where it is used"
+
+
+def test_only_specfun_reaches_scipy_ive():
+    # the Bessel path is coded once: every other module takes ln I_nu from
+    # specfun, which alone handles the float range around scipy's ive
+    def reaches_ive(tree):
+        return any((isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+                    and any(alias.name == "ive" for alias in node.names))
+                   or (isinstance(node, ast.Attribute) and node.attr == "ive")
+                   or (isinstance(node, ast.Constant) and node.value == "ive")
+                   for node in ast.walk(tree))
+
+    users = [path.name for path in SOURCES if reaches_ive(ast.parse(path.read_text()))]
+    assert users == ["specfun.py"], f"scipy's ive is reached from {users}; take ln I_nu from specfun"
 
 
 def test_traced_names_resolve():

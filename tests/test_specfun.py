@@ -18,8 +18,6 @@ from ncosc.specfun import (
     _FLOAT_COLUMNS,
     _log_bessel_series,
     bessel_i,
-    bessel_short_time_ratio,
-    gamma_ratio,
     jacobi,
     jacobi_all,
     laguerre,
@@ -27,6 +25,7 @@ from ncosc.specfun import (
     log_bessel_ie,
     log_bessel_ie_from_log,
 )
+from ncosc.verify import _bessel_short_time_ratio as bessel_short_time_ratio, _gamma_ratio as gamma_ratio
 
 # (n, a, x, mpmath value)
 LAGUERRE_REF = [
@@ -342,6 +341,28 @@ def test_log_bessel_ie_from_log_at_zero_argument():
     assert math.copysign(1.0, log_bessel_ie_from_log(0.0, -800.0)) == -1.0
     assert log_bessel_ie_from_log(0.0, -800.0) == 0.0
     assert log_bessel_ie_from_log(1.5, -800.0) == 1.5 * (-800.0 - math.log(2.0)) - math.lgamma(2.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_bessel_ie_from_log_arrays_match_the_float_path():
+    # a log_x grid that crosses every handoff: x = 0, the leading power below
+    # the normal range, where ive underflows (the series), Amos's argument
+    # limit (the 1/x expansion) and the leading term above the float range
+    points = [-math.inf, -1000.0, 1000.0]
+    for edge in (specfun._LOG_TINY, math.log(2.0**30 - 0.5), specfun._LOG_HUGE):
+        points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    log_x = np.sort(np.concatenate([points, np.linspace(-760.0, 760.0, 400), np.linspace(-5.0, 25.0, 301)]))
+    for nu in (0.0, 0.5, 1.5, 20.5, 300.5):
+        batch = log_bessel_ie_from_log(nu, log_x)
+        one = np.array([log_bessel_ie_from_log(nu, float(v)) for v in log_x])
+        finite = np.isfinite(one)
+        assert np.array_equal(batch[~finite], one[~finite]), nu
+        assert np.all(np.abs(batch[finite] - one[finite]) <= 1e-14 * np.maximum(1.0, np.abs(one[finite]))), nu
+    # shapes are kept, and an order is refused on arrays as on floats
+    assert log_bessel_ie_from_log(1.5, log_x.reshape(-1, 1)).shape == (log_x.size, 1)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="nu >= 0"):
+            log_bessel_ie_from_log(bad, np.zeros(3))
 
 
 def test_domain_validation():
