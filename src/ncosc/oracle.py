@@ -41,17 +41,21 @@ class GridSpec:
 
     Interior nodes sit at j*h for j = 1..n_points with spacing
     h = hi/(n_points + 1); the boundary values are pinned to zero and never
-    stored.
+    stored. `richardson` is the number of Richardson levels, an integer
+    >= 0: the solvers then also solve on the nested grids h/2, ...,
+    h/2^richardson and cancel the error terms h^2, ..., h^(2 richardson).
+    False and True mean 0 and 1.
     """
 
     hi: float
     n_points: int
-    richardson: bool = True
+    richardson: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.hi < math.inf:
             raise ValueError(f"grid requires finite hi > 0, got {self.hi}")
         _check_count("n_points", self.n_points, 64)
+        _check_count("richardson", self.richardson, 0)
 
     @property
     def h(self) -> float:
@@ -100,12 +104,35 @@ def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: Grid
 
 
 def _solve_with_richardson(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                           count: int, hbar: float, mu: float, guard: bool = True) -> np.ndarray:
-    if not grid.richardson:
-        return _sturm_liouville_eigs(v_of_x, grid, count, hbar, mu)
+                           count: int, hbar: float, mu: float, guard: bool = True) -> tuple[np.ndarray, float]:
+    """Lowest `count` eigenvalues, extrapolated over grid.richardson levels,
+    and the worst shift/gap ratio of the last pair of estimates (nan at
+    level 0).
+
+    At L = grid.richardson >= 1 the eigenvalues are solved on the L + 1
+    nested grids h, h/2, ..., h/2^L. Romberg steps j = 1..L-1,
+    (4^j fine - coarse)/(4^j - 1), cancel h^2, ..., h^(2L-2) and leave two
+    estimates; the guard requires their difference to be within 1e-4 of
+    the gap to the next eigenvalue, and the last step j = L returns the
+    extrapolated value. L = 1 is (4 E_{h/2} - E_h)/3.
+    """
+    levels = int(grid.richardson)
     # one extra eigenvalue so the last requested one has a gap to measure
-    coarse = _sturm_liouville_eigs(v_of_x, grid, count + 1, hbar, mu)
-    fine = _sturm_liouville_eigs(v_of_x, grid.refined(), count + 1, hbar, mu)
+    wanted = count + 1 if levels else count
+    if wanted > grid.n_points:
+        raise ValueError(
+            f"count = {count} asks for {wanted} eigenvalues of a grid with n_points = {grid.n_points}"
+            + (" (Richardson solves count + 1)" if levels else "")
+        )
+    if not levels:
+        return _sturm_liouville_eigs(v_of_x, grid, count, hbar, mu), math.nan
+    estimates = []
+    for _ in range(levels + 1):
+        estimates.append(_sturm_liouville_eigs(v_of_x, grid, wanted, hbar, mu))
+        grid = grid.refined()
+    for j in range(1, levels):
+        estimates = [(4**j * fine - coarse) / (4**j - 1) for coarse, fine in zip(estimates, estimates[1:])]
+    coarse, fine = estimates
     shift = np.abs(fine[:count] - coarse[:count])
     gap = fine[1 : count + 1] - fine[:count]
     bad = guard & (shift > 1e-4 * gap)
@@ -115,7 +142,22 @@ def _solve_with_richardson(v_of_x: Callable[[np.ndarray], np.ndarray], grid: Gri
             f"grid too coarse: eigenvalue {i} moved {shift[i]:.3e} under h -> h/2, "
             f"more than 1e-4 of its gap {gap[i]:.3e}; increase n_points"
         )
-    return (4 * fine[:count] - coarse[:count]) / 3
+    return (4**levels * fine[:count] - coarse[:count]) / (4**levels - 1), float(np.max(shift / gap))
+
+
+def _radial_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSpec, count: int) -> tuple[np.ndarray, float]:
+    """radial_eigenvalues_fd with the worst Richardson shift/gap ratio."""
+    _check_count("count", count, 1)
+    ell = effective_ell(p, n_theta, m)
+    v_of_r = functools.partial(_radial_potential, p, ell * (ell + 1))
+    eigs, shift_gap = _solve_with_richardson(v_of_r, grid, count, p.hbar, p.mu)
+    wall = v_of_r(grid.hi)
+    if wall < eigs[-1] + 40 * p.hbar * p.omega:
+        raise ValueError(
+            f"radial box hi={grid.hi} too small: V_ell(hi) = {wall:.3g} must exceed "
+            f"the highest requested eigenvalue {eigs[-1]:.3g} by 40*hbar*omega"
+        )
+    return eigs, shift_gap
 
 
 def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSpec, count: int) -> np.ndarray:
@@ -124,7 +166,8 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     Solves -(hbar^2/2mu) u'' + [-v0 + mu omega^2 r^2/2 + hbar^2 ell(ell+1)/(2 mu r^2)] u = E u
     with u(0) = u(hi) = 0, where ell is the effective angular momentum of the
     (n_theta, m) sector. Returns the lowest `count` eigenvalues ascending,
-    Richardson-extrapolated across h and h/2 when the grid requests it.
+    Richardson-extrapolated over grid.richardson levels (grids h, h/2, ...,
+    h/2^richardson) when the grid requests it.
 
     Parameters
     ----------
@@ -136,24 +179,15 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
         Radial box [0, hi]; checked a posteriori, V_ell(hi) must exceed the
         highest returned eigenvalue by 40 hbar omega.
     count : int
-        Number of eigenvalues, >= 1.
+        Number of eigenvalues, >= 1 and at most grid.n_points (one less
+        with Richardson levels, which solve one eigenvalue more).
 
     Returns
     -------
     numpy.ndarray
         Eigenvalues sorted ascending.
     """
-    _check_count("count", count, 1)
-    ell = effective_ell(p, n_theta, m)
-    v_of_r = functools.partial(_radial_potential, p, ell * (ell + 1))
-    eigs = _solve_with_richardson(v_of_r, grid, count, p.hbar, p.mu)
-    wall = v_of_r(grid.hi)
-    if wall < eigs[-1] + 40 * p.hbar * p.omega:
-        raise ValueError(
-            f"radial box hi={grid.hi} too small: V_ell(hi) = {wall:.3g} must exceed "
-            f"the highest requested eigenvalue {eigs[-1]:.3g} by 40*hbar*omega"
-        )
-    return eigs
+    return _radial_fd(p, n_theta, m, grid, count)[0]
 
 
 def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> np.ndarray:
@@ -191,7 +225,7 @@ def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> 
         s, c = np.sin(th), np.cos(th)
         return c_lam / (s * s) + c_k / (c * c)
 
-    return _solve_with_richardson(v_of_theta, grid, count, 1.0, 1.0, guard=regular)
+    return _solve_with_richardson(v_of_theta, grid, count, 1.0, 1.0, guard=regular)[0]
 
 
 @functools.lru_cache(maxsize=16)

@@ -96,6 +96,22 @@ def test_coarse_grid_guard_fires():
         radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 250), 1)
 
 
+def test_two_richardson_levels_hold_the_ladder_on_200_points():
+    # three nested grids (200/401/803 points) cancel h^2 and h^4; one level
+    # on the same grid moves the ground state past the guard
+    eigs = radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 200, 2), 4)
+    assert eigs == pytest.approx([2.5, 4.5, 6.5, 8.5], rel=1e-9, abs=0)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 200, 1), 4)
+
+
+def test_coarse_grid_guard_fires_at_two_levels():
+    # at 64 points the level-2 estimates of eigenvalue 3 still differ by
+    # about 3.6e-4, past 1e-4 of its gap
+    with pytest.raises(ValueError, match="grid too coarse: eigenvalue 3"):
+        radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 64, 2), 4)
+
+
 def test_undersized_box_rejected_after_solve():
     with pytest.raises(ValueError, match="radial box"):
         radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(4.0, 2000), 4)

@@ -27,7 +27,7 @@ from ncosc.propagator import (
     radial_kernel_closed,
     radial_kernel_spectral,
 )
-from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid
+from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid, radial_eigenvalues_fd
 from ncosc.spectrum import enumerate_states
 from ncosc.verify import _hille_hardy_residual as hille_hardy_residual, _quartic_moment_check as quartic_moment_check
 
@@ -398,6 +398,16 @@ _QUERY = dict(ra=1.0, rb=1.2, theta_a=0.5, theta_b=0.6, phi_a=0.1, phi_b=0.2, ta
     pytest.param(lambda: LatticeSpec(n_slices=2.5), "n_slices must be an integer", id="lattice-n_slices"),
     pytest.param(lambda: LatticeSpec(4, n_grid=400.5), "n_grid must be an integer", id="lattice-n_grid"),
     pytest.param(lambda: GridSpec(12.0, 500.5), "n_points must be an integer", id="grid-n_points"),
+    pytest.param(lambda: GridSpec(12.0, 500, "no"), "richardson must be an integer", id="grid-richardson-str"),
+    pytest.param(lambda: GridSpec(12.0, 500, 0.5), "richardson must be an integer", id="grid-richardson-float"),
+    pytest.param(lambda: GridSpec(12.0, 500, math.nan), "richardson must be an integer", id="grid-richardson-nan"),
+    pytest.param(lambda: GridSpec(12.0, 500, None), "richardson must be an integer", id="grid-richardson-none"),
+    pytest.param(lambda: GridSpec(12.0, 500, -1), "richardson must be >= 0, got -1", id="grid-richardson-floor"),
+    pytest.param(lambda: radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 64, False), 70),
+                 "count = 70 asks for 70 eigenvalues of a grid with n_points = 64", id="radial-count-past-grid"),
+    pytest.param(lambda: angular_eigenvalues_fd(1.0, 1.5, default_angular_grid(256), 300),
+                 r"count = 300 asks for 301 eigenvalues of a grid with n_points = 256 \(Richardson",
+                 id="angular-count-past-grid"),
     pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, -1, 3, 3), "n_cut must be >= 0, got -1",
                  id="trace-n_cut-floor"),
     pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, 5, -1, 3), "ntheta_cut must be >= 0, got -1",

@@ -2,8 +2,11 @@
 `run_check`, and `run_suite` runs each registered check once, grouped by
 suite."""
 
+import re
+
 import pytest
 
+from ncosc import spectrum
 from ncosc.verify import SUITE_NAMES, run_check, run_suite
 
 
@@ -36,3 +39,18 @@ def test_run_check_scales_the_check_tolerance():
 def test_run_check_rejects_unknown_checks(suite, name):
     with pytest.raises(ValueError, match=f"no check named '{name}' in suite '{suite}'"):
         run_check(suite, name)
+
+
+def test_radial_spectrum_agreement_fails_on_a_2e_6_energy_shift(monkeypatch):
+    # the check runs 200-point grids at two Richardson levels; it must still
+    # see closed energies that are 2e-6 off, twice its 1e-6 tolerance
+    closed = spectrum.energy
+    monkeypatch.setattr(spectrum, "energy", lambda p, qn: closed(p, qn) * (1 + 2e-6))
+    assert not run_check("oracle", "radial-spectrum-agreement").passed
+
+
+def test_radial_spectrum_agreement_reports_its_grids_and_shift_gap():
+    result = run_check("oracle", "radial-spectrum-agreement")
+    assert "200/401/803-point grids, two Richardson levels" in result.detail
+    ratio = float(re.search(r"worst shift/gap (\S+) against the 1e-4 guard", result.detail).group(1))
+    assert 0 < ratio < 1e-4
