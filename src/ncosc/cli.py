@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import bisect
 import functools
+import itertools
 import math
+import operator
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,6 +89,80 @@ def _cell(v) -> str:
     return _fmt(v) if isinstance(v, float) else str(v)
 
 
+# rows are rendered and written in blocks of this many
+_BLOCK = 4096
+
+# the % conversion that prints a cell of exactly this type as _cell and
+# _json_value do; JSON strings are quoted and escaped, so only CSV has one
+_MARKS = {"csv": {int: "%d", float: "%.17g", str: "%s"}, "json": {int: "%d", float: "%.17g"}}
+
+
+def _json_row(columns: Sequence[str], cells: Iterable[str]) -> str:
+    """One object of the "rows" list, from its cells as already rendered."""
+    return "    {\n" + ",\n".join(f'      "{k}": {c}' for k, c in zip(columns, cells)) + "\n    }"
+
+
+def _row_lines(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """Each row rendered in fmt, as _cell or _json_value renders its cells.
+
+    One % template serves every row whose cells have the types of the row
+    before it. A row with a cell that no template prints exactly (a bool, a
+    JSON string) or that JSON writes as null (inf, nan) is rendered cell by
+    cell instead.
+    """
+    marks = _MARKS[fmt]
+    kinds = template = None
+    for row in rows:
+        row = tuple(row)
+        if (row_kinds := tuple(map(type, row))) != kinds:
+            kinds = row_kinds
+            try:
+                cells = [marks[t] for t in kinds]
+            except KeyError:
+                template = None
+            else:
+                template = (",".join(cells) if fmt == "csv"
+                            else _json_row([c.replace("%", "%%") for c in columns], cells))
+        line = None if template is None else template % row
+        if fmt == "csv":
+            yield line if line is not None else ",".join(map(_cell, row))
+        elif line is None or "inf" in line or "nan" in line:
+            yield _json_row(columns, [_json_value(v, 6) for v in row])
+        else:
+            yield line
+
+
+def _table_text(
+    args: argparse.Namespace, p: PotentialParams | None, comments: list[str], meta: dict, columns: list[str],
+    rows: Iterable[Sequence],
+) -> Iterator[str]:
+    """The table in --format as consecutive pieces: the head, the rows
+    _BLOCK at a time, and the tail."""
+    if p is not None:
+        params = {name: getattr(p, name) for name in _PHYSICS}
+        comments = ["# params " + " ".join(f"{k}={_fmt(v)}" for k, v in params.items()), *comments]
+        meta = {"params": params, **meta}
+    stamp = not args.no_timestamp
+    if args.format == "json":
+        payload = {"generated": _timestamp()} if stamp else {}
+        payload.update(meta, rows=[])
+        # "rows" is the last key, so its [] is the last one in the text
+        head, tail = (_json_value(payload, 0) + "\n").rsplit("[]", 1)
+        lead, sep, end, empty = "[\n", ",\n", "\n  ]", "[]"
+    else:
+        stamped = [f"# generated {_timestamp()}"] if stamp else []
+        head = "".join(f"{line}\n" for line in [*stamped, *comments, ",".join(columns)])
+        tail = ""
+        lead, sep, end, empty = "", "\n", "\n", ""
+    yield head
+    lines = _row_lines(args.format, columns, rows)
+    first = True
+    for block in iter(lambda: list(itertools.islice(lines, _BLOCK)), []):
+        yield (lead if first else sep) + sep.join(block)
+        first = False
+    yield (empty if first else end) + tail
+
+
 def _emit(
     args: argparse.Namespace, p: PotentialParams | None, comments: list[str], meta: dict, columns: list[str],
     rows: Iterable[Sequence],
@@ -95,30 +171,21 @@ def _emit(
     --no-timestamp, then by the physics parameters p unless p is None.
 
     CSV gets the comment lines, the header and one line per row; JSON gets
-    the meta fields and "rows", one object per row keyed by columns.
+    the meta fields and "rows", one object per row keyed by columns. rows
+    may be any iterable and is read once: each row is rendered from one
+    % template per table (see _row_lines) and written, to stdout or to
+    --output, in blocks of _BLOCK rows, so neither the whole text nor the
+    whole row list is held.
     """
-    if p is not None:
-        params = {name: getattr(p, name) for name in _PHYSICS}
-        comments = ["# params " + " ".join(f"{k}={_fmt(v)}" for k, v in params.items()), *comments]
-        meta = {"params": params, **meta}
-    stamp = not args.no_timestamp
-    if args.format == "json":
-        payload = {"generated": _timestamp()} if stamp else {}
-        payload.update(meta, rows=[dict(zip(columns, row)) for row in rows])
-        text = _json_value(payload, 0) + "\n"
-    else:
-        lines = [f"# generated {_timestamp()}"] if stamp else []
-        lines += comments
-        lines.append(",".join(columns))
-        lines += [",".join(map(_cell, row)) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    pieces = _table_text(args, p, comments, meta, columns, rows)
+    if not args.output:
+        sys.stdout.writelines(pieces)
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(pieces)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def _margin(observed: float, tolerance: float) -> float:
@@ -163,8 +230,8 @@ def cmd_spectrum(args: argparse.Namespace, p: PotentialParams) -> int:
         [f"# emax={_fmt(args.emax)} mmax={m_max}"],
         {"emax": args.emax, "mmax": m_max},
         ["n", "n_theta", "m", "lambda", "k", "ell_tilde", "energy"],
-        [(s.qn.n, s.qn.n_theta, s.qn.m, s.angular.lam, s.angular.k, s.ell_tilde, s.energy)
-         for s in states],
+        map(operator.attrgetter("qn.n", "qn.n_theta", "qn.m", "angular.lam", "angular.k", "ell_tilde", "energy"),
+            states),
     )
     return 0
 
@@ -194,15 +261,17 @@ def cmd_wavefunction(args: argparse.Namespace, p: PotentialParams) -> int:
     ang = oracle.inner_product_angular(angular, angular).value
     norm = math.sqrt(rad * ang)
 
-    # one row per grid point, r slowest and phi fastest
+    # one row per grid point, r slowest and phi fastest, listed a block of radii at a time
     cols = np.broadcast_arrays(rs[:, None, None], ths[None, :, None], phs[None, None, :], psi.real, psi.imag)
+    radii = max(1, _BLOCK // (ths.size * phs.size))
     _emit(
         args,
         p,
         [f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}", f"# norm {_fmt(norm)}"],
         {"state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy}, "norm": norm},
         ["r", "theta", "phi", "re_psi", "im_psi"],
-        zip(*(c.ravel().tolist() for c in cols)),
+        itertools.chain.from_iterable(zip(*(c[i:i + radii].ravel().tolist() for c in cols))
+                                      for i in range(0, args.points, radii)),
     )
     return 0
 

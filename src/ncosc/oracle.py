@@ -238,7 +238,13 @@ def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [lo, hi]: n_panels equal
-    panels of n_nodes each, nodes ascending."""
+    panels of n_nodes each, nodes ascending. Requires finite lo < hi and
+    integer counts >= 1."""
+    _check_count("n_panels", n_panels, 1)
+    _check_count("n_nodes", n_nodes, 1)
+    # phrased so that NaN fails too
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"gauss_panels requires finite lo < hi, got lo={lo!r}, hi={hi!r}")
     base_x, base_w = _leggauss(n_nodes)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]

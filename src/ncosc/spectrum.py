@@ -130,15 +130,11 @@ def full_wavefunction(p: PotentialParams, qn: QuantumNumbers, r, theta, phi):
     return complex(val) if np.ndim(val) == 0 else val
 
 
-def _eigenstate(p: PotentialParams, qn: QuantumNumbers, ang: AngularMode, ell: float) -> EigenState:
-    """The one EigenState builder: state qn of a sector with angular mode ang and ell_tilde ell."""
-    return EigenState(qn, ang, ell, ladder_energy(p, qn.n, ell))
-
-
 def eigenstate(p: PotentialParams, n: int, n_theta: int, m: int) -> EigenState:
     """Assemble the EigenState for (n, n_theta, m), rejecting inadmissible sectors."""
     qn = QuantumNumbers(n, n_theta, m)
-    return _eigenstate(p, qn, angular_mode(p, n_theta, m), effective_ell(p, n_theta, m))
+    ang, ell = angular_mode(p, n_theta, m), effective_ell(p, n_theta, m)
+    return EigenState(qn, ang, ell, ladder_energy(p, n, ell))
 
 
 def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[EigenState]:
@@ -153,27 +149,33 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     (non-bound lambda, fall-to-center radicand, ell_tilde < 0) hold no
     states and are skipped; admissibility is restored at larger n_theta
     or |m|, so skipping never ends a scan early. Each sector's angular
-    mode is built once, and sectors +m and -m share it.
+    mode is built once, and sectors +m and -m share it; each level's
+    energy is computed once, serves as the loop bound and is stored in
+    both of its states, and the sort reads keys made alongside the states.
     """
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
     _check_count("m_max", m_max, 0)
-    states: list[EigenState] = []
+    # (energy, n, n_theta, m, state): the first four never tie, so the sort
+    # never compares states
+    keyed: list[tuple] = []
     for m in range(0, m_max + 1):
         if energy_floor(p, m) > e_max:
             break
         signed = (m, -m) if m else (0,)
         for n_theta, ell in admissible_sectors(p, m):
-            if ladder_energy(p, 0, ell) > e_max:
+            e = ladder_energy(p, 0, ell)
+            if e > e_max:
                 break
-            n_count = 1
-            while ladder_energy(p, n_count, ell) <= e_max:
-                n_count += 1
             ang = angular_mode(p, n_theta, m)
-            states += [_eigenstate(p, QuantumNumbers(n, n_theta, sm), ang, ell)
-                       for n in range(n_count) for sm in signed]
-    states.sort(key=lambda s: (s.energy, s.qn.n, s.qn.n_theta, s.qn.m))
-    return states
+            n = 0
+            while e <= e_max:
+                for sm in signed:
+                    keyed.append((e, n, n_theta, sm, EigenState(QuantumNumbers(n, n_theta, sm), ang, ell, e)))
+                n += 1
+                e = ladder_energy(p, n, ell)
+    keyed.sort()
+    return [row[4] for row in keyed]
 
 
 def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, np.ndarray]:
@@ -185,12 +187,16 @@ def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, 
     long before the polynomial part, so sums over n keep it in log space.
     ell may be an array of ell_tilde values, and one Laguerre recurrence
     serves them all: log_env has shape shape(ell) + (P,) and poly
-    (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P.
+    (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P; every r
+    must be finite and > 0.
     """
     from scipy.special import xlogy
 
     ell = np.asarray(ell, dtype=float)
     ra = np.atleast_1d(np.asarray(r, dtype=float))
+    # NaN fails too, since min and max propagate it
+    if ra.size and not (0 < ra.min() and ra.max() < math.inf):
+        raise ValueError("radial_factors requires finite r > 0")
     x = (p.mu * p.omega / p.hbar) * ra * ra
     log_env = xlogy(0.5 * ell[..., None], x) - 0.5 * x
     lag = laguerre_all(n_max, ell + 0.5, x)

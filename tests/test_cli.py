@@ -7,6 +7,9 @@ generated wrapper does, and checks it and `python -m ncosc` against
 is checked too.
 """
 
+import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -16,9 +19,11 @@ import shutil
 import subprocess
 import sys
 import time
+import unittest.mock
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ncosc
 from ncosc import cli
@@ -472,6 +477,7 @@ def test_verify_timings_report_seconds_margin_and_detail(capsys):
 @pytest.mark.parametrize("argv", [
     ["propagator", "--lattice", "--tau", "0.5", "--ra", "0.8", "--rb", "1.2"],
     ["verify", "--suite", "specfun"],
+    ["spectrum", "--m", "0", "--emax", "300"],
 ])
 def test_csv_and_json_carry_the_same_rows(capsys, argv):
     code_csv, csv_out, _ = run_cli(capsys, *argv, "--no-timestamp")
@@ -583,6 +589,123 @@ def test_output_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--emax", "9", "--alpha", "1", "--beta", "0.5"],
+    ["wavefunction", "--n", "2", "--ntheta", "1", "--m", "1", "--points", "70"],
+    ["propagator", "--lattice"],
+    ["verify", "--suite", "specfun"],
+])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    target = tmp_path / "table.out"
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--no-timestamp")
+    assert code == 0
+    code, quiet, _ = run_cli(capsys, *argv, "--format", fmt, "--no-timestamp", "--output", str(target))
+    assert (code, quiet) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+# ------------------------------------------------------------------ writer
+# the per-cell rules every table is printed by: _cell for CSV and
+# _json_value for JSON, kept here as the reference for the row templates
+
+def _reference_cell(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
+def _reference_json(obj, indent: int) -> str:
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(f'{pad}  "{k}": {_reference_json(v, indent + 2)}' for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {_reference_json(v, indent + 2)}" for v in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return f"{obj:.17g}" if math.isfinite(obj) else "null"
+    if obj is None:
+        return "null"
+    escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _reference_table(fmt, columns, rows, comments, meta) -> str:
+    if fmt == "json":
+        return _reference_json({**meta, "rows": [dict(zip(columns, row)) for row in rows]}, 0) + "\n"
+    lines = [*comments, ",".join(columns), *(",".join(map(_reference_cell, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _emitted(fmt, columns, rows, comments=(), meta=None) -> str:
+    args = argparse.Namespace(format=fmt, no_timestamp=True, output=None)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(args, None, list(comments), dict(meta or {}), columns, rows)
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e17]
+CELLS = {
+    "float": st.floats() | st.sampled_from(SPECIAL_FLOATS),
+    "int": st.integers() | st.sampled_from([0, -1, 10**17, -(10**30)]),
+    "bool": st.booleans(),
+    "str": st.text(max_size=8) | st.sampled_from(['"', "\\", 'a\\"b', "inf", "nan", "%s", "%%"]),
+}
+# "info" holds the letters of inf, "x%d" a % sign
+COLUMN_NAMES = ["n", "energy", "x%d", "quantity", "r", "theta", "info"]
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=4, unique=True))
+    width = len(columns)
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=width, max_size=width))
+    typed = st.tuples(*(CELLS[kind] for kind in kinds))
+    mixed = st.tuples(*(st.one_of(*CELLS.values()) for _ in range(width)))
+    return columns, draw(st.lists(typed | mixed, max_size=12))
+
+
+@given(table=tables(), fmt=st.sampled_from(["csv", "json"]), block=st.sampled_from([1, 2, 5, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_per_cell_rules(table, fmt, block):
+    columns, rows = table
+    comments, meta = ["# note a=1"], {"emax": 6.0, "label": 'say "hi"'}
+    want = _reference_table(fmt, columns, rows, comments if fmt == "csv" else [], meta if fmt == "json" else {})
+    with unittest.mock.patch.object(cli, "_BLOCK", block):
+        got = _emitted(fmt, columns, (row for row in rows), comments, meta)
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writer_reads_rows_once_from_a_generator(fmt):
+    # 10000 rows cross two block boundaries; a nan row and a bool row in
+    # the middle leave the template path and come back to it
+    columns = ["i", "x", "y"]
+    rows = [(i, i / 7, -i) for i in range(10000)]
+    rows[5000:5002] = [(5000, math.nan, 1), (5001, 0.5, True)]
+    consumed = []
+
+    def once():
+        for row in rows:
+            consumed.append(row)
+            yield row
+
+    got = _emitted(fmt, columns, once())
+    assert consumed == rows
+    assert got == _reference_table(fmt, columns, rows, [], {})
+    assert _emitted(fmt, columns, iter([])) == _reference_table(fmt, columns, [], [], {})
 
 
 def test_console_script_round_trip():

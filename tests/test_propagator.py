@@ -27,7 +27,7 @@ from ncosc.propagator import (
     radial_kernel_closed,
     radial_kernel_spectral,
 )
-from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid, radial_eigenvalues_fd
+from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid, gauss_panels, radial_eigenvalues_fd
 from ncosc.spectrum import enumerate_states
 from ncosc.verify import _hille_hardy_residual as hille_hardy_residual, _quartic_moment_check as quartic_moment_check
 
@@ -416,6 +416,13 @@ _QUERY = dict(ra=1.0, rb=1.2, theta_a=0.5, theta_b=0.6, phi_a=0.1, phi_b=0.2, ta
                  id="trace-m_cut-floor"),
     pytest.param(lambda: integrated_diagonal_kernel(COUPLED, 1.0, 5, 3, 1.5), "m_cut must be an integer",
                  id="trace-m_cut"),
+    pytest.param(lambda: gauss_panels(0.0, 1.0, 0, 5), "n_panels must be >= 1, got 0", id="panels-n_panels-floor"),
+    pytest.param(lambda: gauss_panels(0.0, 1.0, 2.5, 5), "n_panels must be an integer", id="panels-n_panels"),
+    pytest.param(lambda: gauss_panels(0.0, 1.0, 3, 0), "n_nodes must be >= 1, got 0", id="panels-n_nodes-floor"),
+    pytest.param(lambda: gauss_panels(0.0, math.nan, 2, 3), "finite lo < hi, got lo=0.0, hi=nan", id="panels-nan"),
+    pytest.param(lambda: gauss_panels(0.0, math.inf, 2, 3), "finite lo < hi, got lo=0.0, hi=inf", id="panels-inf"),
+    pytest.param(lambda: gauss_panels(1.0, 0.0, 2, 3), "finite lo < hi, got lo=1.0, hi=0.0", id="panels-descending"),
+    pytest.param(lambda: gauss_panels(1.0, 1.0, 2, 3), "finite lo < hi, got lo=1.0, hi=1.0", id="panels-empty"),
 ])
 def test_counts_and_cutoffs_must_be_integers_at_their_floor(build, message):
     with pytest.raises(ValueError, match=message):

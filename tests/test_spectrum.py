@@ -245,9 +245,12 @@ def test_radial_wavefunction_raises_where_its_laguerre_overflows():
 
 def test_wavefunction_domain_validation():
     ell = effective_ell(COUPLED, 0, 0)
-    for r in (np.array([0.5, -1.0]), np.array([1.0, math.nan, math.inf]), math.nan, math.inf, 0.0):
+    for r in (np.array([0.5, -1.0]), np.array([1.0, math.nan, math.inf]), math.nan, math.inf, 0.0,
+              [-1.0], [math.nan], [math.inf]):
         with pytest.raises(ValueError, match="requires finite r > 0"):
             radial_wavefunction(COUPLED, 0, ell, r)
+        with pytest.raises(ValueError, match="radial_factors requires finite r > 0"):
+            radial_profiles(COUPLED, ell, 2, r)
     qn = QuantumNumbers(1, 1, 2)
     for phi in (math.nan, math.inf, -math.inf, np.array([0.3, math.nan])):
         with pytest.raises(ValueError, match="requires finite phi"):
