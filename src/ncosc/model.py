@@ -20,7 +20,7 @@ Separation constants:
 ell_tilde acts as the orbital quantum number of the reduced radial
 problem. States need ell_tilde >= 0 to be normalizable; a negative
 radicand means the fall-to-center regime, which is rejected rather than
-modeled.
+modeled. The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -262,17 +262,20 @@ def ladder_energy(p: PotentialParams, n, ell: float):
     return (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
 
 
-def radial_log_norm(p: PotentialParams, n, ell):
-    """ln of the radial norm sqrt(2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2)).
-
-    Scalars n and ell give a float; ndarrays are broadcast against each other.
-    """
-    lead = math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar)
-    if isinstance(n, np.ndarray) or isinstance(ell, np.ndarray):
-        from scipy.special import gammaln
-
-        return 0.5 * (lead + (gammaln(n + 1.0) - gammaln(n + ell + 1.5)))
-    return 0.5 * (lead + (math.lgamma(n + 1.0) - math.lgamma(n + ell + 1.5)))
+def radial_log_norm(p: PotentialParams, n_max: int, ell):
+    """ln N_0..ln N_{n_max} of N_n = sqrt(2 (mu omega/hbar)^{3/2} n! / Gamma(n + ell_tilde + 3/2)), shape
+    (n_max + 1,) + shape(ell) for finite ell_tilde >= 0: ln N_0 from math.lgamma, then
+    the running sum of half the log of N_n^2 / N_{n-1}^2 = n / (n + ell_tilde + 1/2)."""
+    _check_count("n_max", n_max, 0)
+    ell = np.asarray(ell, dtype=float)
+    flat = ell.ravel().tolist()
+    if not all(0 <= e < math.inf for e in flat):
+        raise ValueError(f"the radial functions require finite ell_tilde >= 0, got ell_tilde={ell}")
+    lead = 0.5 * (math.log(2.0) + 1.5 * math.log(p.mu * p.omega / p.hbar))
+    steps = np.empty((n_max + 1,) + ell.shape)
+    steps[0] = np.reshape([lead - 0.5 * math.lgamma(e + 1.5) for e in flat], ell.shape)
+    steps[1:] = -0.5 * np.log1p((ell + 0.5) / np.arange(1.0, n_max + 1).reshape((-1,) + (1,) * ell.ndim))
+    return np.cumsum(steps, axis=0)
 
 
 def radial_extent(p: PotentialParams, n: int, ell: float) -> float:

@@ -35,11 +35,10 @@ from .model import (
     effective_ell,
     ladder_energy,
     radial_extent,
-    radial_log_norm,
 )
 from .oracle import gauss_panels
 from . import specfun
-from .specfun import _LOG_HUGE, _TINY, log_bessel_ie_from_log
+from .specfun import _LOG_HUGE, log_bessel_ie_from_log
 from .spectrum import angular_profiles, radial_factors, radial_profiles
 
 _LN2 = math.log(2.0)
@@ -233,8 +232,9 @@ def radial_kernel_spectral(
     The reported tail bound majorizes the dropped n > n_cut terms. Szego's
     inequality |e^{-x/2} L_n^a(x)| <= C_n = Gamma(n+a+1) / (n! Gamma(a+1)),
     a = ell + 1/2 >= 1/2, bounds the n-th term by
-    u_n = e^{-E_n tau/hbar} N_n^2 (q_a q_b)^ell C_n^2 (N_n the radial norm,
-    q = sqrt(mu omega/hbar) r). The ratio u_{n+1}/u_n = y (n+a+1)/(n+1),
+    u_n = e^{-E_n tau/hbar} N_n^2 C_n^2 (q_a q_b)^ell (N_n the radial norm,
+    q = sqrt(mu omega/hbar) r), with N_n^2 C_n^2 a ratio of gamma functions,
+    so no norm is formed. The ratio u_{n+1}/u_n = y (n+a+1)/(n+1),
     y = e^{-2 omega tau}, falls with n, so once it is below 1 at n_cut + 1
     the tail is at most u_{n_cut+1}/(1 - ratio); otherwise it is at most the
     whole envelope series u_0 (1 - y)^-(a+1). The bound is computed in log
@@ -255,20 +255,19 @@ def radial_kernel_spectral(
 
     a = ell + 0.5
     y = math.exp(-2 * p.omega * tau)
-    log_qq = np.log(p.mu * p.omega / p.hbar * a_pts * b_pts)
+    c = p.mu * p.omega / p.hbar
+    # the part of ln u_n that does not vary with n, from N_n^2 C_n^2 = 2 c^{3/2} Gamma(n+a+1) / (n! Gamma(a+1)^2)
+    log_lead = _LN2 + 1.5 * math.log(c) - 2 * math.lgamma(a + 1) + ell * np.log(c * a_pts * b_pts)
 
     def log_envelope(n: int):
-        log_c = math.lgamma(n + a + 1) - math.lgamma(n + 1.0) - math.lgamma(a + 1)
-        return -ladder_energy(p, n, ell) * tau / p.hbar + 2 * radial_log_norm(p, n, ell) + ell * log_qq + 2 * log_c
+        return -ladder_energy(p, n, ell) * tau / p.hbar + math.lgamma(n + a + 1) - math.lgamma(n + 1.0) + log_lead
 
     ratio = y * (n_cut + a + 2) / (n_cut + 2)
     if ratio < 1:
         log_tail = log_envelope(n_cut + 1) - math.log1p(-ratio)
     else:
-        # 1 - y from expm1 (y rounds to 1 at short times), and below the normal
-        # range as 2 omega tau from its factors, since that product may round to 0
-        one_m_y = -math.expm1(-2 * p.omega * tau)
-        log_one_m_y = math.log(one_m_y) if one_m_y >= _TINY else _LN2 + math.log(p.omega) + math.log(tau)
+        # 1 - y = 2 omega tau exprel(-2 omega tau); omega tau may round to 0, so it is never logged
+        log_one_m_y = _LN2 + math.log(p.omega) + math.log(tau) + math.log(specfun._exprel(-2 * p.omega * tau))
         log_tail = log_envelope(0) - (a + 1) * log_one_m_y
     tail = np.where(log_tail > _LOG_HUGE, math.inf, np.maximum(np.exp(np.minimum(log_tail, _LOG_HUGE)), math.ulp(0.0)))
     if scalar:

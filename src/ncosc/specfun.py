@@ -2,16 +2,18 @@
 and the modified Bessel function of the first kind. Log-gamma is
 math.lgamma, a few ulp across its whole domain.
 
-Everything downstream (wavefunction norms, closed-form kernels, spectral
+Everything downstream (wavefunctions, closed-form kernels, spectral
 sums) is built from these callables, so they are kept free of any
 dependence on the rest of the package. Polynomial evaluators accept scalar
 or ndarray arguments. The stacked evaluators laguerre_all and jacobi_all
-each build a table of recurrence coefficients for one stepper, which runs
+each build a table of recurrence coefficients (Python-float rows for one
+order) for one stepper, which runs
 P_k = ((c2 + c3 x) P_{k-1} - c4 P_{k-2}) / c1 from P_{-1} = 0 and P_0 = 1.
 It steps a call of up to _FLOAT_COLUMNS (order, point) columns column by
 column on Python floats, where numpy's fixed cost per operation would
 dominate, and a wider one on numpy arrays. Both do the same IEEE
-operations in the same order and give the same bits.
+operations in the same order and give the same bits. laguerre, a numpy
+recurrence of its own, is left to the checks that compare the two.
 
 The Bessel routines take one path: the scaled e^-x I_nu(x) of Amos's
 algorithm (ACM TOMS 644), through scipy's compiled scalar `ive` on floats
@@ -141,13 +143,16 @@ def laguerre_all(n_max: int, a, x) -> np.ndarray:
     _check_degree(n_max)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     a = np.asarray(a, dtype=float)
-    if not np.all((a > -1) & (a < math.inf)):
+    if not all(-1 < v < math.inf for v in a.ravel().tolist()):
         raise ValueError(f"laguerre requires finite a > -1, got a={a}")
     # (k + 1) L_{k+1} = (2k + 1 + a - x) L_k - (k + a) L_{k-1}
-    k = np.arange(n_max, dtype=float).reshape((-1,) + (1,) * a.ndim)
-    rows = np.empty((n_max, 4) + a.shape)
-    rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = k + 1, 2 * k + 1 + a, -1.0, k + a
-    return _three_term(rows if a.ndim else rows.tolist(), xa, a.shape)
+    if a.ndim:
+        k = np.arange(n_max, dtype=float).reshape((-1,) + (1,) * a.ndim)
+        rows = np.stack(np.broadcast_arrays(k + 1, 2 * k + 1 + a, -1.0, k + a), axis=1)
+    else:
+        af = float(a)
+        rows = [(k + 1.0, 2 * k + 1 + af, -1.0, k + af) for k in range(n_max)]
+    return _three_term(rows, xa, a.shape)
 
 
 def jacobi(n: int, a: float, b: float, x):

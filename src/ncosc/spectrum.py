@@ -5,7 +5,8 @@ Wavefunctions factorize as psi = R(r) Theta(theta) e^{i m phi} / sqrt(2 pi)
 with R orthonormal under r^2 dr on (0, inf) and Theta orthonormal under
 sin(theta) d(theta) on (0, pi/2). R and the energy depend on (n, ell_tilde)
 alone, which the radial functions take as model.ladder_energy does; an
-EigenState is the flat record (qn, angular, ell_tilde, energy).
+EigenState is the flat record (qn, angular, ell_tilde, energy). R is coded
+once, in radial_factors, on numpy alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     ladder_energy,
     radial_log_norm,
 )
-from .specfun import jacobi_all, laguerre, laguerre_all
+from .specfun import jacobi_all, laguerre_all
 
 __all__ = [
     "EigenState",
@@ -93,26 +94,20 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
 
 
 def radial_wavefunction(p: PotentialParams, n: int, ell: float, r):
-    """R(r) = norm e^{-mu omega r^2/2 hbar} (sqrt(mu omega/hbar) r)^{ell} L_n^{ell+1/2}(mu omega r^2/hbar).
-
-    The radial eigenfunction of degree n in a sector with ell_tilde ell,
-    orthonormal under the r^2 dr measure on (0, inf), with norm
-    exp(radial_log_norm(p, n, ell)). Accepts scalar or ndarray finite r > 0.
-    The Laguerre polynomial is unscaled; past x = mu omega r^2/hbar of about
-    1400 it can overflow, and OverflowError is raised.
-    """
+    """R(r) = N_n e^{-x/2} x^{ell/2} L_n^{ell+1/2}(x), x = mu omega r^2/hbar, of degree n and
+    ell_tilde ell, orthonormal under r^2 dr on (0, inf), at scalar or ndarray finite r > 0: row n
+    of radial_factors, exponentiated, as angular_wavefunction is a row of angular_profiles. The
+    Laguerre polynomial is unscaled; past x of about 1400 it can overflow, and OverflowError is raised."""
+    _check_count("n", n, 0)
     ra = np.asarray(r, dtype=float)
     if not np.all((ra > 0) & (ra < math.inf)):
         raise ValueError("radial_wavefunction requires finite r > 0")
-    q = np.sqrt(p.mu * p.omega / p.hbar) * ra
-    x = q * q
     with np.errstate(over="ignore", invalid="ignore"):
-        lag = laguerre(n, ell + 0.5, x)
-    if not np.all(np.isfinite(lag)):
+        log_env, poly = radial_factors(p, ell, n, ra.ravel())
+    if not np.all(np.isfinite(poly[n])):
         raise OverflowError(f"radial_wavefunction: a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n}, "
                             "is beyond the float range")
-    norm = math.exp(radial_log_norm(p, n, ell))
-    val = norm * np.exp(-0.5 * x) * q**ell * lag
+    val = (np.exp(log_env) * poly[n]).reshape(ra.shape)
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -181,27 +176,24 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
 def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, np.ndarray]:
     """Radial eigenfunctions R_0..R_{n_max} in factored form (log_env, poly).
 
-    R_n(r) = exp(log_env) poly[n], where log_env = -x/2 + (ell/2) ln x,
-    x = mu omega r^2/hbar, is the same for every degree and poly[n] is the
-    radial norm times L_n^{ell+1/2}(x). The envelope under- or overflows
-    long before the polynomial part, so sums over n keep it in log space.
-    ell may be an array of ell_tilde values, and one Laguerre recurrence
-    serves them all: log_env has shape shape(ell) + (P,) and poly
-    (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P; every r
-    must be finite and > 0.
+    R_n(r) = exp(log_env) poly[n], where log_env = ell (ln c / 2 + ln r) - x/2, c = mu omega/hbar
+    and x = c r^2, is the same for every degree (and finite also where x underflows) and
+    poly[n] = N_n L_n^{ell+1/2}(x). The envelope under- or overflows long before the polynomial
+    part, so sums over n keep it in log space. ell may be an array of ell_tilde values, and one
+    Laguerre recurrence serves them all: log_env has shape shape(ell) + (P,) and poly
+    (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P; every r must be finite and
+    > 0, every ell_tilde finite and >= 0.
     """
-    from scipy.special import xlogy
-
     ell = np.asarray(ell, dtype=float)
     ra = np.atleast_1d(np.asarray(r, dtype=float))
     # NaN fails too, since min and max propagate it
     if ra.size and not (0 < ra.min() and ra.max() < math.inf):
         raise ValueError("radial_factors requires finite r > 0")
-    x = (p.mu * p.omega / p.hbar) * ra * ra
-    log_env = xlogy(0.5 * ell[..., None], x) - 0.5 * x
-    lag = laguerre_all(n_max, ell + 0.5, x)
-    degrees = np.arange(n_max + 1).reshape((-1,) + (1,) * ell.ndim)
-    return log_env, np.exp(radial_log_norm(p, degrees, ell))[..., None] * lag
+    norm = np.exp(radial_log_norm(p, n_max, ell))
+    c = p.mu * p.omega / p.hbar
+    x = c * ra * ra
+    log_env = ell[..., None] * (0.5 * math.log(c) + np.log(ra)) - 0.5 * x
+    return log_env, norm[..., None] * laguerre_all(n_max, ell + 0.5, x)
 
 
 def radial_profiles(p: PotentialParams, ell, n_max: int, r) -> np.ndarray:

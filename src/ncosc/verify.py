@@ -456,7 +456,7 @@ def _hille_hardy_residual(x_val: float, y_val: float, s: float, ell: float) -> f
     lx, ly = sf.laguerre_all(150, a, [x_val, y_val]).T
     ns = np.arange(lx.size)
     # n! / Gamma(n+ell+3/2) is half the squared radial norm at unit scale
-    log_coeff = 2 * radial_log_norm(PotentialParams(), ns, ell) - math.log(2.0)
+    log_coeff = 2 * radial_log_norm(PotentialParams(), 150, ell) - math.log(2.0)
     weights = np.exp(
         (2 * ns + ell + 1.5) * math.log(s) + log_coeff - 0.5 * (x_val + y_val) + 0.5 * a * math.log(x_val * y_val)
     )

@@ -286,6 +286,15 @@ def test_wavefunction_norm_of_states_reaching_past_twelve_lengths(capsys, argv):
     assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_wavefunction_norm_at_n_250(capsys):
+    # the quadrature reaches x = 1421; the running-sum norm holds to 1.8e-15
+    # there, where a norm from one lgamma per degree was 6.0e-14 off
+    code, out, _ = run_cli(capsys, "wavefunction", "--n", "250", "--points", "2", "--format", "json",
+                           "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["norm"] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_wavefunction_past_the_laguerre_float_range_exits_2(capsys):
     # the norm quadrature reaches x = 1657, where L_300 overflows: an error
     # line and exit 2, not a RuntimeError traceback from a nan integrand

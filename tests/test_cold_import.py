@@ -54,6 +54,21 @@ def test_subcommands_load_only_the_scipy_they_need(command, needs_special):
     assert not loaded["scipy.linalg"]
 
 
+def test_radial_functions_load_no_scipy():
+    # the radial norm is a running sum of log1p over the degrees, so neither
+    # an array of ell_tilde nor the all-degree norm reaches scipy.special
+    loaded = loaded_after(
+        "import numpy as np\n"
+        "from ncosc import model, spectrum\n"
+        "p = model.PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)\n"
+        "spectrum.radial_profiles(p, np.array([0.5, 1.5, 2.7]), 6, [0.3, 1.0, 2.0])\n"
+        "model.radial_log_norm(p, 40, np.array([[0.0, 1.0], [20.5, 63.2]]))\n"
+        "spectrum.radial_wavefunction(p, 3, 1.5, np.linspace(0.1, 4.0, 50))\n"
+    )
+    assert not loaded["scipy.special"]
+    assert not loaded["scipy.linalg"]
+
+
 def test_first_bessel_call_binds_the_compiled_ive():
     # after one call the module global is scipy's compiled function itself,
     # so later calls pay no import

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,6 +18,7 @@ from ncosc.model import (
     energy_floor,
     potential_cartesian,
     potential_spherical,
+    radial_log_norm,
 )
 from ncosc.propagator import radial_kernel_closed
 from ncosc.spectrum import eigenstate
@@ -226,3 +228,28 @@ def test_sector_readers_agree(couplings, m, n_max):
     if bound:
         got = list(itertools.islice(admissible_sectors(p, m), len(want) + 1))
         assert got[:-1] == want and got[-1][0] >= stop
+
+
+def _mp_log_norm(p, n, ell):
+    c = mpmath.mpf(p.mu) * p.omega / p.hbar
+    return 0.5 * (mpmath.log(2) + 1.5 * mpmath.log(c) + mpmath.loggamma(n + 1) - mpmath.loggamma(n + ell + 1.5))
+
+
+# measured worst |ln N - ln N_mpmath|, the relative error of N: 1.41e-12 at
+# (n, ell_tilde) = (352, 300.5), and 6.4e-14 over n <= 80, ell_tilde <= 63.2
+# (about the same as scipy's gammaln there); the tolerances leave about 3.5x
+@pytest.mark.parametrize("n_max, ells, tol", [
+    (600, [0.0, 1.0, 20.5, 300.5], 5e-12),
+    (80, list(np.linspace(0.0, 63.2, 17)), 2e-13),
+], ids=["n600", "n80"])
+def test_radial_log_norm_matches_mpmath(n_max, ells, tol):
+    p = PotentialParams(hbar=1.1, mu=2.3, omega=0.7)
+    got = radial_log_norm(p, n_max, np.array(ells))
+    assert got.shape == (n_max + 1, len(ells))
+    with mpmath.workdps(40):
+        worst = max(abs(float(got[n, j] - _mp_log_norm(p, n, mpmath.mpf(ell))))
+                    for j, ell in enumerate(ells) for n in range(n_max + 1))
+    assert worst <= tol
+    # one path: each column is the call with that ell_tilde alone, bit for bit
+    for j, ell in enumerate(ells):
+        assert np.array_equal(radial_log_norm(p, n_max, ell), got[:, j])

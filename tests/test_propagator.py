@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncosc
-from ncosc.model import PotentialParams, effective_ell
+from ncosc.model import PotentialParams, effective_ell, radial_log_norm
 from ncosc.propagator import (
     LatticeSpec,
     PropagatorQuery,
@@ -28,7 +28,7 @@ from ncosc.propagator import (
     radial_kernel_spectral,
 )
 from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid, gauss_panels, radial_eigenvalues_fd
-from ncosc.spectrum import enumerate_states
+from ncosc.spectrum import enumerate_states, radial_profiles, radial_wavefunction
 from ncosc.verify import _hille_hardy_residual as hille_hardy_residual, _quartic_moment_check as quartic_moment_check
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
@@ -423,6 +423,15 @@ _QUERY = dict(ra=1.0, rb=1.2, theta_a=0.5, theta_b=0.6, phi_a=0.1, phi_b=0.2, ta
     pytest.param(lambda: gauss_panels(0.0, math.inf, 2, 3), "finite lo < hi, got lo=0.0, hi=inf", id="panels-inf"),
     pytest.param(lambda: gauss_panels(1.0, 0.0, 2, 3), "finite lo < hi, got lo=1.0, hi=0.0", id="panels-descending"),
     pytest.param(lambda: gauss_panels(1.0, 1.0, 2, 3), "finite lo < hi, got lo=1.0, hi=1.0", id="panels-empty"),
+    pytest.param(lambda: radial_log_norm(COUPLED, 2.5, 1.0), "n_max must be an integer", id="log-norm-n_max"),
+    pytest.param(lambda: radial_log_norm(COUPLED, -1, 1.0), "n_max must be >= 0, got -1", id="log-norm-n_max-floor"),
+    pytest.param(lambda: radial_profiles(COUPLED, 1.0, 3.0, [1.0]), "n_max must be an integer",
+                 id="profiles-n_max"),
+    pytest.param(lambda: radial_profiles(COUPLED, [1.0, 2.0], -1, [1.0]), "n_max must be >= 0, got -1",
+                 id="profiles-n_max-floor"),
+    pytest.param(lambda: radial_wavefunction(COUPLED, 1.0, 1.0, 1.0), "n must be an integer", id="wavefunction-n"),
+    pytest.param(lambda: radial_wavefunction(COUPLED, -1, 1.0, 1.0), "n must be >= 0, got -1",
+                 id="wavefunction-n-floor"),
 ])
 def test_counts_and_cutoffs_must_be_integers_at_their_floor(build, message):
     with pytest.raises(ValueError, match=message):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncosc import oracle
-from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, effective_ell
+from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_log_norm
 from ncosc.spectrum import (
     angular_profiles,
     angular_wavefunction,
@@ -243,6 +243,23 @@ def test_radial_wavefunction_raises_where_its_laguerre_overflows():
     assert math.isfinite(radial_wavefunction(p, 300, ell, 20.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_radial_functions_where_r_squared_underflows():
+    # at r = 1e-200, x = mu omega r^2/hbar is 0 but ln r is not: R is N_n L_n(0)
+    # at ell_tilde = 0, N_0 x^{1/4} = 1e-100 N_0 at ell_tilde = 1/2 and 0 at ell_tilde = 3
+    p, r = PotentialParams(), 1e-200
+    norms = np.exp(radial_log_norm(p, 4, 0.0))
+    lag_at_0 = np.array([math.gamma(n + 1.5) / (math.factorial(n) * math.gamma(1.5)) for n in range(5)])
+    for n in range(5):
+        assert radial_wavefunction(p, n, 0.0, r) == pytest.approx(norms[n] * lag_at_0[n], rel=1e-14)
+    assert radial_wavefunction(p, 0, 0.5, r) == pytest.approx(1e-100 * math.exp(radial_log_norm(p, 0, 0.5)[0]),
+                                                              rel=1e-13)
+    assert radial_wavefunction(p, 2, 3.0, r) == 0.0
+    stack = radial_profiles(p, np.array([0.0, 0.5, 3.0]), 4, [r])
+    assert np.all(np.isfinite(stack)) and np.all(stack[:, :2] > 0) and np.all(stack[:, 2] == 0)
+    assert np.allclose(stack[:, 0, 0], norms * lag_at_0, rtol=1e-14, atol=0)
+
+
 def test_wavefunction_domain_validation():
     ell = effective_ell(COUPLED, 0, 0)
     for r in (np.array([0.5, -1.0]), np.array([1.0, math.nan, math.inf]), math.nan, math.inf, 0.0,
@@ -251,6 +268,16 @@ def test_wavefunction_domain_validation():
             radial_wavefunction(COUPLED, 0, ell, r)
         with pytest.raises(ValueError, match="radial_factors requires finite r > 0"):
             radial_profiles(COUPLED, ell, 2, r)
+    # model._sector holds no state at ell_tilde < 0; NaN and inf are refused by the same name
+    for ell_bad in (-0.7, -1.2, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite ell_tilde >= 0"):
+            radial_wavefunction(PotentialParams(), 0, ell_bad, 1.0)
+        with pytest.raises(ValueError, match="finite ell_tilde >= 0"):
+            radial_profiles(PotentialParams(), ell_bad, 2, [1.0])
+    with pytest.raises(ValueError, match="finite ell_tilde >= 0"):
+        radial_profiles(PotentialParams(), np.array([0.5, -1.2, 2.0]), 2, [1.0])
+    with pytest.raises(ValueError, match="finite ell_tilde >= 0"):
+        radial_log_norm(PotentialParams(), 3, np.array([[1.0, math.nan]]))
     qn = QuantumNumbers(1, 1, 2)
     for phi in (math.nan, math.inf, -math.inf, np.array([0.3, math.nan])):
         with pytest.raises(ValueError, match="requires finite phi"):
