@@ -15,6 +15,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -179,7 +180,11 @@ def _emit(
     """
     pieces = _table_text(args, p, comments, meta, columns, rows)
     if not args.output:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader left (`| head`): the rest goes to devnull, not to an error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(args.output, "w", encoding="utf-8") as out:
@@ -312,11 +317,9 @@ def cmd_propagator(args: argparse.Namespace, p: PotentialParams) -> int:
         ["quantity", "value"],
         entries,
     )
-    if failures:
-        for msg in failures:
-            print(f"tolerance not reached: {msg}", file=sys.stderr)
-        return 3
-    return 0
+    for msg in failures:
+        print(f"tolerance not reached: {msg}", file=sys.stderr)
+    return 3 if failures else 0
 
 
 # -------------------------------------------------------------------- verify
@@ -421,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's parser, built once per process
+
+
 def _config_tokens(path: str) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -460,7 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             # config tokens go right after the subcommand so explicit
             # flags, parsed later, win
             rest = rest[:1] + _config_tokens(known.config) + rest[1:]
-        args = build_parser().parse_args(rest)
+        args = _parser().parse_args(rest)
         # verify takes no physics flags, and so no PotentialParams
         physics = {name: getattr(args, name) for name in _PHYSICS if name in args}
         return args.func(args, PotentialParams(**physics) if physics else None)

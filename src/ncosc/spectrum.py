@@ -99,15 +99,12 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r):
     of radial_factors, exponentiated, as angular_wavefunction is a row of angular_profiles. The
     Laguerre polynomial is unscaled; past x of about 1400 it can overflow, and OverflowError is raised."""
     _check_count("n", n, 0)
-    ra = np.asarray(r, dtype=float)
-    if not np.all((ra > 0) & (ra < math.inf)):
-        raise ValueError("radial_wavefunction requires finite r > 0")
     with np.errstate(over="ignore", invalid="ignore"):
-        log_env, poly = radial_factors(p, ell, n, ra.ravel())
+        log_env, poly = radial_factors(p, ell, n, np.ravel(r))
     if not np.all(np.isfinite(poly[n])):
         raise OverflowError(f"radial_wavefunction: a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n}, "
                             "is beyond the float range")
-    val = (np.exp(log_env) * poly[n]).reshape(ra.shape)
+    val = (np.exp(log_env) * poly[n]).reshape(np.shape(r))
     return float(val) if np.ndim(r) == 0 else val
 
 

@@ -717,16 +717,21 @@ def test_writer_reads_rows_once_from_a_generator(fmt):
     assert _emitted(fmt, columns, iter([])) == _reference_table(fmt, columns, [], [], {})
 
 
+def _child_env() -> dict:
+    # child processes import the ncosc under test, whatever the working dir
+    env = dict(os.environ)
+    src = str(Path(ncosc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_round_trip():
     # the declared console script must behave like `python -m ncosc.cli`
     with PYPROJECT.open("rb") as fh:
         scripts = tomllib.load(fh)["project"]["scripts"]
     assert scripts["ncosc"] == "ncosc.cli:main"
 
-    # child processes import the ncosc under test, whatever the working dir
-    env = dict(os.environ)
-    src = str(Path(ncosc.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _child_env()
     args = ["spectrum", "--emax", "6", "--no-timestamp"]
 
     def run(cmd):
@@ -741,3 +746,23 @@ def test_console_script_round_trip():
     installed = shutil.which("ncosc")
     if installed is not None:
         assert run([installed]) == expected
+
+
+def test_a_reader_that_leaves_early_ends_the_table_quietly():
+    # `ncosc spectrum --emax 40 | head -1`: the table (about 110 kB) is more
+    # than a pipe buffer holds, so the writer meets the closed pipe
+    cmd = [sys.executable, "-m", "ncosc", "spectrum", "--emax", "40", "--no-timestamp"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        assert proc.stdout.readline().startswith(b"# params ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_main_reuses_its_parser_without_carrying_state(capsys):
+    first = ["spectrum", "--m", "3", "--emax", "8", "--no-timestamp"]
+    runs = [run_cli(capsys, *argv) for argv in (first, ["wavefunction", "--n", "1", "--no-timestamp"], first)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[2][1].encode("utf-8") == runs[0][1].encode("utf-8")
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from ncosc import spectrum
+from ncosc import propagator, spectrum
 from ncosc.verify import SUITE_NAMES, run_check, run_suite
 
 
@@ -47,6 +47,36 @@ def test_radial_spectrum_agreement_fails_on_a_2e_6_energy_shift(monkeypatch):
     closed = spectrum.energy
     monkeypatch.setattr(spectrum, "energy", lambda p, qn: closed(p, qn) * (1 + 2e-6))
     assert not run_check("oracle", "radial-spectrum-agreement").passed
+
+
+def test_semigroup_fails_on_a_1e_5_endpoint_lattice_shift(monkeypatch):
+    # the composed 32-slice grid value is held to the 64-slice endpoint
+    # route at 1e-6; an endpoint route 1e-5 off must show, from one grid kernel
+    grids = []
+    endpoint, grid = propagator.lattice_radial_kernel, propagator.lattice_kernel_grid
+    monkeypatch.setattr(propagator, "lattice_radial_kernel", lambda *args: endpoint(*args) * (1 + 1e-5))
+    monkeypatch.setattr(propagator, "lattice_kernel_grid", lambda *args: grids.append(args) or grid(*args))
+    result = run_check("propagator", "semigroup")
+    assert not result.passed
+    assert result.observed == pytest.approx(1e-5, rel=1e-3)
+    assert len(grids) == 1
+
+
+def test_closed_vs_spectral_fails_on_a_1e_9_spectral_shift(monkeypatch):
+    # one broadcast spectral call per (couplings, tau) case, held to 1e-10
+    calls = []
+    spectral = propagator.radial_kernel_spectral
+
+    def shifted(*args):
+        calls.append(args)
+        k = spectral(*args)
+        return k._replace(value=k.value * (1 + 1e-9))
+
+    monkeypatch.setattr(propagator, "radial_kernel_spectral", shifted)
+    result = run_check("propagator", "closed-vs-spectral")
+    assert not result.passed
+    assert result.observed == pytest.approx(1e-9, rel=1e-3)
+    assert len(calls) == 6
 
 
 def test_radial_spectrum_agreement_reports_its_grids_and_shift_gap():
