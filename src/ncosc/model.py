@@ -20,7 +20,9 @@ Separation constants:
 ell_tilde acts as the orbital quantum number of the reduced radial
 problem. States need ell_tilde >= 0 to be normalizable; a negative
 radicand means the fall-to-center regime, which is rejected rather than
-modeled. The module needs numpy alone.
+modeled. QuantumNumbers and AngularMode are immutable NamedTuples that
+compare and hash as tuples; QuantumNumbers checks its fields on
+construction. The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,26 +89,35 @@ def _check_count(name: str, value, floor: int) -> None:
         raise ValueError(f"{name} must be >= {floor}, got {value}")
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
-    """Radial n, angular n_theta, azimuthal m: integers, n and n_theta >= 0."""
-
+class _QuantumNumbers(NamedTuple):
     n: int
     n_theta: int
     m: int
 
-    def __post_init__(self) -> None:
-        n, n_theta, m = self.n, self.n_theta, self.m
+
+class QuantumNumbers(_QuantumNumbers):
+    """Radial n, angular n_theta, azimuthal m: integers, n and n_theta >= 0.
+
+    An immutable NamedTuple; the constructor, _make and _replace check every
+    field."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, n_theta: int, m: int):
         if not (isinstance(n, _INTEGER) and isinstance(n_theta, _INTEGER) and isinstance(m, _INTEGER)):
             raise ValueError(f"quantum numbers must be integers, got n={n!r}, n_theta={n_theta!r}, m={m!r}")
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         if n_theta < 0:
             raise ValueError(f"n_theta must be >= 0, got {n_theta}")
+        return super().__new__(cls, n, n_theta, m)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AngularMode:
+class AngularMode(NamedTuple):
     """One angular sector: indices (lam, k), degree n_theta, eigenvalue eps,
     and the norm that makes Theta orthonormal under sin(theta) d(theta)."""
 

@@ -272,23 +272,32 @@ def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     )
 
 
+def _product(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
+             x: np.ndarray) -> np.ndarray:
+    """f(x) g(x), with f called once where g is f."""
+    fx = np.asarray(f(x))
+    return fx * (fx if g is f else np.asarray(g(x)))
+
+
 def inner_product_radial(f: Callable[[np.ndarray], np.ndarray], g: Callable[[np.ndarray], np.ndarray],
                          r_max: float) -> QuadratureResult:
-    """<f, g> = int_0^r_max f(r) g(r) r^2 dr, finite r_max > 0, with a reported error estimate."""
+    """<f, g> = int_0^r_max f(r) g(r) r^2 dr, finite r_max > 0, with a reported error estimate.
+    Where g is f, f is evaluated once per panel level."""
     if not 0 < r_max < math.inf:
         raise ValueError(f"inner_product_radial requires finite r_max > 0, got r_max={r_max}")
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        return np.asarray(f(r)) * np.asarray(g(r)) * r * r
+        return _product(f, g, r) * r * r
 
     return _panel_refine(integrand, 0.0, r_max)
 
 
 def inner_product_angular(f: Callable[[np.ndarray], np.ndarray],
                           g: Callable[[np.ndarray], np.ndarray]) -> QuadratureResult:
-    """<f, g> = int_0^{pi/2} f(theta) g(theta) sin(theta) d(theta) with a reported error estimate."""
+    """<f, g> = int_0^{pi/2} f(theta) g(theta) sin(theta) d(theta) with a reported error estimate.
+    Where g is f, f is evaluated once per panel level."""
 
     def integrand(th: np.ndarray) -> np.ndarray:
-        return np.asarray(f(th)) * np.asarray(g(th)) * np.sin(th)
+        return _product(f, g, th) * np.sin(th)
 
     return _panel_refine(integrand, 0.0, math.pi / 2)

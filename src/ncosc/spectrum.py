@@ -5,15 +5,16 @@ Wavefunctions factorize as psi = R(r) Theta(theta) e^{i m phi} / sqrt(2 pi)
 with R orthonormal under r^2 dr on (0, inf) and Theta orthonormal under
 sin(theta) d(theta) on (0, pi/2). R and the energy depend on (n, ell_tilde)
 alone, which the radial functions take as model.ladder_energy does; an
-EigenState is the flat record (qn, angular, ell_tilde, energy). R is coded
-once, in radial_factors, on numpy alone.
+EigenState is the flat record (qn, angular, ell_tilde, energy), an immutable
+NamedTuple like its qn and angular. enumerate_states builds its records
+without re-checking the quantum numbers its scan takes from range(). R is
+coded once, in radial_factors, on numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EigenState:
+class EigenState(NamedTuple):
     """One bound state: quantum numbers, angular mode, the ell_tilde of its
     sector and its energy ladder_energy(p, qn.n, ell_tilde)."""
 
@@ -144,6 +144,9 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     mode is built once, and sectors +m and -m share it; each level's
     energy is computed once, serves as the loop bound and is stored in
     both of its states, and the sort reads keys made alongside the states.
+    The records are made with tuple.__new__, which skips QuantumNumbers'
+    checks: the scan takes n, n_theta and m from range() and
+    admissible_sectors, so they are valid integers already.
     """
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
@@ -151,6 +154,7 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     # (energy, n, n_theta, m, state): the first four never tie, so the sort
     # never compares states
     keyed: list[tuple] = []
+    new = tuple.__new__
     for m in range(0, m_max + 1):
         if energy_floor(p, m) > e_max:
             break
@@ -163,7 +167,8 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
             n = 0
             while e <= e_max:
                 for sm in signed:
-                    keyed.append((e, n, n_theta, sm, EigenState(QuantumNumbers(n, n_theta, sm), ang, ell, e)))
+                    qn = new(QuantumNumbers, (n, n_theta, sm))
+                    keyed.append((e, n, n_theta, sm, new(EigenState, (qn, ang, ell, e))))
                 n += 1
                 e = ladder_energy(p, n, ell)
     keyed.sort()

@@ -62,6 +62,23 @@ def test_quantum_number_validation():
         eigenstate(COUPLED, 0, 0, 0.5)
 
 
+def test_quantum_numbers_are_a_checked_immutable_record():
+    qn = QuantumNumbers(1, 0, 1)
+    assert repr(qn) == "QuantumNumbers(n=1, n_theta=0, m=1)"  # as the README example prints
+    assert QuantumNumbers(n=1, n_theta=0, m=1) == qn and hash(qn) == hash((1, 0, 1))
+    with pytest.raises(AttributeError):
+        qn.n = 2
+    # the copying constructors check as the public one does
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        qn._replace(n=-1)
+    with pytest.raises(ValueError, match="quantum numbers must be integers"):
+        QuantumNumbers._make((0, 0.5, 0))
+    assert qn._replace(m=-1) == QuantumNumbers(1, 0, -1)
+    mode = angular_mode(COUPLED, 1, 2)
+    with pytest.raises(AttributeError):
+        mode.norm = 1.0
+
+
 def test_potential_value_by_hand():
     # V = -v0 + mu w^2 r^2/2 + (hbar^2/2 mu r^2)(alpha + beta cot^2 + gamma/cos^2)
     p = PotentialParams(v0=0.7, alpha=1.0, beta=0.5, gamma=2.0, omega=1.3, mu=0.8, hbar=1.1)

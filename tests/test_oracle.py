@@ -178,6 +178,22 @@ def test_inner_product_reference_integrals():
     assert res.value == pytest.approx(1.0, abs=1e-14)
 
 
+def test_inner_product_of_f_with_itself_calls_f_once_per_level():
+    calls = []
+
+    def bump(x):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    radial = inner_product_radial(bump, bump, 3.0)
+    assert len(calls) == 2  # two panel levels, one call each
+    assert radial.value == inner_product_radial(bump, lambda x: np.exp(-x), 3.0).value
+    calls.clear()
+    angular = inner_product_angular(bump, bump)
+    assert len(calls) == 2
+    assert angular.value == inner_product_angular(bump, lambda x: np.exp(-x)).value
+
+
 @pytest.mark.parametrize("r_max", [math.inf, -math.inf, math.nan, -1.0, 0.0])
 def test_inner_product_radial_requires_finite_positive_r_max(r_max):
     one = lambda x: np.ones_like(x)

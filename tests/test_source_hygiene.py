@@ -90,6 +90,20 @@ def test_only_specfun_reaches_scipy_ive():
     assert users == ["specfun.py"], f"scipy's ive is reached from {users}; take ln I_nu from specfun"
 
 
+def test_only_enumerate_states_builds_unchecked_records():
+    # tuple.__new__ makes a QuantumNumbers without its checks; only the
+    # enumeration, whose quantum numbers come from range(), may skip them
+    def uses(tree):
+        return sum(isinstance(node, ast.Attribute) and node.attr == "__new__"
+                   and isinstance(node.value, ast.Name) and node.value.id == "tuple" for node in ast.walk(tree))
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    enum = next(node for node in trees["spectrum"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "enumerate_states")
+    found = {name: n for name, tree in trees.items() if (n := uses(tree))}
+    assert uses(enum) and found == {"spectrum": uses(enum)}, f"tuple.__new__ is used outside enumerate_states: {found}"
+
+
 def test_traced_names_resolve():
     # perfbench/spans.py wraps these functions by name for the per-layer
     # metrics; a renamed one would fail only a traced benchmark run

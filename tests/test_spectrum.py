@@ -6,6 +6,7 @@ the index maps; everything else is checked against structural facts
 """
 
 import math
+import pickle
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from ncosc import oracle
 from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_log_norm
 from ncosc.spectrum import (
+    EigenState,
     angular_profiles,
     angular_wavefunction,
     eigenstate,
@@ -186,6 +188,18 @@ def test_enumerated_states_equal_eigenstate(alpha, beta, gamma):
         assert s == eigenstate(p, s.qn.n, s.qn.n_theta, s.qn.m), s.qn
     if (alpha, beta, gamma) == (-2.0, 0.0, 0.0):
         assert states[0].ell_tilde == 0.0
+
+
+def test_enumerated_records_are_the_public_types():
+    # enumerate_states skips the constructor's checks, not its types
+    states = enumerate_states(COUPLED, e_max=10.0, m_max=4)
+    assert all(type(s) is EigenState and type(s.qn) is QuantumNumbers for s in states)
+    s = states[-1]
+    with pytest.raises(AttributeError):
+        s.energy = 0.0
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and type(back) is EigenState and type(back.qn) is QuantumNumbers
+    assert repr(back) == repr(s)
 
 
 def test_enumerate_states_invariants():
