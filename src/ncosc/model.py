@@ -20,9 +20,9 @@ Separation constants:
 ell_tilde acts as the orbital quantum number of the reduced radial
 problem. States need ell_tilde >= 0 to be normalizable; a negative
 radicand means the fall-to-center regime, which is rejected rather than
-modeled. QuantumNumbers and AngularMode are immutable NamedTuples that
-compare and hash as tuples; QuantumNumbers checks its fields on
-construction. The module needs numpy alone.
+modeled. admissible_sectors evaluates each sector once for its ell_tilde and
+AngularMode. QuantumNumbers and AngularMode are immutable NamedTuples that
+hash as tuples; QuantumNumbers checks its fields. The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -200,12 +200,12 @@ def _sector(
         raise ValueError(f"sector indices must be integers, got n_theta={n_theta!r}, m={m!r}")
     if n_theta < 0:
         raise ValueError(f"n_theta must be >= 0, got {n_theta}")
-    lam_sq = p.beta + m * m
+    lam_sq = p.beta + m * float(m)  # in floats, so a numpy integer never wraps
     if lam_sq < 0:
         why = f"beta + m^2 must be >= 0 for a bound angular sector, got {lam_sq} (beta={p.beta}, m={m})"
         return None, None, None, None, why
     lam, k = math.sqrt(lam_sq), math.sqrt(p.gamma + 0.25)
-    base = k + lam + 2 * n_theta + 1
+    base = k + lam + 2.0 * n_theta + 1
     radicand = base * base + (p.alpha - p.beta)
     if radicand < 0:
         why = f"(k+lambda+2*n_theta+1)^2 + alpha - beta = {radicand} < 0: fall-to-center regime, no bound state"
@@ -236,8 +236,9 @@ def effective_ell(p: PotentialParams, n_theta: int, m: int) -> float:
 
 
 def admissible_sectors(p: PotentialParams, m: int):
-    """Yield (n_theta, ell_tilde) of every sector (n_theta, m) that holds bound
-    states, by increasing n_theta and without end; nothing if beta + m^2 < 0.
+    """Yield (n_theta, ell_tilde, AngularMode) of every sector (n_theta, m)
+    that holds bound states, from one evaluation each, by increasing n_theta
+    and without end; nothing if beta + m^2 < 0.
 
     Strongly attractive couplings (alpha - beta << 0) make thousands of low
     n_theta inadmissible; the scan starts at a lower bound, exact up to
@@ -250,9 +251,9 @@ def admissible_sectors(p: PotentialParams, m: int):
     need = 0.25 - (p.alpha - p.beta)
     start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - base) / 2) - 1)
     for n_theta in itertools.count(start):
-        ell = admissible_ell(p, n_theta, m)
+        lam, k, base, ell, _ = _sector(p, n_theta, m)
         if ell is not None:
-            yield n_theta, ell
+            yield n_theta, ell, _angular(p, n_theta, lam, k, base)
 
 
 def energy_floor(p: PotentialParams, m: int) -> float:
@@ -271,7 +272,7 @@ def energy_floor(p: PotentialParams, m: int) -> float:
 
 def ladder_energy(p: PotentialParams, n, ell: float):
     """E = (2n + ell_tilde + 3/2) hbar omega - v0, for an integer n or an ndarray of them."""
-    return (2 * n + ell + 1.5) * p.hbar * p.omega - p.v0
+    return (2.0 * n + ell + 1.5) * p.hbar * p.omega - p.v0
 
 
 def radial_log_norm(p: PotentialParams, n_max: int, ell):
@@ -295,20 +296,25 @@ def radial_extent(p: PotentialParams, n: int, ell: float) -> float:
     has decayed: 6 oscillator lengths past the outermost classical turning
     point sqrt(4n + 2 ell_tilde + 3) sqrt(hbar/(mu omega)), and never less
     than 12 oscillator lengths."""
-    return math.sqrt(p.hbar / (p.mu * p.omega)) * max(12.0, math.sqrt(4 * n + 2 * ell + 3) + 6.0)
+    return math.sqrt(p.hbar / (p.mu * p.omega)) * max(12.0, math.sqrt(4.0 * n + 2 * ell + 3) + 6.0)
 
 
 def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
-    """Build the angular sector data for (n_theta, m).
+    """The AngularMode of the (n_theta, m) sector, which must be bound (beta + m^2 >= 0)."""
+    lam, k, base, _, why = _sector(p, n_theta, m)
+    if base is None:
+        raise ValueError(why)
+    return _angular(p, n_theta, lam, k, base)
+
+
+def _angular(p: PotentialParams, n_theta: int, lam: float, k: float, base: float) -> AngularMode:
+    """The AngularMode of a bound sector from its _sector values lam, k, base.
 
     eps = (hbar^2/2mu) base^2 with base = k + lam + 2 n_theta + 1. The norm
     squares to 2 base n_theta! Gamma(n_theta+k+lam+1)
     / [Gamma(n_theta+k+1) Gamma(n_theta+lam+1)], evaluated through log-gamma
     differences so large degrees stay in range.
     """
-    lam, k, base, _, why = _sector(p, n_theta, m)
-    if base is None:
-        raise ValueError(why)
     eps = (p.hbar**2 / (2 * p.mu)) * base * base
     log_norm_sq = (
         math.log(2 * base)

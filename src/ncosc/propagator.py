@@ -298,7 +298,7 @@ def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau:
 def _sectors(p: PotentialParams, m: int, ntheta_cut: int) -> tuple[list[AngularMode], np.ndarray]:
     """Angular modes and ell_tilde of the admissible sectors (n_theta <= ntheta_cut, m)."""
     sectors = list(itertools.takewhile(lambda s: s[0] <= ntheta_cut, admissible_sectors(p, m)))
-    return [angular_mode(p, n_theta, m) for n_theta, _ in sectors], np.array([ell for _, ell in sectors])
+    return [mode for _, _, mode in sectors], np.array([ell for _, ell, _ in sectors])
 
 
 def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:

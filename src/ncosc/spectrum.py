@@ -140,10 +140,11 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     every energy at |m| and never decreases with it. Inadmissible sectors
     (non-bound lambda, fall-to-center radicand, ell_tilde < 0) hold no
     states and are skipped; admissibility is restored at larger n_theta
-    or |m|, so skipping never ends a scan early. Each sector's angular
-    mode is built once, and sectors +m and -m share it; each level's
-    energy is computed once, serves as the loop bound and is stored in
-    both of its states, and the sort reads keys made alongside the states.
+    or |m|, so skipping never ends a scan early. The scan evaluates each
+    sector once and yields its ell_tilde and angular mode, which sectors +m
+    and -m share; each level's energy is computed once, serves as the loop
+    bound and is stored in both of its states, and the sort reads keys made
+    alongside the states.
     The records are made with tuple.__new__, which skips QuantumNumbers'
     checks: the scan takes n, n_theta and m from range() and
     admissible_sectors, so they are valid integers already.
@@ -159,11 +160,10 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
         if energy_floor(p, m) > e_max:
             break
         signed = (m, -m) if m else (0,)
-        for n_theta, ell in admissible_sectors(p, m):
+        for n_theta, ell, ang in admissible_sectors(p, m):
             e = ladder_energy(p, 0, ell)
             if e > e_max:
                 break
-            ang = angular_mode(p, n_theta, m)
             n = 0
             while e <= e_max:
                 for sm in signed:

@@ -18,10 +18,12 @@ from ncosc.model import (
     energy_floor,
     potential_cartesian,
     potential_spherical,
+    radial_extent,
     radial_log_norm,
 )
-from ncosc.propagator import radial_kernel_closed
-from ncosc.spectrum import eigenstate
+from ncosc import model
+from ncosc.propagator import PropagatorQuery, full_kernel_spectral, integrated_diagonal_kernel, radial_kernel_closed
+from ncosc.spectrum import eigenstate, energy, enumerate_states
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
 
@@ -241,10 +243,56 @@ def test_sector_readers_agree(couplings, m, n_max):
                 effective_ell(p, n_theta, m)
         else:
             assert effective_ell(p, n_theta, m) == ell
-            want.append((n_theta, ell))
+            want.append((n_theta, ell, angular_mode(p, n_theta, m)))
     if bound:
         got = list(itertools.islice(admissible_sectors(p, m), len(want) + 1))
         assert got[:-1] == want and got[-1][0] >= stop
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_indices_do_not_wrap():
+    # m^2, 2 n_theta, 2 n and 4 n are formed in floats: in int64 they wrap
+    # at these points, with a RuntimeWarning at most
+    p = PotentialParams()
+
+    def points(big, huge):
+        return (angular_mode(p, 0, big), effective_ell(p, 0, big), energy(p, QuantumNumbers(huge, 0, 0)),
+                angular_mode(p, huge, 0), radial_extent(p, huge, 0.0))
+
+    want = points(2**32, 2**62)
+    assert points(np.int64(2**32), np.int64(2**62)) == want
+    assert want[0].lam == 2.0**32 and want[2] == 2.0**63 + 1.5
+
+
+def test_scans_evaluate_each_sector_once(monkeypatch):
+    # the scans take each sector's ell_tilde and angular mode from one
+    # _sector call; (0, m) is read again by energy_floor and the scan start
+    calls = {}
+
+    def counted(p, n_theta, m, _sector=model._sector):
+        calls[n_theta, m] = calls.get((n_theta, m), 0) + 1
+        return _sector(p, n_theta, m)
+
+    def most(run, reread=None):
+        """The most evaluations of one (0, m) sector and of one other sector,
+        less the one of a sector read again outside the scan."""
+        calls.clear()
+        run()
+        if reread:
+            calls[reread] -= 1
+        return (max(n for (nt, _), n in calls.items() if nt == 0),
+                max(n for (nt, _), n in calls.items() if nt >= 1))
+
+    monkeypatch.setattr(model, "_sector", counted)
+    p = PotentialParams(alpha=-0.9, beta=2.0, gamma=1.0)
+    query = PropagatorQuery(1.0, 1.2, 0.6, 0.8, 0.0, 0.5, 0.7, n_cut=25, ntheta_cut=8, m_cut=6)
+    zero, rest = most(lambda: enumerate_states(p, 30.0, 200))
+    assert zero <= 3 and rest == 1
+    zero, rest = most(lambda: full_kernel_spectral(p, query))
+    assert zero <= 2 and rest == 1
+    # the corner sector (3, 2) is read once more, for the radial extent
+    zero, rest = most(lambda: integrated_diagonal_kernel(p, 0.7, 4, 3, 2), reread=(3, 2))
+    assert zero <= 2 and rest == 1
 
 
 def _mp_log_norm(p, n, ell):

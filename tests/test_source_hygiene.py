@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused import, every name in a
 module's __all__ defined by that module, no scipy import at module level,
-scipy's Bessel ive reached from specfun alone, and every function the
+scipy's Bessel ive reached from specfun alone, sector admissibility and the
+angular mode formula reached from model alone, and every function the
 benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
@@ -88,6 +89,22 @@ def test_only_specfun_reaches_scipy_ive():
 
     users = [path.name for path in SOURCES if reaches_ive(ast.parse(path.read_text()))]
     assert users == ["specfun.py"], f"scipy's ive is reached from {users}; take ln I_nu from specfun"
+
+
+def test_only_model_reaches_sector_and_angular():
+    # sector admissibility and the angular mode formula are coded once:
+    # every other module reads a sector through model's public functions
+    private = {"_sector", "_angular"}
+
+    def reaches(tree):
+        return any((isinstance(node, ast.Name) and node.id in private)
+                   or (isinstance(node, ast.alias) and node.name in private)
+                   or (isinstance(node, ast.Attribute) and node.attr in private)
+                   or (isinstance(node, ast.Constant) and node.value in private)
+                   for node in ast.walk(tree))
+
+    users = [path.name for path in SOURCES if reaches(ast.parse(path.read_text()))]
+    assert users == ["model.py"], f"model._sector or model._angular is reached from {users}; read sectors through model"
 
 
 def test_only_enumerate_states_builds_unchecked_records():
