@@ -372,7 +372,22 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     return total
 
 
-def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, eps: float) -> np.ndarray:
+def _slice_reach(p: PotentialParams, eps: float, x: np.ndarray, y: np.ndarray, n_slices: int) -> float:
+    """sqrt(2 hbar eps X/mu) for the reach X of _slice_matrix: the exact reach,
+    and in an N-slice kernel the smaller of it and the N-aware reach."""
+    v_lo, v_hi = _radial_potential(p, 0.0, np.array([min(x[0], y[0]), max(x[-1], y[-1])]))
+    log_q = math.log(p.mu) - math.log(p.hbar) - math.log(eps) + math.log(max(x[-1], y[-1])) - eps * v_lo / p.hbar
+    action = 746.0 + max(0.0, log_q)  # e^-746 rounds to 0
+    if n_slices > 1:
+        bound = 746.0 + n_slices * max(0.0, log_q + math.log(np.max(np.diff(y))))
+        step = bound / n_slices + eps * (v_hi - v_lo) / p.hbar
+        action = min(action, (math.sqrt(step) + math.sqrt(55.0)) ** 2)
+    return math.sqrt(2 * action * p.hbar / p.mu) * math.sqrt(eps)
+
+
+def _slice_matrix(
+    p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, eps: float, n_slices: int = 1
+) -> np.ndarray:
     """One-slice Euclidean kernel between row points x and column points y,
     flat-measure normalization.
 
@@ -382,25 +397,49 @@ def _slice_matrix(p: PotentialParams, ell: float, x: np.ndarray, y: np.ndarray, 
     symmetrically across the slice endpoints. A naive e^{-eps V_eff} splitting
     of the 1/r^2 term degrades the Trotter order from eps^2 to eps^(3/2) and
     loses the second-order convergence signature the ratio checks rely on.
+
+    Entries are evaluated a block of rows at a time, only where the Gaussian
+    action a = mu (r - r')^2/(2 hbar eps) is at most the reach X; the others
+    are 0. As e^{-z} I_nu(z) <= 1, sqrt(r r') <= r_max and V >= V_lo, its
+    value at the smallest point, an entry is at most Q e^{-a} with
+    Q = mu r_max e^{-eps V_lo/hbar}/(hbar eps). The exact reach
+    X = 746 + ln Q (at least 746) is where that bound rounds to 0, so a slice
+    returned as it is (n_slices = 1) keeps every entry that fits. In an
+    N-slice kernel trapezoid weights, at most the largest spacing h, bound a
+    path by P^N e^{-S}, P = h Q, S its action above N eps V_lo/hbar: a
+    composed value that fits has a classical path of kinetic action at most
+    D = 746 + N ln P (at least 746) and, kinetic less potential energy being
+    conserved, steps of action at most s = D/N + eps (V_hi - V_lo)/hbar. The
+    action is quadratic, so a path with a step of action X lies at least
+    (sqrt(X) - sqrt(s))^2 above that path, and the N-aware reach
+    X_N = (sqrt(s) + sqrt(55))^2 cuts only paths e^-55 < 2^-64 below the
+    composed value; the 18 nats to the 2^-53 of its rounding cover the sum
+    over paths and the prefactors. Row and column points ascend.
     """
     vx, vy = _radial_potential(p, 0.0, x), _radial_potential(p, 0.0, y)
-    if x is y:
-        # the kernel is symmetric: evaluate the upper triangle and mirror it
-        rows, cols = np.triu_indices(len(x))
-    else:
-        rows, cols = np.ix_(np.arange(len(x)), np.arange(len(y)))
-    xr, yc = x[rows], y[cols]
-    # the flat measure r r' in parentheses, so that the sum is symmetric in r, r'
-    log_t = (
-        _log_radial_kernel(p.mu / p.hbar, 0.0, ell + 0.5, xr, yc, eps)
-        + (np.log(xr) + np.log(yc))
-        - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
-    )
-    if x is not y:
-        return np.exp(log_t)
-    out = np.empty((len(x), len(x)))
-    out[rows, cols] = out[cols, rows] = np.exp(log_t)
-    return out
+    reach = _slice_reach(p, eps, x, y, n_slices)
+    out = np.zeros((len(x), len(y)))
+    step = max(1, (1 << 14) // len(y))  # rows per block of about 16k entries
+    for i0 in range(0, len(x), step):
+        xb = x[i0:i0 + step]
+        lo = int(np.searchsorted(y, xb[0] - reach))
+        hi = int(np.searchsorted(y, xb[-1] + reach, side="right"))
+        near = np.abs(xb[:, None] - y[None, lo:hi]) <= reach
+        if x is y:
+            # the kernel is symmetric: evaluate the upper triangle and mirror it
+            near &= np.arange(lo, hi)[None, :] >= np.arange(i0, i0 + len(xb))[:, None]
+        rows, cols = np.nonzero(near)
+        rows, cols = rows + i0, cols + lo
+        xr, yc = x[rows], y[cols]
+        # the flat measure r r' in parentheses, so that the sum is symmetric in r, r'
+        log_t = (
+            _log_radial_kernel(p.mu / p.hbar, 0.0, ell + 0.5, xr, yc, eps)
+            + (np.log(xr) + np.log(yc))
+            - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
+        )
+        out[rows, cols] = np.exp(log_t)
+    # the lower triangle of a symmetric slice is 0 until mirrored
+    return np.maximum(out, out.T) if x is y else out
 
 
 def _lattice_setup(
@@ -444,11 +483,13 @@ def lattice_kernel_grid(
     by numpy's matrix_power, which squares and multiplies (about log2 N
     products instead of N-1). Every factor is entrywise positive, which
     keeps each entry accurate to rounding. The composed flat-measure kernel
-    is divided by r_i r_j at the end.
+    is divided by r_i r_j at the end. S keeps, at one slice, every entry
+    that fits (the exact reach) and otherwise those within the N-aware reach,
+    past which no path can move a composed value that fits (_slice_matrix).
     """
     ell, eps, grid, w = _lattice_setup(p, n_theta, m, tau, spec)
     root_w = np.sqrt(w)
-    s = root_w[:, None] * _slice_matrix(p, ell, grid, grid, eps) * root_w[None, :]
+    s = root_w[:, None] * _slice_matrix(p, ell, grid, grid, eps, spec.n_slices) * root_w[None, :]
     scale = 1.0 / (root_w * grid)
     return grid, scale[:, None] * np.linalg.matrix_power(s, spec.n_slices) * scale[None, :]
 
@@ -462,7 +503,8 @@ def lattice_radial_kernel(
     vector is propagated through the N-2 interior slices on the grid, so
     any (ra, rb) in [r_min, r_max] gets the N-slice lattice value, and grid
     nodes reproduce lattice_kernel_grid. Converges to radial_kernel_closed
-    at second order in tau/n_slices.
+    at second order in tau/n_slices. The end slices keep every entry that
+    fits (the exact reach), the interior ones those within the N-aware reach.
     """
     if not (spec.r_min <= ra <= spec.r_max and spec.r_min <= rb <= spec.r_max):
         raise ValueError("endpoints must lie inside [r_min, r_max]")
@@ -473,7 +515,7 @@ def lattice_radial_kernel(
     else:
         vec = _slice_matrix(p, ell, grid, a, eps)[:, 0]
         if spec.n_slices > 2:
-            t = _slice_matrix(p, ell, grid, grid, eps)
+            t = _slice_matrix(p, ell, grid, grid, eps, spec.n_slices)
             for _ in range(spec.n_slices - 2):
                 vec = t @ (w * vec)
         flat = float(_slice_matrix(p, ell, b, grid, eps)[0] @ (w * vec))

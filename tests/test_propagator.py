@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncosc
+from ncosc import propagator
 from ncosc.model import PotentialParams, effective_ell, radial_log_norm
 from ncosc.propagator import (
     LatticeSpec,
@@ -29,7 +30,11 @@ from ncosc.propagator import (
 )
 from ncosc.oracle import GridSpec, angular_eigenvalues_fd, default_angular_grid, gauss_panels, radial_eigenvalues_fd
 from ncosc.spectrum import enumerate_states, radial_profiles, radial_wavefunction
-from ncosc.verify import _hille_hardy_residual as hille_hardy_residual, _quartic_moment_check as quartic_moment_check
+from ncosc.verify import (
+    _hille_hardy_residual as hille_hardy_residual,
+    _quartic_moment_check as quartic_moment_check,
+    run_check,
+)
 
 COUPLED = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
 LATTICE_64 = LatticeSpec(n_slices=64, r_min=0.02, r_max=8.0, n_grid=400)
@@ -524,6 +529,79 @@ def test_slice_matrix_mirrors_its_upper_triangle():
             big = full > 1e-8 * full.max()
             assert np.max(np.abs(half[big] / full[big] - 1)) <= 1e-14
             assert np.max(np.abs(half - full)) <= 1e-14 * full.max()
+
+
+def _unbanded(monkeypatch):
+    # an infinite reach makes _slice_matrix evaluate every entry
+    monkeypatch.setattr(propagator, "_slice_reach", lambda *args: math.inf)
+
+
+# (params, (r_min, r_max, n_grid), n_slices, tau, (n_theta, m)). The first
+# three are where a reach of 745/N + 45 moves composed entries below 5e-210;
+# at mu = 50, v0 = 3 the harmonic potential climbs 1600 over the box, where
+# a reach blind to the potential moves entries near 1e-304 by one ulp
+BAND_CASES = [
+    *((PotentialParams(hbar=0.6, mu=1.7, omega=1.3, v0=-2.0, alpha=-0.2), (0.01, 12.0, 600), n, 0.05, (0, 0))
+      for n in (2, 3, 4)),
+    (PotentialParams(mu=10.0, alpha=1.0, beta=0.5, gamma=2.0), (0.01, 3.0, 300), 16, 0.16, (1, 2)),  # mu/(hbar eps) = 1e3
+    (PotentialParams(hbar=2.0, mu=50.0, v0=3.0, alpha=0.4), (0.02, 8.0, 400), 8, 2.0, (0, 0)),
+    (COUPLED, (0.05, 5.0, 250), 16, 0.5, (1, 2)),
+    (PotentialParams(), (0.02, 8.0, 400), 64, 0.5, (0, 0)),
+]
+
+
+def test_banded_lattice_equals_unbanded_bit_for_bit(monkeypatch):
+    banded = []
+    for p, box, n_slices, tau, (n_theta, m) in BAND_CASES:
+        spec = LatticeSpec(n_slices, *box)
+        grid = np.linspace(*box)
+        # the N-aware reach cuts the slice: the case tests the band
+        assert propagator._slice_reach(p, tau / n_slices, grid, grid, n_slices) < box[1] - box[0]
+        _, kern = lattice_kernel_grid(p, n_theta, m, tau, spec)
+        banded.append((kern, lattice_radial_kernel(p, n_theta, m, 0.81, 1.234, tau, spec)))
+    _unbanded(monkeypatch)
+    for (p, box, n_slices, tau, (n_theta, m)), (kern, val) in zip(BAND_CASES, banded):
+        spec = LatticeSpec(n_slices, *box)
+        assert np.array_equal(kern, lattice_kernel_grid(p, n_theta, m, tau, spec)[1]), (p, n_slices)
+        assert val == lattice_radial_kernel(p, n_theta, m, 0.81, 1.234, tau, spec), (p, n_slices)
+
+
+def test_band_keeps_every_entry_a_returned_slice_holds(monkeypatch):
+    # one slice, and the end slices of the endpoint route, take the exact
+    # reach: every entry that fits in a float, down to the tails near 1e-300
+    p = PotentialParams()
+    _, kern = lattice_kernel_grid(p, 0, 0, 0.045, LatticeSpec(1))
+    ends = [(ra, rb, n) for ra, rb in ((0.8, 1.2), (0.05, 7.9)) for n in (1, 2)]
+    vals = [lattice_radial_kernel(p, 0, 0, ra, rb, 0.045, LatticeSpec(n)) for ra, rb, n in ends]
+    _unbanded(monkeypatch)
+    _, full = lattice_kernel_grid(p, 0, 0, 0.045, LatticeSpec(1))
+    assert np.any((full > 0) & (full < 1e-290))
+    assert np.array_equal(kern, full)
+    assert vals == [lattice_radial_kernel(p, 0, 0, ra, rb, 0.045, LatticeSpec(n)) for ra, rb, n in ends]
+    assert 0 < vals[-1] < 1e-250
+
+
+def test_verify_lattice_checks_evaluate_under_half_their_slice_entries(monkeypatch):
+    # a square slice holds its upper triangle, a rectangular one every entry
+    held, evaluated = [], []
+    build, log_kernel = propagator._slice_matrix, propagator._log_radial_kernel
+
+    def counted_build(p, ell, x, y, *rest):
+        held.append(len(x) * (len(x) + 1) // 2 if x is y else len(x) * len(y))
+        return build(p, ell, x, y, *rest)
+
+    def counted_log_kernel(*args):
+        out = log_kernel(*args)
+        if isinstance(out, np.ndarray):
+            evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(propagator, "_slice_matrix", counted_build)
+    monkeypatch.setattr(propagator, "_log_radial_kernel", counted_log_kernel)
+    for name in ("semigroup", "lattice-order", "lattice-accuracy"):
+        assert run_check("propagator", name).passed, name
+    assert len(held) == 16  # six 400x400 slices and ten end slices
+    assert sum(evaluated) < 0.5 * sum(held)
 
 
 def test_log_radial_kernel_at_zero_omega_is_the_free_kernel():
