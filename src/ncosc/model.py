@@ -156,8 +156,8 @@ def potential_cartesian(p: PotentialParams, x, y, z):
     """V in Cartesian form; agrees with potential_spherical under the
     spherical coordinate map.
 
-    The grouping differs from the spherical form: the pure 1/r^2 term
-    carries alpha - beta, the x^2+y^2 term carries beta.
+    The grouping differs from the spherical form: the central part is
+    _radial_potential at c = alpha - beta, the x^2+y^2 term carries beta.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -173,7 +173,7 @@ def potential_cartesian(p: PotentialParams, x, y, z):
     if p.gamma != 0 and np.any(z == 0):
         raise ValueError("potential_cartesian requires z != 0 when gamma != 0")
     c = p.hbar**2 / (2 * p.mu)
-    out = -p.v0 + 0.5 * p.mu * p.omega**2 * r2 + (p.alpha - p.beta) * c / r2
+    out = _radial_potential(p, p.alpha - p.beta, np.sqrt(r2))
     # the singular terms only enter when switched on, so 0/0 never forms
     if p.beta != 0:
         out = out + p.beta * c / rho2

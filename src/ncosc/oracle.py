@@ -254,13 +254,15 @@ def gauss_panels(lo: float, hi: float, n_panels: int, n_nodes: int) -> tuple[np.
 
 def _panel_refine(integrand: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> QuadratureResult:
     """Composite 32-node Gauss-Legendre with panel doubling until two
-    successive totals agree to 1e-10."""
+    successive totals agree to 1e-10; a total that is not finite raises ValueError at once."""
     prev = None
     err = math.inf
     n_panels = 8
     for _ in range(8):
         x, w = gauss_panels(lo, hi, n_panels, 32)
         total = float(np.dot(w, integrand(x)))
+        if not math.isfinite(total):
+            raise ValueError(f"quadrature on [{lo}, {hi}]: the integrand is not finite (panel total {total})")
         if prev is not None:
             err = abs(total - prev)
             if err <= 1e-10:

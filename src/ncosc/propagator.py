@@ -176,7 +176,7 @@ def _to_float(exponent, mantissa, what: str):
     return np.ldexp(mantissa, np.clip(exponent, -_EXP_CLIP, _EXP_CLIP).astype(np.int64))
 
 
-def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau: float, n_cut: int, what: str):
+def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau: float, n_cut: int):
     """Radial spectral sums sum_{n<=n_cut} e^{-E_n tau/hbar} R_n(ra) R_n(rb) in
     scaled form (exponent, mantissa), value = mantissa 2^exponent.
 
@@ -187,17 +187,13 @@ def _spectral_sums(p: PotentialParams, ell, ra: np.ndarray, rb: np.ndarray, tau:
     sum, so the mantissa stays below 1.5 (n_cut + 1) in magnitude, and a term
     only underflows when it is below 2^-1074 of the largest. The Laguerre
     polynomials themselves are unscaled; past x = mu omega r^2/hbar of about
-    1400 they can overflow, and OverflowError is raised. ell is one
+    1400 they can overflow, and radial_factors raises OverflowError. ell is one
     ell_tilde or an array of them, ra and rb 1-d endpoint arrays of one
     length P; both results have shape shape(ell) + (P,).
     """
     ell = np.asarray(ell, dtype=float)
     n_pts = len(ra)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_env, poly = radial_factors(p, ell, n_cut, np.concatenate([ra, rb]))
-    if not np.all(np.isfinite(poly)):
-        raise OverflowError(f"{what}: a Laguerre polynomial L_n(mu omega r^2/hbar), n <= {n_cut}, "
-                            "is beyond the float range")
+    log_env, poly = radial_factors(p, ell, n_cut, np.concatenate([ra, rb]))
     degrees = np.arange(n_cut + 1).reshape((-1,) + (1,) * (ell.ndim + 1))
     log_w = -ladder_energy(p, degrees, ell[..., None]) * tau / p.hbar + log_env[..., :n_pts] + log_env[..., n_pts:]
     # a weight below e^-1e7 is 0 in any float sum (an envelope of 0, where x
@@ -227,7 +223,7 @@ def radial_kernel_spectral(
     OverflowError is raised when it does not. The one further limit is the
     unscaled Laguerre recurrence: L_n^{ell+1/2}(x), x = mu omega r^2/hbar,
     grows like e^{x/2} where n > x/4, so past x of about 1400 a high enough
-    n_cut overflows it, and OverflowError is raised as well.
+    n_cut overflows it, and radial_factors raises OverflowError.
 
     The reported tail bound majorizes the dropped n > n_cut terms. Szego's
     inequality |e^{-x/2} L_n^a(x)| <= C_n = Gamma(n+a+1) / (n! Gamma(a+1)),
@@ -249,9 +245,8 @@ def radial_kernel_spectral(
     ell = effective_ell(p, n_theta, m)
     scalar = a_pts.ndim == 0
     where = f" with endpoints ({ra}, {rb})" if scalar else ""
-    what = f"radial_kernel_spectral at tau={tau}{where}"
-    exponent, mantissa = _spectral_sums(p, ell, a_pts.ravel(), b_pts.ravel(), tau, n_cut, what)
-    value = _to_float(exponent, mantissa, what).reshape(a_pts.shape)
+    exponent, mantissa = _spectral_sums(p, ell, a_pts.ravel(), b_pts.ravel(), tau, n_cut)
+    value = _to_float(exponent, mantissa, f"radial_kernel_spectral at tau={tau}{where}").reshape(a_pts.shape)
 
     a = ell + 0.5
     y = math.exp(-2 * p.omega * tau)
@@ -279,19 +274,16 @@ def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau:
     """Angular spectral kernel sum_{n_theta <= cut} e^{-eps s_tau/hbar} Theta(theta_a) Theta(theta_b).
 
     theta_a and theta_b may be arrays, broadcast against each other, and the
-    result then has their shape; scalar angles give a float.
+    result then has their shape; scalar angles give a float. angular_profiles checks them.
     """
     th_a, th_b = np.broadcast_arrays(np.asarray(theta_a, dtype=float), np.asarray(theta_b, dtype=float))
-    if not (np.all((0 < th_a) & (th_a < math.pi / 2)) and np.all((0 < th_b) & (th_b < math.pi / 2))):
-        raise ValueError("angles must lie in (0, pi/2)")
     if not 0 < s_tau < math.inf:
         raise ValueError(f"s_tau must be positive and finite, got {s_tau}")
     _check_count("ntheta_cut", ntheta_cut, 1)
     modes = [angular_mode(p, n_theta, m) for n_theta in range(ntheta_cut + 1)]
-    n_pts = th_a.size
     prof = angular_profiles(modes, np.concatenate([th_a.ravel(), th_b.ravel()]))
     weight = np.exp(-np.array([mode.eps for mode in modes]) * s_tau / p.hbar)
-    total = np.cumsum(weight[:, None] * prof[:, :n_pts] * prof[:, n_pts:], axis=0)[-1].reshape(th_a.shape)
+    total = np.cumsum(weight[:, None] * prof[:, :th_a.size] * prof[:, th_a.size:], axis=0)[-1].reshape(th_a.shape)
     return float(total) if th_a.ndim == 0 else total
 
 
@@ -325,13 +317,12 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     if not ells:
         return 0.0 + 0.0j
     distinct, index = np.unique(np.concatenate(ells), return_inverse=True)
-    what = f"full_kernel_spectral at tau={q.tau}"
-    exponent, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut, what)
+    exponent, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut)
     exponent, mantissa = exponent[index, 0], mantissa[index, 0]
     top = float(np.max(exponent))
     shift = np.maximum(exponent - top, -_EXP_CLIP).astype(np.int64)
     total = float(np.sum(np.concatenate(coef) * np.ldexp(mantissa, shift)))
-    return complex(_to_float(top, total, what))
+    return complex(_to_float(top, total, f"full_kernel_spectral at tau={q.tau}"))
 
 
 def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, ntheta_cut: int, m_cut: int) -> float:
@@ -345,7 +336,8 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
     box up to quadrature error, which is the trace-consistency check the
     verify suite runs. Each |m| takes one Jacobi and one Laguerre recurrence
     for all its sectors. A box that holds no bound sector integrates to 0.
-    The three cutoffs are integers >= 0.
+    The three cutoffs are integers >= 0. OverflowError is raised where the
+    integral, a Laguerre or a Jacobi polynomial leaves the float range.
     """
     _check_tau(tau)
     for name, cut in (("n_cut", n_cut), ("ntheta_cut", ntheta_cut), ("m_cut", m_cut)):
@@ -369,6 +361,8 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
         rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
         energies = ladder_energy(p, np.arange(n_cut + 1)[:, None], ell)
         total += mult * float(ang_sq @ np.sum(np.exp(-energies * tau / p.hbar) * rad_sq, axis=0))
+    if not math.isfinite(total):
+        raise OverflowError(f"integrated_diagonal_kernel at tau={tau} is beyond the float range")
     return total
 
 

@@ -76,19 +76,23 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
     one |m|, with shape (len(modes),) + shape(theta), theta made at least 1-d.
 
     One Jacobi recurrence up to the largest n_theta serves every mode, and
-    row i equals angular_wavefunction(modes[i], theta) bit for bit.
+    row i equals angular_wavefunction(modes[i], theta) bit for bit. It raises
+    ValueError unless 0 < theta < pi/2 and OverflowError past the Jacobi float range.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
     flat = th.ravel()
     if flat.size and not (0 < flat.min() and flat.max() < math.pi / 2):
-        raise ValueError("angular eigenfunctions require 0 < theta < pi/2")
+        raise ValueError("angular eigenfunctions require angles 0 < theta < pi/2")
     if not modes:
         raise ValueError("angular_profiles requires at least one mode")
     lam, k = modes[0].lam, modes[0].k
     if any(md.lam != lam or md.k != k for md in modes):
         raise ValueError("angular_profiles requires modes of one (lam, k)")
     degrees = [md.n_theta for md in modes]
-    jac = jacobi_all(max(degrees), lam, k, np.cos(2 * flat))[degrees]
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = jacobi_all(max(degrees), lam, k, np.cos(2 * flat))[degrees]
+    if not np.isfinite(jac).all():
+        raise OverflowError(f"a Jacobi polynomial P_n(cos 2 theta), n = {max(degrees)}, is beyond the float range")
     norm = np.array([md.norm for md in modes])[:, None]
     return (norm * np.sin(flat) ** lam * np.cos(flat) ** (k + 0.5) * jac).reshape((len(modes),) + th.shape)
 
@@ -96,15 +100,10 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
 def radial_wavefunction(p: PotentialParams, n: int, ell: float, r):
     """R(r) = N_n e^{-x/2} x^{ell/2} L_n^{ell+1/2}(x), x = mu omega r^2/hbar, of degree n and
     ell_tilde ell, orthonormal under r^2 dr on (0, inf), at scalar or ndarray finite r > 0: row n
-    of radial_factors, exponentiated, as angular_wavefunction is a row of angular_profiles. The
-    Laguerre polynomial is unscaled; past x of about 1400 it can overflow, and OverflowError is raised."""
+    of radial_profiles, as angular_wavefunction is a row of angular_profiles. The Laguerre
+    polynomial is unscaled; past x of about 1400 it can overflow, and OverflowError is raised."""
     _check_count("n", n, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_env, poly = radial_factors(p, ell, n, np.ravel(r))
-    if not np.all(np.isfinite(poly[n])):
-        raise OverflowError(f"radial_wavefunction: a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n}, "
-                            "is beyond the float range")
-    val = (np.exp(log_env) * poly[n]).reshape(np.shape(r))
+    val = radial_profiles(p, ell, n, np.ravel(r))[n].reshape(np.shape(r))
     return float(val) if np.ndim(r) == 0 else val
 
 
@@ -184,7 +183,8 @@ def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, 
     part, so sums over n keep it in log space. ell may be an array of ell_tilde values, and one
     Laguerre recurrence serves them all: log_env has shape shape(ell) + (P,) and poly
     (n_max + 1,) + shape(ell) + (P,), with r made 1-d of length P; every r must be finite and
-    > 0, every ell_tilde finite and >= 0.
+    > 0, every ell_tilde finite and >= 0. Past x of about 1400 the unscaled Laguerre polynomials
+    can overflow; OverflowError is then raised, naming n_max, the degree that overflow climbs to.
     """
     ell = np.asarray(ell, dtype=float)
     ra = np.atleast_1d(np.asarray(r, dtype=float))
@@ -195,15 +195,19 @@ def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, 
     c = p.mu * p.omega / p.hbar
     x = c * ra * ra
     log_env = ell[..., None] * (0.5 * math.log(c) + np.log(ra)) - 0.5 * x
-    return log_env, norm[..., None] * laguerre_all(n_max, ell + 0.5, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = norm[..., None] * laguerre_all(n_max, ell + 0.5, x)
+    if not np.isfinite(poly).all():
+        raise OverflowError(f"a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n_max}, is beyond the float range")
+    return log_env, poly
 
 
 def radial_profiles(p: PotentialParams, ell, n_max: int, r) -> np.ndarray:
     """Stacked radial eigenfunctions R_0..R_{n_max}, shape (n_max + 1, P) for
     one ell_tilde and (n_max + 1,) + shape(ell) + (P,) for an array of them.
 
-    Shares one Laguerre recurrence pass across all degrees and orders;
-    quadrature loops call this instead of radial_wavefunction per n.
+    Shares one Laguerre recurrence pass across all degrees and orders, raising where radial_factors
+    does; quadrature loops call this instead of radial_wavefunction per n.
     """
     log_env, poly = radial_factors(p, ell, n_max, r)
     return np.exp(log_env) * poly

@@ -303,6 +303,20 @@ def test_wavefunction_past_the_laguerre_float_range_exits_2(capsys):
     assert err.startswith("error: ") and "beyond the float range" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    # lam = 1000: P_300(cos 2 theta) overflows at the smallest grid angle
+    (["--m", "1000", "--ntheta", "300"], "a Jacobi polynomial"),
+    # ell_tilde past about 313: the radial norm underflows while the envelope
+    # overflows, and the norm quadrature used to stall on a nan integrand
+    (["--m", "330"], "the integrand is not finite"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_wavefunction_outside_the_float_range_exits_2(capsys, argv, reason):
+    code, out, err = run_cli(capsys, "wavefunction", *argv, "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and reason in err and "Traceback" not in err
+
+
 def test_wavefunction_rejects_infinite_radial_range(capsys):
     code, out, err = run_cli(capsys, "wavefunction", "--rb", "inf", "--no-timestamp")
     assert (code, out) == (2, "")

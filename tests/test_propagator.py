@@ -226,6 +226,31 @@ def test_spectral_kernel_laguerre_overflow_is_reported():
         radial_kernel_spectral(PotentialParams(), 0, 0, 40.0, 40.0, 0.1, 600)
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrated_diagonal_kernel_laguerre_overflow_is_reported():
+    # the radial quadrature reaches x of about 1560, where L_300 overflows;
+    # the integral used to be nan, while n_cut = 200 still fits
+    with pytest.raises(OverflowError, match="Laguerre polynomial"):
+        integrated_diagonal_kernel(PotentialParams(), 0.5, 300, 2, 2)
+    assert math.isfinite(integrated_diagonal_kernel(PotentialParams(), 0.5, 200, 2, 2))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_integrated_diagonal_kernel_overflows_only_beyond_float_range():
+    # at v0 = 800 the ground weight e^{-E_0 tau} is about e^{797}: the integral
+    # used to be inf; at v0 = 700 it is about 2.2e303 and fits
+    with pytest.raises(OverflowError, match="integrated_diagonal_kernel at tau=1.0 is beyond the float range"):
+        integrated_diagonal_kernel(PotentialParams(v0=800.0), 1.0, 5, 2, 2)
+    assert integrated_diagonal_kernel(PotentialParams(v0=700.0), 1.0, 5, 2, 2) == pytest.approx(
+        2.228686756851997e303, rel=1e-12)
+
+
+def test_angular_kernel_refuses_nan_angles():
+    # angular_profiles alone checks the angles; NaN fails its range test
+    with pytest.raises(ValueError, match="angles"):
+        angular_kernel_spectral(COUPLED, 0, np.array([0.3, math.nan]), 0.5, 1.0, 4)
+
+
 def test_full_kernel_at_large_x_matches_closed_sectors():
     # every sector's radial factor as the closed kernel; n_cut = 400 leaves
     # a radial tail far below the tolerance

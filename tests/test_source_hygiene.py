@@ -1,8 +1,9 @@
 """Static checks on the package source: no unused import, every name in a
 module's __all__ defined by that module, no scipy import at module level,
 scipy's Bessel ive reached from specfun alone, sector admissibility and the
-angular mode formula reached from model alone, and every function the
-benchmark's traced run wraps still present.
+angular mode formula reached from model alone, float overflow of the
+polynomial recurrences silenced and reported by the two profiles alone, and
+every function the benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
@@ -105,6 +106,22 @@ def test_only_model_reaches_sector_and_angular():
 
     users = [path.name for path in SOURCES if reaches(ast.parse(path.read_text()))]
     assert users == ["model.py"], f"model._sector or model._angular is reached from {users}; read sectors through model"
+
+
+def test_only_the_profiles_silence_overflow():
+    # the Laguerre and Jacobi overflow checks are coded once, each in the
+    # profile that computes the polynomials; any other np.errstate(over=...)
+    # would hide an overflow that nothing reports
+    owners = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                           if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "errstate" and any(kw.arg == "over" for kw in node.keywords)]
+    assert sorted(owners) == ["spectrum.angular_profiles", "spectrum.radial_factors"], (
+        f"np.errstate(over=...) is called in {owners}; report overflow in the profile that computes it")
 
 
 def test_only_enumerate_states_builds_unchecked_records():

@@ -258,6 +258,23 @@ def test_radial_wavefunction_raises_where_its_laguerre_overflows():
 
 
 @pytest.mark.filterwarnings("error")
+def test_radial_profiles_raise_where_their_laguerre_overflows():
+    # x = 1600: L_n overflows before n = 600; the stack used to hold nan rows
+    with pytest.raises(OverflowError, match="Laguerre polynomial .*, n = 600, is beyond the float range"):
+        radial_profiles(PotentialParams(), 1.0, 600, [40.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_angular_profiles_raise_where_their_jacobi_overflows():
+    # lam = 3000, n_theta = 300: near theta = 0 P_n(cos 2 theta) overflows while
+    # (sin theta)^lam underflows, and their product used to be nan
+    mode = angular_mode(PotentialParams(), 300, 3000)
+    with pytest.raises(OverflowError, match="Jacobi polynomial .*, n = 300, is beyond the float range"):
+        angular_wavefunction(mode, [0.05, 0.3, 1.2, 1.5])
+    assert np.all(np.isfinite(angular_wavefunction(mode, [1.2, 1.5])))
+
+
+@pytest.mark.filterwarnings("error")
 def test_radial_functions_where_r_squared_underflows():
     # at r = 1e-200, x = mu omega r^2/hbar is 0 but ln r is not: R is N_n L_n(0)
     # at ell_tilde = 0, N_0 x^{1/4} = 1e-100 N_0 at ell_tilde = 1/2 and 0 at ell_tilde = 3
