@@ -29,7 +29,6 @@ from .model import (
     PotentialParams,
     _check_count,
     _radial_potential,
-    admissible_ell,
     admissible_sectors,
     angular_mode,
     effective_ell,
@@ -287,10 +286,14 @@ def angular_kernel_spectral(p: PotentialParams, m: int, theta_a, theta_b, s_tau:
     return float(total) if th_a.ndim == 0 else total
 
 
-def _sectors(p: PotentialParams, m: int, ntheta_cut: int) -> tuple[list[AngularMode], np.ndarray]:
-    """Angular modes and ell_tilde of the admissible sectors (n_theta <= ntheta_cut, m)."""
-    sectors = list(itertools.takewhile(lambda s: s[0] <= ntheta_cut, admissible_sectors(p, m)))
-    return [mode for _, _, mode in sectors], np.array([ell for _, ell, _ in sectors])
+def _sector_blocks(p: PotentialParams, ntheta_cut: int, m_cut: int) -> list[tuple[int, list[AngularMode], np.ndarray]]:
+    """(m, angular modes, ell_tilde array) of each m <= m_cut whose sectors
+    n_theta <= ntheta_cut hold bound states, by increasing m and n_theta; the
+    one walk of the sector box, reading each sector once through
+    admissible_sectors. A list, so a sum may read its orders before it loops."""
+    scans = [list(itertools.takewhile(lambda t: t[0] <= ntheta_cut, admissible_sectors(p, m)))
+             for m in range(m_cut + 1)]
+    return [(m, [mode for _, _, mode in s], np.array([ell for _, ell, _ in s])) for m, s in enumerate(scans) if s]
 
 
 def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
@@ -299,29 +302,25 @@ def full_kernel_spectral(p: PotentialParams, q: PropagatorQuery) -> complex:
     K(b, a; tau) = sum over admissible (n, n_theta, m) within the cutoffs of
     e^{-E tau/hbar} psi*(a) psi(b); real and positive on the diagonal.
     Sectors +m and -m share ell_tilde and Theta, so they are summed once
-    with weight 2 cos(m dphi)/2pi, and K is real. One Jacobi recurrence per
-    |m| gives the angular factors and one Laguerre recurrence over the
-    distinct ell_tilde the radial sums, which stay a power of two times a
+    with weight 2 cos(m dphi)/2pi, and K is real. The angular factors take
+    one Jacobi recurrence per |m|; the radial sums take one Laguerre
+    recurrence, with one order per sector, and stay a power of two times a
     mantissa until the sector sum is formed.
     """
+    blocks = _sector_blocks(p, q.ntheta_cut, q.m_cut)
+    if not blocks:
+        return 0.0 + 0.0j
     dphi = q.phi_b - q.phi_a
-    coef, ells = [], []
-    for m in range(q.m_cut + 1):
-        modes, ell = _sectors(p, m, q.ntheta_cut)
-        if not modes:
-            continue
+    coef = []
+    for m, modes, _ in blocks:
         ang = angular_profiles(modes, [q.theta_a, q.theta_b])
         weight = (1.0 if m == 0 else 2 * math.cos(m * dphi)) / (2 * math.pi)
         coef.append(weight * ang[:, 0] * ang[:, 1])
-        ells.append(ell)
-    if not ells:
-        return 0.0 + 0.0j
-    distinct, index = np.unique(np.concatenate(ells), return_inverse=True)
-    exponent, mantissa = _spectral_sums(p, distinct, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut)
-    exponent, mantissa = exponent[index, 0], mantissa[index, 0]
+    ells = np.concatenate([ell for _, _, ell in blocks])
+    exponent, mantissa = _spectral_sums(p, ells, np.array([q.ra]), np.array([q.rb]), q.tau, q.n_cut)
     top = float(np.max(exponent))
-    shift = np.maximum(exponent - top, -_EXP_CLIP).astype(np.int64)
-    total = float(np.sum(np.concatenate(coef) * np.ldexp(mantissa, shift)))
+    shift = np.maximum(exponent[:, 0] - top, -_EXP_CLIP).astype(np.int64)
+    total = float(np.sum(np.concatenate(coef) * np.ldexp(mantissa[:, 0], shift)))
     return complex(_to_float(top, total, f"full_kernel_spectral at tau={q.tau}"))
 
 
@@ -330,39 +329,39 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
 
     Computes int K(a, a; tau) r^2 sin(theta) dr d(theta) d(phi) by tensor
     Gauss-Legendre quadrature (8 radial panels of 50 nodes out to the
-    radial_extent of the outermost state, 4 angular panels of 40 nodes),
+    radial_extent of the largest ell_tilde, 4 angular panels of 40 nodes),
     with the phi integral done exactly (the diagonal kills the azimuthal
     phase). Equals the partition-function partial sum over the same index
     box up to quadrature error, which is the trace-consistency check the
     verify suite runs. Each |m| takes one Jacobi and one Laguerre recurrence
     for all its sectors. A box that holds no bound sector integrates to 0.
     The three cutoffs are integers >= 0. OverflowError is raised where the
-    integral, a Laguerre or a Jacobi polynomial leaves the float range.
+    integral, a Laguerre or a Jacobi polynomial leaves the float range, and
+    before any exponential where the lowest weight e^{-E_0 tau/hbar} does.
     """
     _check_tau(tau)
     for name, cut in (("n_cut", n_cut), ("ntheta_cut", ntheta_cut), ("m_cut", m_cut)):
         _check_count(name, cut, 0)
-    # ell_tilde and admissibility grow with n_theta and |m|: the corner
-    # sector is the outermost one, and admissible if any sector is
-    ell_hi = admissible_ell(p, ntheta_cut, m_cut)
-    if ell_hi is None:
+    blocks = _sector_blocks(p, ntheta_cut, m_cut)
+    if not blocks:
         return 0.0
-    xr, wr = gauss_panels(0.0, radial_extent(p, n_cut, ell_hi), n_panels=8, n_nodes=50)
+    ells = np.concatenate([ell for _, _, ell in blocks])
+    overflow = OverflowError(f"integrated_diagonal_kernel at tau={tau} is beyond the float range")
+    if -ladder_energy(p, 0, float(np.min(ells))) * tau / p.hbar > _LOG_HUGE:
+        raise overflow
+    xr, wr = gauss_panels(0.0, radial_extent(p, n_cut, float(np.max(ells))), n_panels=8, n_nodes=50)
     xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=40)
     wr_meas = wr * xr * xr
     wt_meas = wth * np.sin(xt)
     total = 0.0
-    for m in range(0, m_cut + 1):
-        modes, ell = _sectors(p, m, ntheta_cut)
-        if not modes:
-            continue
+    for m, modes, ell in blocks:
         mult = 1.0 if m == 0 else 2.0
         ang_sq = angular_profiles(modes, xt) ** 2 @ wt_meas
         rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
         energies = ladder_energy(p, np.arange(n_cut + 1)[:, None], ell)
         total += mult * float(ang_sq @ np.sum(np.exp(-energies * tau / p.hbar) * rad_sq, axis=0))
     if not math.isfinite(total):
-        raise OverflowError(f"integrated_diagonal_kernel at tau={tau} is beyond the float range")
+        raise overflow
     return total
 
 

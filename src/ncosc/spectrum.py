@@ -103,7 +103,8 @@ def radial_wavefunction(p: PotentialParams, n: int, ell: float, r):
     of radial_profiles, as angular_wavefunction is a row of angular_profiles. The Laguerre
     polynomial is unscaled; past x of about 1400 it can overflow, and OverflowError is raised."""
     _check_count("n", n, 0)
-    val = radial_profiles(p, ell, n, np.ravel(r))[n].reshape(np.shape(r))
+    log_env, poly = radial_factors(p, ell, n, np.ravel(r))
+    val = (np.exp(log_env) * poly[n]).reshape(np.shape(r))
     return float(val) if np.ndim(r) == 0 else val
 
 

@@ -273,13 +273,10 @@ def test_scans_evaluate_each_sector_once(monkeypatch):
         calls[n_theta, m] = calls.get((n_theta, m), 0) + 1
         return _sector(p, n_theta, m)
 
-    def most(run, reread=None):
-        """The most evaluations of one (0, m) sector and of one other sector,
-        less the one of a sector read again outside the scan."""
+    def most(run):
+        """The most evaluations of one (0, m) sector and of one other sector."""
         calls.clear()
         run()
-        if reread:
-            calls[reread] -= 1
         return (max(n for (nt, _), n in calls.items() if nt == 0),
                 max(n for (nt, _), n in calls.items() if nt >= 1))
 
@@ -290,8 +287,7 @@ def test_scans_evaluate_each_sector_once(monkeypatch):
     assert zero <= 3 and rest == 1
     zero, rest = most(lambda: full_kernel_spectral(p, query))
     assert zero <= 2 and rest == 1
-    # the corner sector (3, 2) is read once more, for the radial extent
-    zero, rest = most(lambda: integrated_diagonal_kernel(p, 0.7, 4, 3, 2), reread=(3, 2))
+    zero, rest = most(lambda: integrated_diagonal_kernel(p, 0.7, 4, 3, 2))
     assert zero <= 2 and rest == 1
 
 

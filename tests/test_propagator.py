@@ -235,10 +235,11 @@ def test_integrated_diagonal_kernel_laguerre_overflow_is_reported():
     assert math.isfinite(integrated_diagonal_kernel(PotentialParams(), 0.5, 200, 2, 2))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_integrated_diagonal_kernel_overflows_only_beyond_float_range():
     # at v0 = 800 the ground weight e^{-E_0 tau} is about e^{797}: the integral
-    # used to be inf; at v0 = 700 it is about 2.2e303 and fits
+    # used to be inf, and the weight is refused before it is exponentiated,
+    # with no overflow warning; at v0 = 700 it is about 2.2e303 and fits
     with pytest.raises(OverflowError, match="integrated_diagonal_kernel at tau=1.0 is beyond the float range"):
         integrated_diagonal_kernel(PotentialParams(v0=800.0), 1.0, 5, 2, 2)
     assert integrated_diagonal_kernel(PotentialParams(v0=700.0), 1.0, 5, 2, 2) == pytest.approx(
@@ -764,7 +765,8 @@ def test_full_kernel_matches_signed_m_loop():
     from ncosc.model import admissible_ell, angular_mode
     from ncosc.spectrum import angular_wavefunction
 
-    for p in (COUPLED, PotentialParams(alpha=-1.5, beta=-0.7, gamma=0.3, v0=0.4)):
+    # at zero couplings sectors (1, 0) and (0, 2) share ell_tilde: repeated orders
+    for p in (COUPLED, PotentialParams(alpha=-1.5, beta=-0.7, gamma=0.3, v0=0.4), PotentialParams()):
         q = PropagatorQuery(ra=0.9, rb=1.4, theta_a=0.6, theta_b=0.9, phi_a=0.3, phi_b=1.9,
                             tau=0.8, n_cut=25, ntheta_cut=8, m_cut=6)
         total, scale = 0.0 + 0.0j, 0.0

@@ -1,9 +1,10 @@
 """Static checks on the package source: no unused import, every name in a
 module's __all__ defined by that module, no scipy import at module level,
 scipy's Bessel ive reached from specfun alone, sector admissibility and the
-angular mode formula reached from model alone, float overflow of the
-polynomial recurrences silenced and reported by the two profiles alone, and
-every function the benchmark's traced run wraps still present.
+angular mode formula reached from model alone, propagator's sector box walked
+once, in _sector_blocks, float overflow of the polynomial recurrences
+silenced and reported by the two profiles alone, and every function the
+benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
@@ -106,6 +107,24 @@ def test_only_model_reaches_sector_and_angular():
 
     users = [path.name for path in SOURCES if reaches(ast.parse(path.read_text()))]
     assert users == ["model.py"], f"model._sector or model._angular is reached from {users}; read sectors through model"
+
+
+def test_propagator_walks_the_sector_box_once():
+    # the kernel sums read every sector from one walk, _sector_blocks; a
+    # second read (of the corner sector for the radial box, say) would code
+    # again what the walk already knows
+    tree = ast.parse((ROOT / "src" / "ncosc" / "propagator.py").read_text())
+    walk = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_sector_blocks")
+
+    def names(node, name):
+        return sum((isinstance(sub, ast.Name) and sub.id == name)
+                   or (isinstance(sub, ast.Attribute) and sub.attr == name)
+                   or (isinstance(sub, ast.alias) and sub.name == name) for sub in ast.walk(node))
+
+    # admissible_sectors: its import, and otherwise only inside the walk
+    assert names(tree, "admissible_sectors") == names(walk, "admissible_sectors") + 1 >= 2, (
+        "propagator reads admissible_sectors outside _sector_blocks")
+    assert names(tree, "admissible_ell") == 0, "propagator names admissible_ell; take ell_tilde from _sector_blocks"
 
 
 def test_only_the_profiles_silence_overflow():
