@@ -361,8 +361,6 @@ def _add_output_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", default=None, metavar="PATH", help="write to file instead of stdout")
     sp.add_argument("--no-timestamp", action="store_true",
                     help="omit the generation timestamp for byte-stable output")
-    sp.add_argument("--config", default=None, metavar="PATH",
-                    help="key=value parameter file; explicit flags override it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectrum, eigenfunctions and Euclidean kernels of the "
                     "noncentral anharmonic oscillator, with built-in cross-checks.",
     )
+    # main takes --config out first, wherever it stands, so a config file's config= line is unknown
+    parser.add_argument("--config", metavar="PATH",
+                        help="key=value parameter file, before or after the subcommand; explicit flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="enumerate energy levels below a cutoff")

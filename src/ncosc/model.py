@@ -245,13 +245,13 @@ def admissible_sectors(p: PotentialParams, m: int):
     rounding, on the first n_theta whose radicand reaches 1/4, and so skips
     them in O(1).
     """
-    base = _sector(p, 0, m)[2]
-    if base is None:
+    first = _sector(p, 0, m)
+    if first[2] is None:
         return
     need = 0.25 - (p.alpha - p.beta)
-    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - base) / 2) - 1)
+    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - first[2]) / 2) - 1)
     for n_theta in itertools.count(start):
-        lam, k, base, ell, _ = _sector(p, n_theta, m)
+        lam, k, base, ell, _ = first if n_theta == 0 else _sector(p, n_theta, m)
         if ell is not None:
             yield n_theta, ell, _angular(p, n_theta, lam, k, base)
 

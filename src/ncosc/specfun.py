@@ -9,9 +9,9 @@ or ndarray arguments. The stacked evaluators laguerre_all and jacobi_all
 each build a table of recurrence coefficients (Python-float rows for one
 order) for one stepper, which runs
 P_k = ((c2 + c3 x) P_{k-1} - c4 P_{k-2}) / c1 from P_{-1} = 0 and P_0 = 1.
-It steps a call of up to _FLOAT_COLUMNS (order, point) columns column by
-column on Python floats, where numpy's fixed cost per operation would
-dominate, and a wider one on numpy arrays. Both do the same IEEE
+It steps one order on up to _FLOAT_COLUMNS points point by point on
+Python floats, where numpy's fixed cost per operation would dominate, and
+more points, or an array of orders, on numpy arrays. Both do the same IEEE
 operations in the same order and give the same bits. laguerre, a numpy
 recurrence of its own, is left to the checks that compare the two.
 
@@ -50,12 +50,12 @@ _LOG_HUGE = math.log(np.finfo(float).max)
 _TINY = float(np.finfo(float).tiny)
 _LOG_TINY = math.log(_TINY)
 
-# _three_term steps a call of at most this many columns, one (order, point)
-# pair each, column by column on Python floats, and a wider one on numpy
-# arrays. On a 2-core Xeon (Python 3.11, numpy 2.4) a numpy
-# step cost 3-4.4 us at any width up to 32 columns and a float step 0.13-0.15
-# us per column; with the fixed cost of stacking the columns, floats won up
-# to 24-28 columns at 25-80 degrees but only up to 12-16 at 8 degrees.
+# _three_term steps one order on at most this many points point by point on
+# Python floats, and more points, or an array of orders, on numpy arrays. On
+# a 2-core Xeon (Python 3.11, numpy 2.4) a numpy step cost 3-4.4 us at any
+# width up to 32 points and a float step 0.13-0.15 us per point; with the
+# fixed cost of stacking the points, floats won up to 24-28 points at 25-80
+# degrees but only up to 12-16 at 8 degrees.
 _FLOAT_COLUMNS = 12
 
 
@@ -92,28 +92,25 @@ def _three_term(rows, x: np.ndarray, lead: tuple = ()) -> np.ndarray:
     P_k = ((c2 + c3 x) P_{k-1} - c4 P_{k-2}) / c1, from P_{-1} = 0 and P_0 = 1.
 
     rows holds the (c1, c2, c3, c4) of degrees 1..n: a list of n tuples of
-    Python floats or, for an array of orders of shape lead, an ndarray of
-    shape (n, 4) + lead. The result has shape (n + 1,) + lead + shape(x).
-    Up to _FLOAT_COLUMNS (order, point) columns are stepped one by one on
-    Python floats, more together on numpy arrays, with the same IEEE
+    Python floats for one order or, for an array of orders of shape lead, an
+    ndarray of shape (n, 4) + lead. The result has shape
+    (n + 1,) + lead + shape(x). One order on up to _FLOAT_COLUMNS points is
+    stepped point by point on Python floats; anything wider, every array of
+    orders included, together on numpy arrays, with the same IEEE
     operations in the same order.
     """
     n = len(rows)
-    n_orders = math.prod(lead)
-    if n_orders * x.size <= _FLOAT_COLUMNS:
-        out = np.empty((n + 1, n_orders, x.size))
-        points = x.ravel().tolist()
-        tables = rows.reshape(n, 4, n_orders).transpose(2, 0, 1).tolist() if lead else [rows]
-        for i, table in enumerate(tables):
-            for j, v in enumerate(points):
-                prev, cur = 0.0, 1.0
-                col = [cur]
-                append = col.append
-                for c1, c2, c3, c4 in table:
-                    prev, cur = cur, ((c2 + c3 * v) * cur - c4 * prev) / c1
-                    append(cur)
-                out[:, i, j] = col
-        return out.reshape((n + 1,) + lead + x.shape)
+    if not lead and x.size <= _FLOAT_COLUMNS:
+        out = np.empty((n + 1, x.size))
+        for j, v in enumerate(x.ravel().tolist()):
+            prev, cur = 0.0, 1.0
+            col = [cur]
+            append = col.append
+            for c1, c2, c3, c4 in rows:
+                prev, cur = cur, ((c2 + c3 * v) * cur - c4 * prev) / c1
+                append(cur)
+            out[:, j] = col
+        return out.reshape((n + 1,) + x.shape)
     c = np.asarray(rows, dtype=float).reshape((n, 4) + lead + (1,) * x.ndim)
     # out[k + 1] holds P_k: c3 x + c2 of every degree is written first and
     # then stepped in place, degree by degree; IEEE addition commutes, so
@@ -317,13 +314,11 @@ def log_bessel_ie_from_log(nu: float, log_x):
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function I_nu(x) for nu >= 0, x >= 0.
+    """Modified Bessel function I_nu(x) for finite nu >= 0 and finite x >= 0.
 
     exp(log_bessel_ie(nu, x) + x); results exceeding the floating range
     raise OverflowError rather than returning inf.
     """
-    if not (0 <= nu < math.inf and x >= 0):
-        raise ValueError(f"bessel_i requires finite nu >= 0 and x >= 0, got nu={nu}, x={x}")
     lg = log_bessel_ie(nu, x) + x
     if lg > _LOG_HUGE:
         raise OverflowError(f"bessel_i result exceeds floating range: ln I_{nu}({x}) = {lg:.6g}")

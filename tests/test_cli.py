@@ -574,6 +574,25 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_file_cannot_name_another(tmp_path, capsys):
+    # --config is read before the full parse, so a config= line is an
+    # unknown key like any other rather than a silently ignored one
+    cfg = tmp_path / "nested.cfg"
+    cfg.write_text("config = /nonexistent.cfg\nemax = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_bool_keys_are_the_parsers_switches():
+    # a store_true flag missing from _BOOL_KEYS would read its config value as an argument
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    switches = {opt[2:] for sp in sub.choices.values() for a in sp._actions
+                if isinstance(a, argparse._StoreTrueAction) for opt in a.option_strings}
+    assert cli._BOOL_KEYS == switches
+
+
 def test_config_missing_file(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--config", "/nonexistent/x.cfg")
     assert code == 2

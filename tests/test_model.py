@@ -266,7 +266,7 @@ def test_numpy_integer_indices_do_not_wrap():
 
 def test_scans_evaluate_each_sector_once(monkeypatch):
     # the scans take each sector's ell_tilde and angular mode from one
-    # _sector call; (0, m) is read again by energy_floor and the scan start
+    # _sector call; the enumeration reads (0, m) once more, through energy_floor
     calls = {}
 
     def counted(p, n_theta, m, _sector=model._sector):
@@ -284,11 +284,11 @@ def test_scans_evaluate_each_sector_once(monkeypatch):
     p = PotentialParams(alpha=-0.9, beta=2.0, gamma=1.0)
     query = PropagatorQuery(1.0, 1.2, 0.6, 0.8, 0.0, 0.5, 0.7, n_cut=25, ntheta_cut=8, m_cut=6)
     zero, rest = most(lambda: enumerate_states(p, 30.0, 200))
-    assert zero <= 3 and rest == 1
+    assert zero <= 2 and rest == 1
     zero, rest = most(lambda: full_kernel_spectral(p, query))
-    assert zero <= 2 and rest == 1
+    assert zero <= 1 and rest == 1
     zero, rest = most(lambda: integrated_diagonal_kernel(p, 0.7, 4, 3, 2))
-    assert zero <= 2 and rest == 1
+    assert zero <= 1 and rest == 1
 
 
 def _mp_log_norm(p, n, ell):

@@ -200,9 +200,9 @@ def test_laguerre_all_order_array_equals_per_order_calls():
         laguerre_all(3, np.array([0.5, -1.0]), x)
 
 
-# the recurrence stepper takes a wide call of this many points (and four
-# orders) on numpy arrays, and a narrow one of up to _FLOAT_COLUMNS columns
-# on Python floats
+# the recurrence stepper takes a wide call of this many points, and every
+# call with an array of orders, on numpy arrays, and one order on up to
+# _FLOAT_COLUMNS points on Python floats
 _WIDE = 2 * _FLOAT_COLUMNS + 2
 
 
@@ -231,7 +231,8 @@ def _check_laguerre_slices(n_max, orders, x, data):
     for j, c in _narrow_slices(data, len(x)):
         assert _same_bits(laguerre_all(n_max, orders[i], x[j:j + c]), flat[:, i, j:j + c]), (i, j, c)
     assert _same_bits(laguerre_all(n_max, orders[i], x[j]), flat[:, i, j:j + 1])
-    # a (2, 2) array of orders: four columns per point
+    # a (2, 2) array of orders steps on numpy arrays at any width, and a
+    # narrow call of it is still a slice of the wide one
     c = _FLOAT_COLUMNS // 4
     assert _same_bits(laguerre_all(n_max, orders.reshape(2, 2), x[j:j + c]), wide[..., j:j + c])
 
@@ -246,6 +247,8 @@ def test_laguerre_all_steps_on_floats_with_the_numpy_bits(n_max, data):
     _check_laguerre_slices(n_max, orders, x, data)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_laguerre_all_paths_agree_past_the_overflow_point(data):
