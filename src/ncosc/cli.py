@@ -443,12 +443,17 @@ def _config_tokens(path: str) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise CliError(f"{path}:{lineno}: empty key")
+        # argparse would read help (or an abbreviation) as --help and exit 0
+        if "help".startswith(key):
+            raise CliError(f"{path}:{lineno}: key {key} can mean --help, which a config file cannot set")
         if key in _BOOL_KEYS:
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
                 tokens.append(f"--{key}")
             elif lowered not in ("0", "false", "no", "off"):
                 raise CliError(f"{path}:{lineno}: boolean key {key} got {value!r}")
+        elif not value:
+            raise CliError(f"{path}:{lineno}: key {key} has an empty value")
         else:
             tokens.extend([f"--{key}", value])
     return tokens

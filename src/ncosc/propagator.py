@@ -347,22 +347,25 @@ def integrated_diagonal_kernel(p: PotentialParams, tau: float, n_cut: int, nthet
         return 0.0
     ells = np.concatenate([ell for _, _, ell in blocks])
     overflow = OverflowError(f"integrated_diagonal_kernel at tau={tau} is beyond the float range")
-    if -ladder_energy(p, 0, float(np.min(ells))) * tau / p.hbar > _LOG_HUGE:
+    e0 = ladder_energy(p, 0, float(np.min(ells)))
+    log_w0 = -e0 * tau / p.hbar
+    if log_w0 > _LOG_HUGE:
         raise overflow
     xr, wr = gauss_panels(0.0, radial_extent(p, n_cut, float(np.max(ells))), n_panels=8, n_nodes=50)
     xt, wth = gauss_panels(0.0, math.pi / 2, n_panels=4, n_nodes=40)
     wr_meas = wr * xr * xr
     wt_meas = wth * np.sin(xt)
+    # every weight is held over the lowest, e^{-E_0 tau/hbar}, so is at most 1
     total = 0.0
     for m, modes, ell in blocks:
         mult = 1.0 if m == 0 else 2.0
         ang_sq = angular_profiles(modes, xt) ** 2 @ wt_meas
         rad_sq = radial_profiles(p, ell, n_cut, xr) ** 2 @ wr_meas
         energies = ladder_energy(p, np.arange(n_cut + 1)[:, None], ell)
-        total += mult * float(ang_sq @ np.sum(np.exp(-energies * tau / p.hbar) * rad_sq, axis=0))
-    if not math.isfinite(total):
+        total += mult * float(ang_sq @ np.sum(np.exp(-(energies - e0) * tau / p.hbar) * rad_sq, axis=0))
+    if not math.log(total) + log_w0 <= _LOG_HUGE:
         raise overflow
-    return total
+    return total * math.exp(log_w0)
 
 
 def _slice_reach(p: PotentialParams, eps: float, x: np.ndarray, y: np.ndarray, n_slices: int) -> float:

@@ -585,6 +585,30 @@ def test_config_file_cannot_name_another(tmp_path, capsys):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+@pytest.mark.parametrize("key", ["help", "hel", "h"])
+def test_config_help_key_rejected(tmp_path, capsys, command, key):
+    # help = 1 would become --help 1: the help text and exit 0, nothing computed
+    cfg = tmp_path / "help.cfg"
+    cfg.write_text(f"# settings\n{key} = 1\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cfg}:2: key {key} ")
+
+
+@pytest.mark.parametrize("line", ["output =", "emax=  ", "format = # csv"])
+def test_config_empty_value_rejected(tmp_path, capsys, line):
+    # output = would become --output "", and the table would go to stdout
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"emax = 1\n{line}\n")
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    key = line.split("=")[0].strip()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cfg}:2: key {key} has an empty value\n"
+
+
 def test_bool_keys_are_the_parsers_switches():
     # a store_true flag missing from _BOOL_KEYS would read its config value as an argument
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ncosc
 from ncosc import propagator
-from ncosc.model import PotentialParams, effective_ell, radial_log_norm
+from ncosc.model import PotentialParams, effective_ell, ladder_energy, radial_log_norm
 from ncosc.propagator import (
     LatticeSpec,
     PropagatorQuery,
@@ -244,6 +244,18 @@ def test_integrated_diagonal_kernel_overflows_only_beyond_float_range():
         integrated_diagonal_kernel(PotentialParams(v0=800.0), 1.0, 5, 2, 2)
     assert integrated_diagonal_kernel(PotentialParams(v0=700.0), 1.0, 5, 2, 2) == pytest.approx(
         2.228686756851997e303, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v0", [711.5, 712.0])
+def test_integrated_diagonal_kernel_refuses_a_sum_beyond_float_range(v0):
+    # the lowest weight fits here (e^{709.5} at v0 = 712, ground sector
+    # ell_tilde = 1), but the weighted sum does not; with e^{-E_0 tau}
+    # factored out of the weights no product overflows on the way
+    p = PotentialParams(v0=v0)
+    assert -ladder_energy(p, 0, effective_ell(p, 0, 0)) < math.log(np.finfo(float).max)
+    with pytest.raises(OverflowError, match="integrated_diagonal_kernel at tau=1.0 is beyond the float range"):
+        integrated_diagonal_kernel(p, 1.0, 5, 2, 2)
 
 
 def test_angular_kernel_refuses_nan_angles():

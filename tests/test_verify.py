@@ -1,13 +1,14 @@
 """The check registry: every verify check is named, timed and scaled by
 `run_check`, and `run_suite` runs each registered check once, grouped by
-suite."""
+suite. No check holds much more memory than the lattice needs."""
 
 import re
+import tracemalloc
 
 import pytest
 
 from ncosc import propagator, spectrum
-from ncosc.verify import SUITE_NAMES, run_check, run_suite
+from ncosc.verify import _REGISTRY, SUITE_NAMES, run_check, run_suite
 
 
 def test_run_suite_runs_each_check_once_timed_and_scaled():
@@ -84,3 +85,22 @@ def test_radial_spectrum_agreement_reports_its_grids_and_shift_gap():
     assert "200/401/803-point grids, two Richardson levels" in result.detail
     ratio = float(re.search(r"worst shift/gap (\S+) against the 1e-4 guard", result.detail).group(1))
     assert 0 < ratio < 1e-4
+
+
+def test_every_check_holds_a_small_working_set():
+    # the heaviest check is semigroup, whose 32-slice lattice power holds three
+    # 400x400 matrices (4.0 MB traced peak); 5 MB leaves 25% over it, and a
+    # check that evaluates a whole 3D grid at once (norm-round-trip's
+    # 144x96x16 complex samples took 9.2 MB) fails. Each check runs once
+    # untraced first, so imports and caches are not counted.
+    peaks = {}
+    for suite, name in _REGISTRY:
+        run_check(suite, name)
+        tracemalloc.start()
+        try:
+            run_check(suite, name)
+            peaks[f"{suite}/{name}"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 30
+    assert {check: peak for check, peak in peaks.items() if peak > 5e6} == {}
