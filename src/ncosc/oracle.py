@@ -1,13 +1,15 @@
 """Independent numerical cross-checks: finite-difference Sturm-Liouville
-eigensolvers for the radial and angular equations, composite Gauss-Legendre
-panels, and the inner products built on them under the r^2 dr and
-sin(theta) d(theta) measures.
+eigensolvers for the radial and angular equations, a sinc discrete-variable
+representation (DVR) of the radial equation in s = ln r, composite
+Gauss-Legendre panels, and the inner products built on them under the
+r^2 dr and sin(theta) d(theta) measures.
 
 Nothing here consumes the closed-form spectrum or eigenfunctions; the
 solvers discretize the differential operators directly so their output
 can stand as evidence for (or against) the analytic results. The only
-shared ingredient is the index map (n_theta, m) -> effective angular
-momentum, which parameterizes both sides of every comparison.
+shared ingredients are the separated radial potential and the index map
+(n_theta, m) -> effective angular momentum, which parameterizes both sides
+of every comparison.
 """
 
 from __future__ import annotations
@@ -41,10 +43,8 @@ class GridSpec:
 
     Interior nodes sit at j*h for j = 1..n_points with spacing
     h = hi/(n_points + 1); the boundary values are pinned to zero and never
-    stored. `richardson` is the number of Richardson levels, an integer
-    >= 0: the solvers then also solve on the nested grids h/2, ...,
-    h/2^richardson and cancel the error terms h^2, ..., h^(2 richardson).
-    False and True mean 0 and 1.
+    stored. `richardson` is 0 or 1 (False or True): at 1 the solvers also
+    solve on the nested grid h/2 and cancel the h^2 error term.
     """
 
     hi: float
@@ -56,6 +56,8 @@ class GridSpec:
             raise ValueError(f"grid requires finite hi > 0, got {self.hi}")
         _check_count("n_points", self.n_points, 64)
         _check_count("richardson", self.richardson, 0)
+        if self.richardson > 1:
+            raise ValueError(f"richardson must be 0 or 1, got {self.richardson}")
 
     @property
     def h(self) -> float:
@@ -104,35 +106,21 @@ def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: Grid
 
 
 def _solve_with_richardson(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
-                           count: int, hbar: float, mu: float, guard: bool = True) -> tuple[np.ndarray, float]:
-    """Lowest `count` eigenvalues, extrapolated over grid.richardson levels,
-    and the worst shift/gap ratio of the last pair of estimates (nan at
-    level 0).
-
-    At L = grid.richardson >= 1 the eigenvalues are solved on the L + 1
-    nested grids h, h/2, ..., h/2^L. Romberg steps j = 1..L-1,
-    (4^j fine - coarse)/(4^j - 1), cancel h^2, ..., h^(2L-2) and leave two
-    estimates; the guard requires their difference to be within 1e-4 of
-    the gap to the next eigenvalue, and the last step j = L returns the
-    extrapolated value. L = 1 is (4 E_{h/2} - E_h)/3.
-    """
-    levels = int(grid.richardson)
+                           count: int, hbar: float, mu: float, guard: bool = True) -> np.ndarray:
+    """Lowest `count` eigenvalues, Richardson-extrapolated when grid.richardson
+    is set: (4 E_{h/2} - E_h)/3, after the guard requires each shift
+    |E_{h/2} - E_h| to be within 1e-4 of the gap to the next eigenvalue."""
     # one extra eigenvalue so the last requested one has a gap to measure
-    wanted = count + 1 if levels else count
+    wanted = count + 1 if grid.richardson else count
     if wanted > grid.n_points:
         raise ValueError(
             f"count = {count} asks for {wanted} eigenvalues of a grid with n_points = {grid.n_points}"
-            + (" (Richardson solves count + 1)" if levels else "")
+            + (" (Richardson solves count + 1)" if grid.richardson else "")
         )
-    if not levels:
-        return _sturm_liouville_eigs(v_of_x, grid, count, hbar, mu), math.nan
-    estimates = []
-    for _ in range(levels + 1):
-        estimates.append(_sturm_liouville_eigs(v_of_x, grid, wanted, hbar, mu))
-        grid = grid.refined()
-    for j in range(1, levels):
-        estimates = [(4**j * fine - coarse) / (4**j - 1) for coarse, fine in zip(estimates, estimates[1:])]
-    coarse, fine = estimates
+    if not grid.richardson:
+        return _sturm_liouville_eigs(v_of_x, grid, count, hbar, mu)
+    coarse = _sturm_liouville_eigs(v_of_x, grid, wanted, hbar, mu)
+    fine = _sturm_liouville_eigs(v_of_x, grid.refined(), wanted, hbar, mu)
     shift = np.abs(fine[:count] - coarse[:count])
     gap = fine[1 : count + 1] - fine[:count]
     bad = guard & (shift > 1e-4 * gap)
@@ -142,22 +130,7 @@ def _solve_with_richardson(v_of_x: Callable[[np.ndarray], np.ndarray], grid: Gri
             f"grid too coarse: eigenvalue {i} moved {shift[i]:.3e} under h -> h/2, "
             f"more than 1e-4 of its gap {gap[i]:.3e}; increase n_points"
         )
-    return (4**levels * fine[:count] - coarse[:count]) / (4**levels - 1), float(np.max(shift / gap))
-
-
-def _radial_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSpec, count: int) -> tuple[np.ndarray, float]:
-    """radial_eigenvalues_fd with the worst Richardson shift/gap ratio."""
-    _check_count("count", count, 1)
-    ell = effective_ell(p, n_theta, m)
-    v_of_r = functools.partial(_radial_potential, p, ell * (ell + 1))
-    eigs, shift_gap = _solve_with_richardson(v_of_r, grid, count, p.hbar, p.mu)
-    wall = v_of_r(grid.hi)
-    if wall < eigs[-1] + 40 * p.hbar * p.omega:
-        raise ValueError(
-            f"radial box hi={grid.hi} too small: V_ell(hi) = {wall:.3g} must exceed "
-            f"the highest requested eigenvalue {eigs[-1]:.3g} by 40*hbar*omega"
-        )
-    return eigs, shift_gap
+    return (4 * fine[:count] - coarse[:count]) / 3
 
 
 def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSpec, count: int) -> np.ndarray:
@@ -166,8 +139,8 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
     Solves -(hbar^2/2mu) u'' + [-v0 + mu omega^2 r^2/2 + hbar^2 ell(ell+1)/(2 mu r^2)] u = E u
     with u(0) = u(hi) = 0, where ell is the effective angular momentum of the
     (n_theta, m) sector. Returns the lowest `count` eigenvalues ascending,
-    Richardson-extrapolated over grid.richardson levels (grids h, h/2, ...,
-    h/2^richardson) when the grid requests it.
+    Richardson-extrapolated from the grids h and h/2 when grid.richardson
+    is set.
 
     Parameters
     ----------
@@ -180,14 +153,60 @@ def radial_eigenvalues_fd(p: PotentialParams, n_theta: int, m: int, grid: GridSp
         highest returned eigenvalue by 40 hbar omega.
     count : int
         Number of eigenvalues, >= 1 and at most grid.n_points (one less
-        with Richardson levels, which solve one eigenvalue more).
+        with Richardson extrapolation, which solves one eigenvalue more).
 
     Returns
     -------
     numpy.ndarray
         Eigenvalues sorted ascending.
     """
-    return _radial_fd(p, n_theta, m, grid, count)[0]
+    _check_count("count", count, 1)
+    ell = effective_ell(p, n_theta, m)
+    v_of_r = functools.partial(_radial_potential, p, ell * (ell + 1))
+    eigs = _solve_with_richardson(v_of_r, grid, count, p.hbar, p.mu)
+    wall = v_of_r(grid.hi)
+    if wall < eigs[-1] + 40 * p.hbar * p.omega:
+        raise ValueError(
+            f"radial box hi={grid.hi} too small: V_ell(hi) = {wall:.3g} must exceed "
+            f"the highest requested eigenvalue {eigs[-1]:.3g} by 40*hbar*omega"
+        )
+    return eigs
+
+
+def _radial_dvr(p: PotentialParams, ell: float, count: int, stretch: float = 1.0) -> np.ndarray:
+    """Lowest `count` radial eigenvalues at ell_tilde = ell from a sinc DVR in s = ln r.
+
+    With r = e^s and u = r^(1/2) w the radial equation becomes
+    -(hbar^2/2mu) w'' + [(hbar^2/2mu)(ell+1/2)^2 + r^2 V_0(r)] w = E r^2 w,
+    V_0 being the radial potential at c = 0. Its w is analytic in a strip
+    of s, so the sinc DVR (Colbert and Miller, J. Chem. Phys. 96 (1992)
+    1982) converges exponentially in 1/h. The kinetic matrix is
+    T_ii = pi^2/(3h^2), T_ij = 2(-1)^(i-j)/(h^2 (i-j)^2), both times
+    hbar^2/2mu; the eigenvalues are those of r^-1 [T + diag] r^-1.
+
+    The grid has no accuracy parameter. The step h = (0.2/sqrt(count))
+    min(1, 2/sqrt(2 ell + 1)) shrinks with the top degree, whose state has
+    the most nodes. The inner end s_min = ln r_c - 10 ln10/(2 ell + 1) - 1
+    lies past where w^2 ~ r^(2 ell + 1) has fallen by 1e-10 from its value
+    at r_c = sqrt(hbar (ell + 1/2)/(mu omega)); the outer end is
+    ln radial_extent(p, count - 1, ell) + 0.3. `stretch` scales h alone,
+    for a coarser second solve whose change is the DVR's diagnostic.
+    """
+    h = stretch * 0.2 / math.sqrt(count) * min(1.0, 2 / math.sqrt(2 * ell + 1))
+    r_c = math.sqrt(p.hbar * (ell + 0.5) / (p.mu * p.omega))
+    s_min = math.log(r_c) - 10 * math.log(10) / (2 * ell + 1) - 1
+    s_max = math.log(radial_extent(p, count - 1, ell)) + 0.3
+    idx = np.arange(math.ceil((s_max - s_min) / h) + 1)
+    r = np.exp(s_min + h * idx)
+    kin = p.hbar * p.hbar / (2 * p.mu)
+    # T is Toeplitz: band[k] is T_ij at |i - j| = k
+    band = np.empty(idx.size)
+    band[0] = math.pi**2 / 3
+    band[1:] = np.where(idx[1:] % 2, -2.0, 2.0) / (idx[1:] * idx[1:])
+    a = (kin / (h * h)) * band[np.abs(idx[:, None] - idx)]
+    a[idx, idx] += kin * (ell + 0.5) ** 2 + r * r * _radial_potential(p, 0, r)
+    a /= r[:, None] * r
+    return np.linalg.eigvalsh(a)[:count]
 
 
 def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> np.ndarray:
@@ -225,7 +244,7 @@ def angular_eigenvalues_fd(lam: float, k: float, grid: GridSpec, count: int) -> 
         s, c = np.sin(th), np.cos(th)
         return c_lam / (s * s) + c_k / (c * c)
 
-    return _solve_with_richardson(v_of_theta, grid, count, 1.0, 1.0, guard=regular)[0]
+    return _solve_with_richardson(v_of_theta, grid, count, 1.0, 1.0, guard=regular)
 
 
 @functools.lru_cache(maxsize=16)

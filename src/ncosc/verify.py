@@ -325,35 +325,31 @@ def check_norm_round_trip() -> Outcome:
 
 @_check("oracle", "radial-spectrum-agreement")
 def check_radial_spectrum_agreement() -> Outcome:
-    # the headline cross-validation: closed-form energies vs the
-    # finite-difference solver over the full coupling grid
+    # the headline cross-validation: closed-form energies vs the radial
+    # sinc DVR over the full coupling grid
     worst = 0.0
-    worst_shift_gap = 0.0
+    worst_change = 0.0
     n_compared = 0
-    # the FD problem sees a sector only through ell_tilde, and every coupling
-    # set here shares the scales, v0 and grid, so each ell_tilde is solved once
+    # the DVR sees a sector only through ell_tilde, and every coupling set
+    # here shares the scales and v0, so each ell_tilde is solved once, and
+    # once more at 1.25 h for the change the step makes
     solved: dict[float, np.ndarray] = {}
     for al, be, ga in itertools.product((0.0, 1.0, 2.0), (0.0, 0.5), (0.0, 2.0)):
         p = PotentialParams(alpha=al, beta=be, gamma=ga)
-        # two Richardson levels over 200/401/803 points keep the last shift
-        # within about 2e-6 of the gap for the E ~ 15.7 top states of this
-        # sweep, where one level needs 4000/8001 points for the 1e-4 guard
-        grid = oracle.GridSpec(oracle.default_radial_grid(p, 200).hi, 200, 2)
         for ntheta, m in itertools.product(range(3), range(3)):
             ell = effective_ell(p, ntheta, m)
             if ell not in solved:
-                solved[ell], shift_gap = oracle._radial_fd(p, ntheta, m, grid, 4)
-                worst_shift_gap = max(worst_shift_gap, shift_gap)
+                solved[ell] = oracle._radial_dvr(p, ell, 4)
+                coarse = oracle._radial_dvr(p, ell, 4, 1.25)
+                worst_change = max(worst_change, float(np.max(np.abs(coarse / solved[ell] - 1))))
             eigs = solved[ell]
             for n in range(4):
                 e_closed = spectrum.energy(p, QuantumNumbers(n, ntheta, m))
                 worst = max(worst, abs(eigs[n] / e_closed - 1))
                 n_compared += 1
-    finer = grid.refined()
     return worst, 1e-6, (f"{n_compared} states over alpha x beta x gamma grid, |m| symmetry used, "
-                         f"{len(solved)} FD solves (one per distinct ell_tilde) on "
-                         f"{grid.n_points}/{finer.n_points}/{finer.refined().n_points}-point grids, "
-                         f"two Richardson levels; worst shift/gap {worst_shift_gap:.1e} against the 1e-4 guard")
+                         f"{len(solved)} sinc-DVR solves in s = ln r (one per distinct ell_tilde); "
+                         f"worst relative change under h -> 1.25 h {worst_change:.1e}")
 
 
 @_check("oracle", "angular-spectrum-agreement")

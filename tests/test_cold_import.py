@@ -3,8 +3,9 @@
 The spectrum and the wave functions are closed forms built on numpy alone,
 so `import ncosc` and the `spectrum` and `wavefunction` subcommands must not
 load scipy.special or scipy.linalg; the propagator's Bessel kernel needs
-scipy.special and nothing else. Each case runs in its own interpreter,
-since this test process has loaded scipy already.
+scipy.special and nothing else, and the radial DVR check needs numpy alone.
+Each case runs in its own interpreter, since this test process has loaded
+scipy already.
 """
 
 import json
@@ -87,3 +88,14 @@ def test_first_closed_kernel_call_binds_the_compiled_exprel():
         "from scipy.special.cython_special import exprel\n"
         "assert specfun._exprel is exprel\n"
     )
+
+
+def test_radial_spectrum_agreement_loads_no_scipy():
+    # the radial check solves a dense sinc DVR with numpy's eigvalsh, so it
+    # needs neither scipy.linalg's tridiagonal solver nor scipy.special
+    loaded = loaded_after(
+        "from ncosc import run_check\n"
+        "assert run_check('oracle', 'radial-spectrum-agreement').passed\n"
+    )
+    assert not loaded["scipy.special"]
+    assert not loaded["scipy.linalg"]

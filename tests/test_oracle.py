@@ -1,4 +1,4 @@
-"""Finite-difference eigensolvers and quadrature: the independent routes.
+"""Finite-difference eigensolvers, the radial sinc DVR and quadrature: the independent routes.
 
 These tests exercise the oracle on problems with known closed forms and,
 just as deliberately, on problems where it must refuse to answer: coarse
@@ -11,9 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ncosc.model import PotentialParams, QuantumNumbers
+from ncosc.model import PotentialParams, QuantumNumbers, ladder_energy
 from ncosc.oracle import (
     GridSpec,
+    _radial_dvr,
     angular_eigenvalues_fd,
     default_angular_grid,
     default_radial_grid,
@@ -96,22 +97,6 @@ def test_coarse_grid_guard_fires():
         radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 250), 1)
 
 
-def test_two_richardson_levels_hold_the_ladder_on_200_points():
-    # three nested grids (200/401/803 points) cancel h^2 and h^4; one level
-    # on the same grid moves the ground state past the guard
-    eigs = radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 200, 2), 4)
-    assert eigs == pytest.approx([2.5, 4.5, 6.5, 8.5], rel=1e-9, abs=0)
-    with pytest.raises(ValueError, match="grid too coarse"):
-        radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 200, 1), 4)
-
-
-def test_coarse_grid_guard_fires_at_two_levels():
-    # at 64 points the level-2 estimates of eigenvalue 3 still differ by
-    # about 3.6e-4, past 1e-4 of its gap
-    with pytest.raises(ValueError, match="grid too coarse: eigenvalue 3"):
-        radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 64, 2), 4)
-
-
 def test_undersized_box_rejected_after_solve():
     with pytest.raises(ValueError, match="radial box"):
         radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(4.0, 2000), 4)
@@ -131,6 +116,18 @@ def test_default_box_holds_a_raised_ladder():
     eigs = radial_eigenvalues_fd(p, 0, 0, default_radial_grid(p, 3000), 4)
     want = [energy(p, QuantumNumbers(n, 0, 0)) for n in range(4)]
     assert eigs == pytest.approx(want, rel=1e-6)
+
+
+@pytest.mark.parametrize("hbar, mu, omega, v0", [(1.0, 1.0, 1.0, 0.0), (0.9, 1.7, 1.3, 0.7),
+                                                (0.01, 1e3, 3.0, -50.0)])
+def test_radial_dvr_holds_the_ladder(hbar, mu, omega, v0):
+    # the sinc DVR in s = ln r picks its own grid from ell_tilde and the top
+    # degree; the ladder n <= 8 holds to 1e-9 from the r^(ell+1) wall of
+    # ell_tilde = 0 to the far-out well of ell_tilde = 330
+    p = PotentialParams(hbar=hbar, mu=mu, omega=omega, v0=v0)
+    for ell in (0.0, 0.3, 1.0, 5.27, 20.5, 100.0, 330.0):
+        want = ladder_energy(p, np.arange(9), ell)
+        assert _radial_dvr(p, ell, 9) == pytest.approx(want, rel=1e-9, abs=0), ell
 
 
 def test_angular_solver_validation():

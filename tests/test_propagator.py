@@ -446,6 +446,7 @@ _QUERY = dict(ra=1.0, rb=1.2, theta_a=0.5, theta_b=0.6, phi_a=0.1, phi_b=0.2, ta
     pytest.param(lambda: GridSpec(12.0, 500, math.nan), "richardson must be an integer", id="grid-richardson-nan"),
     pytest.param(lambda: GridSpec(12.0, 500, None), "richardson must be an integer", id="grid-richardson-none"),
     pytest.param(lambda: GridSpec(12.0, 500, -1), "richardson must be >= 0, got -1", id="grid-richardson-floor"),
+    pytest.param(lambda: GridSpec(12.0, 200, 2), "richardson must be 0 or 1, got 2", id="grid-richardson-ceiling"),
     pytest.param(lambda: radial_eigenvalues_fd(PotentialParams(), 0, 0, GridSpec(12.0, 64, False), 70),
                  "count = 70 asks for 70 eigenvalues of a grid with n_points = 64", id="radial-count-past-grid"),
     pytest.param(lambda: angular_eigenvalues_fd(1.0, 1.5, default_angular_grid(256), 300),

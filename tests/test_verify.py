@@ -43,11 +43,23 @@ def test_run_check_rejects_unknown_checks(suite, name):
 
 
 def test_radial_spectrum_agreement_fails_on_a_2e_6_energy_shift(monkeypatch):
-    # the check runs 200-point grids at two Richardson levels; it must still
-    # see closed energies that are 2e-6 off, twice its 1e-6 tolerance
+    # the check must see closed energies that are 2e-6 off, twice its 1e-6
+    # tolerance
     closed = spectrum.energy
     monkeypatch.setattr(spectrum, "energy", lambda p, qn: closed(p, qn) * (1 + 2e-6))
     assert not run_check("oracle", "radial-spectrum-agreement").passed
+
+
+def test_radial_spectrum_agreement_fails_on_a_3e_6_ell_tilde_shift(monkeypatch):
+    # ell_tilde moves E by ell_tilde/(2n + ell_tilde + 3/2) of its relative
+    # shift, at most 0.845 over this sweep; so a 3e-6 shift on the closed
+    # side moves some energy by 2.5e-6, past the 1e-6 tolerance, while the
+    # DVR side keeps the true ell_tilde
+    ell = spectrum.effective_ell
+    monkeypatch.setattr(spectrum, "effective_ell", lambda p, ntheta, m: ell(p, ntheta, m) * (1 + 3e-6))
+    result = run_check("oracle", "radial-spectrum-agreement")
+    assert not result.passed
+    assert result.observed > 2e-6
 
 
 def test_semigroup_fails_on_a_1e_5_endpoint_lattice_shift(monkeypatch):
@@ -81,10 +93,11 @@ def test_closed_vs_spectral_fails_on_a_1e_9_spectral_shift(monkeypatch):
 
 
 def test_radial_spectrum_agreement_reports_its_grids_and_shift_gap():
+    # the DVR picks its own grids; its shift is the change under h -> 1.25 h
     result = run_check("oracle", "radial-spectrum-agreement")
-    assert "200/401/803-point grids, two Richardson levels" in result.detail
-    ratio = float(re.search(r"worst shift/gap (\S+) against the 1e-4 guard", result.detail).group(1))
-    assert 0 < ratio < 1e-4
+    assert "78 sinc-DVR solves in s = ln r" in result.detail
+    change = float(re.search(r"worst relative change under h -> 1.25 h (\S+)$", result.detail).group(1))
+    assert 0 < change < result.tolerance
 
 
 def test_every_check_holds_a_small_working_set():
