@@ -11,8 +11,9 @@ every identity is numerically checkable. The closed radial kernel
 
 integrates against the r^2 dr measure, matching the spectral form
 sum_n e^{-E_n tau/hbar} R_n(ra) R_n(rb); the lattice kernel is normalized
-to the same convention. ln K is coded once, in _log_radial_kernel, and the
-lattice slice is that expression at omega = 0, the free radial kernel.
+to the same convention. ln K is coded once, in _log_radial_kernel, whose
+factors of omega tau alone come from _kernel_time_factors, and the lattice
+slice is that expression at omega = 0, the free radial kernel.
 """
 
 from __future__ import annotations
@@ -120,42 +121,78 @@ class SpectralKernel(NamedTuple):
     tail_bound: float
 
 
-def _log_radial_kernel(mu_over_hbar: float, omega: float, nu: float, ra, rb, tau: float):
+def _kernel_time_factors(mu_over_hbar: float, omega: float, tau: float) -> tuple[float, float, float]:
+    """(u, c, log_a) of _log_radial_kernel: the factors of omega tau, which
+    no endpoint changes.
+
+    They come from s = (1 - e^{-omega tau})/(omega tau), 1 at omega tau = 0,
+    and the product omega tau is never logged, so the kernel keeps its
+    digits where it is subnormal or 0: u = 1 - e^{-omega tau}, with
+    tanh(omega tau/2) = u/(2 - u); c = (1 - e^{-2 omega tau})/(omega tau), with
+    coth(omega tau) = (2 - u (2 - u))/(omega tau c); and
+    log_a = ln(mu omega/(hbar sinh omega tau)).
+    """
+    wt = omega * tau
+    s = specfun._exprel(-wt)
+    u = wt * s
+    c = s * (2 - u)
+    return u, c, math.log(2 * mu_over_hbar) - math.log(tau) - math.log(c) - wt
+
+
+def _log_radial_kernel(mu_over_hbar: float, omega: float, nu: float, ra, rb, tau: float, factors=None):
     """ln K/e^{v0 tau/hbar} of order nu = ell + 1/2, at endpoints ra and rb
     that are floats or broadcast arrays; at omega = 0 it is the free radial kernel.
 
     One expression in which every factor is a logarithm; specfun alone
     handles the float range of the Bessel argument
-    z = mu omega ra rb/(hbar sinh omega tau). The functions of omega tau come
-    from s = (1 - e^{-omega tau})/(omega tau), 1 at omega tau = 0, and the
-    product omega tau is never logged, so the kernel keeps its digits where it
-    is subnormal or 0. ln I_nu(z) - z enters scaled, and z joins the
-    Gaussian exponent -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
+    z = mu omega ra rb/(hbar sinh omega tau). factors is
+    _kernel_time_factors(mu_over_hbar, omega, tau), computed here when it is
+    not given. ln I_nu(z) - z enters scaled, and z joins the Gaussian
+    exponent -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
     at short times both are of order 1/tau and would cancel.
     """
-    wt = omega * tau
-    s = specfun._exprel(-wt)
-    u = wt * s  # 1 - e^{-omega tau}; tanh(omega tau/2) = u/(2 - u)
-    c = s * (2 - u)  # (1 - e^{-2 omega tau})/(omega tau); coth(omega tau) = (2 - u (2 - u))/(omega tau c)
+    u, c, log_a = _kernel_time_factors(mu_over_hbar, omega, tau) if factors is None else factors
     # math.log on floats: np.log on two floats would add about 40% to a closed-kernel call
     log = math.log if type(ra) is type(rb) is float else np.log
     log_rr = log(ra) + log(rb)
-    log_a = math.log(2 * mu_over_hbar) - math.log(tau) - math.log(c) - wt  # ln(mu omega/(hbar sinh omega tau))
     d = ra - rb
     return (log_a + log_bessel_ie_from_log(nu, log_a + log_rr)
             - mu_over_hbar * (0.5 * d * d / tau * (2 - u * (2 - u)) / c + omega * ra * (rb * u) / (2 - u))
             - 0.5 * log_rr)
 
 
+# the last valid call's (p, (type and value of n_theta, m and tau), nu,
+# mu/hbar, omega, time factors, v0 tau/hbar); one tuple, rebound whole
+_closed_memo = None
+
+
 def radial_kernel_closed(p: PotentialParams, n_theta: int, m: int, ra: float, rb: float, tau: float) -> float:
     """Closed-form Euclidean radial kernel for the (n_theta, m) sector,
-    exp(_log_radial_kernel + v0 tau/hbar), exponentiated once."""
+    exp(_log_radial_kernel + v0 tau/hbar), exponentiated once.
+
+    A map evaluated one endpoint pair at a time repeats (p, n_theta, m, tau),
+    so the values that depend on them alone (the order ell_tilde + 1/2, the
+    time factors and v0 tau/hbar) are kept from the last valid call: p by
+    identity, held so that its id is not reused, and n_theta, m and tau by
+    type and value. A call that repeats them checks its endpoints and does
+    the endpoint work only, with the same operations, so it returns the same
+    bits; any other call checks everything and replaces the entry.
+    """
+    global _closed_memo
     if not (0 < ra < math.inf and 0 < rb < math.inf):
         raise ValueError(f"radial_kernel_closed requires finite ra > 0 and rb > 0, got ra={ra}, rb={rb}")
-    if not (0 < tau and p.omega * tau < math.inf):
-        raise ValueError(f"tau must be positive with omega tau finite, got tau={tau}, omega={p.omega}")
-    ell = effective_ell(p, n_theta, m)
-    log_k = _log_radial_kernel(p.mu / p.hbar, p.omega, ell + 0.5, ra, rb, tau) + p.v0 * tau / p.hbar
+    memo = _closed_memo
+    key = (type(n_theta), n_theta, type(m), m, type(tau), tau)
+    if memo is None or memo[0] is not p or memo[1] != key:
+        if not (0 < tau and p.omega * tau < math.inf):
+            raise ValueError(f"tau must be positive with omega tau finite, got tau={tau}, omega={p.omega}")
+        nu = effective_ell(p, n_theta, m) + 0.5
+        mu_over_hbar = p.mu / p.hbar
+        memo = (p, key, nu, mu_over_hbar, p.omega, _kernel_time_factors(mu_over_hbar, p.omega, tau),
+                p.v0 * tau / p.hbar)
+        _closed_memo = memo
+    _, _, nu, mu_over_hbar, omega, factors, v0_term = memo
+    log_k = _log_radial_kernel(mu_over_hbar, omega, nu, ra, rb, tau, factors) + v0_term
     if log_k > _LOG_HUGE:
         raise OverflowError(
             f"radial_kernel_closed at tau={tau} with endpoints ({ra}, {rb}) is e^{log_k:.6g}, "
@@ -413,6 +450,7 @@ def _slice_matrix(
     over paths and the prefactors. Row and column points ascend.
     """
     vx, vy = _radial_potential(p, 0.0, x), _radial_potential(p, 0.0, y)
+    factors = _kernel_time_factors(p.mu / p.hbar, 0.0, eps)
     reach = _slice_reach(p, eps, x, y, n_slices)
     out = np.zeros((len(x), len(y)))
     step = max(1, (1 << 14) // len(y))  # rows per block of about 16k entries
@@ -429,7 +467,7 @@ def _slice_matrix(
         xr, yc = x[rows], y[cols]
         # the flat measure r r' in parentheses, so that the sum is symmetric in r, r'
         log_t = (
-            _log_radial_kernel(p.mu / p.hbar, 0.0, ell + 0.5, xr, yc, eps)
+            _log_radial_kernel(p.mu / p.hbar, 0.0, ell + 0.5, xr, yc, eps, factors)
             + (np.log(xr) + np.log(yc))
             - eps * (vx[rows] + vy[cols]) / (2 * p.hbar)
         )

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ncosc
-from ncosc import propagator
+from ncosc import model, propagator
 from ncosc.model import PotentialParams, effective_ell, ladder_energy, radial_log_norm
 from ncosc.propagator import (
     LatticeSpec,
@@ -878,3 +880,143 @@ def test_integrated_diagonal_kernel_equals_state_sum():
     # the box holds states the energy cutoff misses and vice versa; at
     # e_max=40 and tau=2 both leftovers weigh under 1e-9
     assert z_kernel == pytest.approx(z_states, abs=1e-9)
+
+
+MEMO_R = [0.2 + 0.25 * i for i in range(12)]
+
+
+def _miss(p, n_theta, m, ra, rb, tau):
+    """radial_kernel_closed with its memo emptied first, so every check and
+    every factor is worked out on this call."""
+    propagator._closed_memo = None
+    return radial_kernel_closed(p, n_theta, m, ra, rb, tau)
+
+
+def _map(p, n_theta, m, tau):
+    return [radial_kernel_closed(p, n_theta, m, a, b, tau).hex() for a in MEMO_R for b in MEMO_R]
+
+
+def _map_of_misses(p, n_theta, m, tau):
+    return [_miss(p, n_theta, m, a, b, tau).hex() for a in MEMO_R for b in MEMO_R]
+
+
+def test_closed_kernel_memo_returns_the_bits_of_a_miss():
+    # maps that interleave two parameter sets and switch sector and tau
+    p1, p2 = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0), PotentialParams(v0=0.3, omega=1.7, mu=0.8)
+    calls = [(p1, 0, 0, 0.5), (p2, 1, 1, 0.5), (p1, 0, 0, 0.5), (p1, 2, -1, 0.5), (p1, 2, -1, 1.3),
+             (p2, 1, 1, 1.3), (p1, 0, 0, 0.5)]
+    want = {call: _map_of_misses(*call) for call in calls}
+    for call in calls:
+        assert _map(*call) == want[call], call
+    # single calls that alternate, each one a miss of the one before
+    for a, b in zip(MEMO_R, MEMO_R[::-1]):
+        for call in calls[:3]:
+            assert radial_kernel_closed(call[0], call[1], call[2], a, b, call[3]).hex() == want[call][
+                MEMO_R.index(a) * 12 + MEMO_R.index(b)], call
+
+
+def test_closed_kernel_memo_keys_params_by_identity():
+    pa, pb = PotentialParams(alpha=1.0, v0=0.2), PotentialParams(alpha=1.0, v0=0.2)
+    assert pa == pb and pa is not pb
+    want = _map_of_misses(pa, 1, 0, 0.7)
+    assert _map(pa, 1, 0, 0.7) == want
+    assert _map(pb, 1, 0, 0.7) == want
+    # the entry holds the params of the last call, so its id is never reused
+    assert propagator._closed_memo[0] is pb
+
+
+def test_closed_kernel_memo_keys_indices_and_tau_by_type():
+    p = PotentialParams(alpha=0.4, beta=1.0, gamma=0.3)
+    want = _map_of_misses(p, 1, 1, 0.5)
+    for n_theta in (1, np.int64(1), True):
+        for m in (1, np.int64(1), True):
+            for tau in (0.5, np.float64(0.5)):
+                assert _map(p, n_theta, m, tau) == want, (type(n_theta), type(m), type(tau))
+                assert type(radial_kernel_closed(p, n_theta, m, 1.0, 1.2, tau)) is float
+
+
+@pytest.mark.parametrize("n_theta, m, tau, message", [
+    (1, 0, 0.0, "tau must be positive with omega tau finite, got tau=0.0, omega=1.0"),
+    (1, 0, math.nan, "tau must be positive with omega tau finite, got tau=nan, omega=1.0"),
+    (1, 0, math.inf, "tau must be positive with omega tau finite, got tau=inf, omega=1.0"),
+    (1.0, 0, 0.5, "sector indices must be integers, got n_theta=1.0, m=0"),
+    (0, 0, 0.5, "ell_tilde = -0.1127"),
+])
+def test_closed_kernel_memo_keeps_every_check(n_theta, m, tau, message):
+    # each call differs from the valid one before it in tau, in the type of
+    # n_theta or in the sector: (1, 0) is admissible at alpha = -2.1, (0, 0)
+    # is not normalizable
+    p = PotentialParams(alpha=-2.1)
+    for ra, rb in ((1.0, 1.2), (0.7, 0.7)):
+        radial_kernel_closed(p, 1, 0, ra, rb, 0.5)
+        with pytest.raises(ValueError) as raised:
+            radial_kernel_closed(p, n_theta, m, ra, rb, tau)
+        assert str(raised.value).startswith(message)
+        with pytest.raises(ValueError) as missed:
+            _miss(p, n_theta, m, ra, rb, tau)
+        assert str(raised.value) == str(missed.value)
+    # an endpoint is checked on a call that repeats the last valid one
+    radial_kernel_closed(p, 1, 0, 1.0, 1.2, 0.5)
+    with pytest.raises(ValueError, match=r"^radial_kernel_closed requires finite ra > 0 and rb > 0, got ra=-1.0, rb=1.2$"):
+        radial_kernel_closed(p, 1, 0, -1.0, 1.2, 0.5)
+    with pytest.raises(ValueError, match=r"got ra=1.0, rb=inf$"):
+        radial_kernel_closed(p, 1, 0, 1.0, math.inf, 0.5)
+
+
+def test_closed_kernel_memo_keeps_the_overflow_message():
+    # the first call overflows after it fills the entry; the next repeat it
+    p = PotentialParams(v0=1e4)
+    for ra, rb in ((1.0, 1.0), (1.0, 1.2), (1.0, 1.2)):
+        with pytest.raises(OverflowError) as missed:
+            _miss(p, 0, 0, ra, rb, 1.0)
+        with pytest.raises(OverflowError) as hit:
+            radial_kernel_closed(p, 0, 0, ra, rb, 1.0)
+        assert str(hit.value) == str(missed.value)
+        assert str(hit.value).startswith(f"radial_kernel_closed at tau=1.0 with endpoints ({ra}, {rb}) is e^")
+        assert str(hit.value).endswith(", beyond the float range")
+
+
+def test_closed_kernel_map_reads_its_sector_once(monkeypatch):
+    # one entry: a map at one (p, n_theta, m, tau) reads the sector once,
+    # a map that alternates two sectors reads it on every call
+    reads = []
+
+    def counted(p, n_theta, m, _sector=model._sector):
+        reads.append((n_theta, m))
+        return _sector(p, n_theta, m)
+
+    monkeypatch.setattr(model, "_sector", counted)
+    p = PotentialParams(alpha=1.0, beta=0.5, gamma=2.0)
+    _map(p, 1, 2, 0.5)
+    assert reads == [(1, 2)]
+    reads.clear()
+    for i, (a, b) in enumerate((a, b) for a in MEMO_R for b in MEMO_R):
+        radial_kernel_closed(p, i % 2, 2, a, b, 0.5)
+    assert len(reads) == 144
+
+
+def test_closed_kernel_maps_on_two_threads_match_serial_runs(monkeypatch):
+    # two threads, each evaluating its own (p, sector, tau) map, read and
+    # replace the one entry; each yields the interpreter after every call and
+    # inside every refill, so the calls of the two maps interleave
+    jobs = [(PotentialParams(alpha=1.0, beta=0.5, gamma=2.0), 0, 1, 0.5),
+            (PotentialParams(omega=1.4, v0=0.5), 2, -1, 1.3)]
+    want = [_map_of_misses(*job) for job in jobs]
+
+    def yielding_ell(*args, _ell=propagator.effective_ell):
+        time.sleep(0)
+        return _ell(*args)
+
+    def yielding_map(p, n_theta, m, tau):
+        out = []
+        for a in MEMO_R:
+            for b in MEMO_R:
+                out.append(radial_kernel_closed(p, n_theta, m, a, b, tau).hex())
+                time.sleep(0)
+        return out
+
+    monkeypatch.setattr(propagator, "effective_ell", yielding_ell)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for _ in range(20):
+            futures = [pool.submit(yielding_map, *job) for job in jobs]
+            assert [f.result() for f in futures] == want

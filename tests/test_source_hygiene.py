@@ -170,3 +170,16 @@ def test_traced_names_resolve():
             assert callable(getattr(module, name, None)), f"ncosc.{layer}.{name} is traced but not a function"
             traced.add(f"{layer}.{name}")
     assert set(spans.KEYED) <= traced
+
+
+def test_the_one_global_statement_is_the_closed_kernel_memo():
+    # module state is one reviewed memo: radial_kernel_closed keeps its last
+    # call's invariants; any other memo needs a decision of its own
+    found = []
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(path.stem, func.name, tuple(node.names)) for node in ast.walk(func)
+                          if isinstance(node, ast.Global)]
+    assert found == [("propagator", "radial_kernel_closed", ("_closed_memo",))], (
+        f"global statements under src/ncosc: {found}")
