@@ -20,9 +20,10 @@ Separation constants:
 ell_tilde acts as the orbital quantum number of the reduced radial
 problem. States need ell_tilde >= 0 to be normalizable; a negative
 radicand means the fall-to-center regime, which is rejected rather than
-modeled. admissible_sectors evaluates each sector once for its ell_tilde and
-AngularMode. QuantumNumbers and AngularMode are immutable NamedTuples that
-hash as tuples; QuantumNumbers checks its fields. The module needs numpy alone.
+modeled. One evaluation of a sector gives its AngularMode and ell_tilde;
+angular_log_norm gives Theta's norm, as radial_log_norm gives R's. QuantumNumbers
+and AngularMode are immutable NamedTuples that hash as tuples; QuantumNumbers
+checks its fields. The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "radial_log_norm",
     "radial_extent",
     "angular_mode",
+    "angular_log_norm",
 ]
 
 
@@ -118,14 +120,13 @@ class QuantumNumbers(_QuantumNumbers):
 
 
 class AngularMode(NamedTuple):
-    """One angular sector: indices (lam, k), degree n_theta, eigenvalue eps,
-    and the norm that makes Theta orthonormal under sin(theta) d(theta)."""
+    """One angular sector: indices (lam, k), degree n_theta and eigenvalue eps;
+    angular_log_norm gives the log of its norm."""
 
     lam: float
     k: float
     n_theta: int
     eps: float
-    norm: float
 
 
 def potential_spherical(p: PotentialParams, r, theta):
@@ -182,19 +183,17 @@ def potential_cartesian(p: PotentialParams, x, y, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _sector(
-    p: PotentialParams, n_theta: int, m: int
-) -> tuple[float | None, float | None, float | None, float | None, str]:
-    """(lam, k, base, ell, why) of the (n_theta, m) sector.
+def _sector(p: PotentialParams, n_theta: int, m: int) -> tuple[AngularMode | None, float | None, str]:
+    """(mode, ell, why) of the (n_theta, m) sector.
 
-    lam = sqrt(beta + m^2), k = sqrt(gamma + 1/4), base = k + lam + 2 n_theta + 1
-    fixes the angular eigenvalue and ell = sqrt(base^2 + alpha - beta) - 1/2 is
-    ell_tilde. The one admissibility test of the package: the sector holds
+    mode is its AngularMode: lam = sqrt(beta + m^2), k = sqrt(gamma + 1/4) and
+    eps = (hbar^2/2mu) base^2, base = k + lam + 2 n_theta + 1; ell = sqrt(base^2 + alpha - beta) - 1/2
+    is ell_tilde. The one admissibility test of the package: the sector holds
     bound states only if the angular sector is bound (beta + m^2 >= 0) and
     ell_tilde >= 0, which rules out the fall-to-center regime (negative
     radicand) as well. Otherwise ell is None and why gives the reason; where
-    beta + m^2 < 0, lam, k and base are None too. Raises ValueError for
-    non-integer n_theta or m, and for n_theta < 0.
+    beta + m^2 < 0, mode is None too. Raises ValueError for non-integer
+    n_theta or m, and for n_theta < 0.
     """
     if not (isinstance(n_theta, _INTEGER) and isinstance(m, _INTEGER)):
         raise ValueError(f"sector indices must be integers, got n_theta={n_theta!r}, m={m!r}")
@@ -203,22 +202,23 @@ def _sector(
     lam_sq = p.beta + m * float(m)  # in floats, so a numpy integer never wraps
     if lam_sq < 0:
         why = f"beta + m^2 must be >= 0 for a bound angular sector, got {lam_sq} (beta={p.beta}, m={m})"
-        return None, None, None, None, why
+        return None, None, why
     lam, k = math.sqrt(lam_sq), math.sqrt(p.gamma + 0.25)
     base = k + lam + 2.0 * n_theta + 1
+    mode = AngularMode(lam, k, n_theta, (p.hbar**2 / (2 * p.mu)) * base * base)
     radicand = base * base + (p.alpha - p.beta)
     if radicand < 0:
         why = f"(k+lambda+2*n_theta+1)^2 + alpha - beta = {radicand} < 0: fall-to-center regime, no bound state"
-        return lam, k, base, None, why
+        return mode, None, why
     ell = math.sqrt(radicand) - 0.5
     if ell < 0:
-        return lam, k, base, None, f"ell_tilde = {ell} < 0: state not normalizable at the origin (inadmissible sector)"
-    return lam, k, base, ell, ""
+        return mode, None, f"ell_tilde = {ell} < 0: state not normalizable at the origin (inadmissible sector)"
+    return mode, ell, ""
 
 
 def admissible_ell(p: PotentialParams, n_theta: int, m: int) -> float | None:
     """ell_tilde of the (n_theta, m) sector, or None when it holds no bound state."""
-    return _sector(p, n_theta, m)[3]
+    return _sector(p, n_theta, m)[1]
 
 
 def effective_ell(p: PotentialParams, n_theta: int, m: int) -> float:
@@ -229,7 +229,7 @@ def effective_ell(p: PotentialParams, n_theta: int, m: int) -> float:
             beta + m^2 < 0, negative radicand (fall-to-center regime) or
             ell_tilde < 0 (state not normalizable at the origin).
     """
-    _, _, _, ell, why = _sector(p, n_theta, m)
+    _, ell, why = _sector(p, n_theta, m)
     if ell is None:
         raise ValueError(why)
     return ell
@@ -246,14 +246,14 @@ def admissible_sectors(p: PotentialParams, m: int):
     them in O(1).
     """
     first = _sector(p, 0, m)
-    if first[2] is None:
+    if first[0] is None:
         return
     need = 0.25 - (p.alpha - p.beta)
-    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - first[2]) / 2) - 1)
+    start = 0 if need <= 0 else max(0, math.floor((math.sqrt(need) - (first[0].k + first[0].lam + 1)) / 2) - 1)
     for n_theta in itertools.count(start):
-        lam, k, base, ell, _ = first if n_theta == 0 else _sector(p, n_theta, m)
+        mode, ell, _ = first if n_theta == 0 else _sector(p, n_theta, m)
         if ell is not None:
-            yield n_theta, ell, _angular(p, n_theta, lam, k, base)
+            yield n_theta, ell, mode
 
 
 def energy_floor(p: PotentialParams, m: int) -> float:
@@ -264,8 +264,8 @@ def energy_floor(p: PotentialParams, m: int) -> float:
     that sector is inadmissible, and -inf where beta + m^2 < 0 leaves no
     state at this m.
     """
-    _, _, base, ell, _ = _sector(p, 0, m)
-    if base is None:
+    mode, ell, _ = _sector(p, 0, m)
+    if mode is None:
         return -math.inf
     return ladder_energy(p, 0, 0.0 if ell is None else ell)
 
@@ -301,26 +301,19 @@ def radial_extent(p: PotentialParams, n: int, ell: float) -> float:
 
 def angular_mode(p: PotentialParams, n_theta: int, m: int) -> AngularMode:
     """The AngularMode of the (n_theta, m) sector, which must be bound (beta + m^2 >= 0)."""
-    lam, k, base, _, why = _sector(p, n_theta, m)
-    if base is None:
+    mode, _, why = _sector(p, n_theta, m)
+    if mode is None:
         raise ValueError(why)
-    return _angular(p, n_theta, lam, k, base)
+    return mode
 
 
-def _angular(p: PotentialParams, n_theta: int, lam: float, k: float, base: float) -> AngularMode:
-    """The AngularMode of a bound sector from its _sector values lam, k, base.
+def angular_log_norm(mode: AngularMode) -> float:
+    """ln of the norm that makes Theta of mode orthonormal under sin(theta) d(theta).
 
-    eps = (hbar^2/2mu) base^2 with base = k + lam + 2 n_theta + 1. The norm
-    squares to 2 base n_theta! Gamma(n_theta+k+lam+1)
-    / [Gamma(n_theta+k+1) Gamma(n_theta+lam+1)], evaluated through log-gamma
-    differences so large degrees stay in range.
+    The norm squares to 2 base n! Gamma(n+k+lam+1) / [Gamma(n+k+1) Gamma(n+lam+1)],
+    n = n_theta and base = k + lam + 2n + 1, in log-gamma differences so large degrees stay in range.
     """
-    eps = (p.hbar**2 / (2 * p.mu)) * base * base
-    log_norm_sq = (
-        math.log(2 * base)
-        + math.lgamma(n_theta + 1.0)
-        + math.lgamma(n_theta + k + lam + 1)
-        - math.lgamma(n_theta + k + 1)
-        - math.lgamma(n_theta + lam + 1)
-    )
-    return AngularMode(lam=lam, k=k, n_theta=n_theta, eps=eps, norm=math.exp(0.5 * log_norm_sq))
+    lam, k, n = mode.lam, mode.k, mode.n_theta
+    base = k + lam + 2.0 * n + 1
+    return 0.5 * (math.log(2 * base) + math.lgamma(n + 1.0) + math.lgamma(n + k + lam + 1)
+                  - math.lgamma(n + k + 1) - math.lgamma(n + lam + 1))

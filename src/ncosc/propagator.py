@@ -139,19 +139,19 @@ def _kernel_time_factors(mu_over_hbar: float, omega: float, tau: float) -> tuple
     return u, c, math.log(2 * mu_over_hbar) - math.log(tau) - math.log(c) - wt
 
 
-def _log_radial_kernel(mu_over_hbar: float, omega: float, nu: float, ra, rb, tau: float, factors=None):
+def _log_radial_kernel(mu_over_hbar: float, omega: float, nu: float, ra, rb, tau: float, factors):
     """ln K/e^{v0 tau/hbar} of order nu = ell + 1/2, at endpoints ra and rb
     that are floats or broadcast arrays; at omega = 0 it is the free radial kernel.
 
     One expression in which every factor is a logarithm; specfun alone
     handles the float range of the Bessel argument
     z = mu omega ra rb/(hbar sinh omega tau). factors is
-    _kernel_time_factors(mu_over_hbar, omega, tau), computed here when it is
-    not given. ln I_nu(z) - z enters scaled, and z joins the Gaussian
+    _kernel_time_factors(mu_over_hbar, omega, tau), which callers take once
+    for every endpoint. ln I_nu(z) - z enters scaled, and z joins the Gaussian
     exponent -(mu omega/2 hbar)[(ra - rb)^2 coth(omega tau) + 2 ra rb tanh(omega tau/2)]:
     at short times both are of order 1/tau and would cancel.
     """
-    u, c, log_a = _kernel_time_factors(mu_over_hbar, omega, tau) if factors is None else factors
+    u, c, log_a = factors
     # math.log on floats: np.log on two floats would add about 40% to a closed-kernel call
     log = math.log if type(ra) is type(rb) is float else np.log
     log_rr = log(ra) + log(rb)

@@ -8,7 +8,8 @@ alone, which the radial functions take as model.ladder_energy does; an
 EigenState is the flat record (qn, angular, ell_tilde, energy), an immutable
 NamedTuple like its qn and angular. enumerate_states builds its records
 without re-checking the quantum numbers its scan takes from range(). R is
-coded once, in radial_factors, on numpy alone.
+coded once, in radial_factors, on numpy alone, and Theta in angular_profiles,
+the one place an angular norm is formed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     QuantumNumbers,
     _check_count,
     admissible_sectors,
+    angular_log_norm,
     angular_mode,
     effective_ell,
     energy_floor,
@@ -62,7 +64,8 @@ def energy(p: PotentialParams, qn: QuantumNumbers) -> float:
 
 
 def angular_wavefunction(mode: AngularMode, theta):
-    """Theta(theta) = norm (sin theta)^lam (cos theta)^{k+1/2} P_{n_theta}^{(lam,k)}(cos 2theta).
+    """Theta(theta) = norm (sin theta)^lam (cos theta)^{k+1/2} P_{n_theta}^{(lam,k)}(cos 2theta),
+    norm = exp(angular_log_norm(mode)).
 
     Orthonormal under the sin(theta) d(theta) measure on (0, pi/2).
     Accepts scalar or ndarray theta strictly inside the interval.
@@ -93,7 +96,7 @@ def angular_profiles(modes: Sequence[AngularMode], theta) -> np.ndarray:
         jac = jacobi_all(max(degrees), lam, k, np.cos(2 * flat))[degrees]
     if not np.isfinite(jac).all():
         raise OverflowError(f"a Jacobi polynomial P_n(cos 2 theta), n = {max(degrees)}, is beyond the float range")
-    norm = np.array([md.norm for md in modes])[:, None]
+    norm = np.array([math.exp(angular_log_norm(md)) for md in modes])[:, None]
     return (norm * np.sin(flat) ** lam * np.cos(flat) ** (k + 0.5) * jac).reshape((len(modes),) + th.shape)
 
 

@@ -78,7 +78,7 @@ def test_quantum_numbers_are_a_checked_immutable_record():
     assert qn._replace(m=-1) == QuantumNumbers(1, 0, -1)
     mode = angular_mode(COUPLED, 1, 2)
     with pytest.raises(AttributeError):
-        mode.norm = 1.0
+        mode.eps = 1.0
 
 
 def test_potential_value_by_hand():

@@ -655,9 +655,10 @@ def test_log_radial_kernel_at_zero_omega_is_the_free_kernel():
     for tau in np.geomspace(0.01, 5.0, 12):
         want = (-(ra - rb) ** 2 / (2 * tau) + np.log(-np.expm1(-2 * ra * rb / tau))
                 - np.log(ra * rb * np.sqrt(2 * np.pi * tau)))
-        got = _log_radial_kernel(1.0, 0.0, 0.5, ra, rb, tau)
+        factors = propagator._kernel_time_factors(1.0, 0.0, float(tau))
+        got = _log_radial_kernel(1.0, 0.0, 0.5, ra, rb, tau, factors)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), tau
-        one = _log_radial_kernel(1.0, 0.0, 0.5, 1.1, 0.7, float(tau))
+        one = _log_radial_kernel(1.0, 0.0, 0.5, 1.1, 0.7, float(tau), factors)
         assert isinstance(one, float)
         want_one = -0.08 / tau + math.log(-math.expm1(-1.54 / tau)) - math.log(0.77 * math.sqrt(2 * math.pi * tau))
         assert abs(one - want_one) <= 1e-13 * max(1.0, abs(want_one)), tau
@@ -673,10 +674,11 @@ def test_log_radial_kernel_arrays_match_scalar_calls():
     for nu in (0.5, 1.5, 5.77, 40.5, 300.5):
         for omega in (0.0, 1.3):
             for tau in (1e-3, 0.02, 0.3, 2.0):
-                batch = _log_radial_kernel(0.7, omega, nu, ra, rb, tau)
+                factors = propagator._kernel_time_factors(0.7, omega, tau)
+                batch = _log_radial_kernel(0.7, omega, nu, ra, rb, tau, factors)
                 assert batch.shape == (25, 25)
                 for i, j in np.ndindex(25, 25):
-                    one = _log_radial_kernel(0.7, omega, nu, float(r[i]), float(r[j]), tau)
+                    one = _log_radial_kernel(0.7, omega, nu, float(r[i]), float(r[j]), tau, factors)
                     assert abs(batch[i, j] - one) <= 1e-13 * max(1.0, abs(one)), (nu, omega, tau, i, j)
 
 

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncosc import oracle
-from ncosc.model import PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_log_norm
+from ncosc import oracle, propagator
+from ncosc.model import AngularMode, PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_log_norm
+from ncosc.propagator import PropagatorQuery, full_kernel_spectral
 from ncosc.spectrum import (
     EigenState,
     angular_profiles,
@@ -53,6 +54,26 @@ def test_energy_offset_and_scale():
     assert energy(shifted, QuantumNumbers(1, 1, 1)) == base - 2.5
     scaled = PotentialParams(hbar=2.0, omega=3.0, alpha=1.0, beta=0.5, gamma=2.0)
     assert energy(scaled, QuantumNumbers(1, 1, 1)) == pytest.approx(6.0 * base, rel=1e-15)
+
+
+# angular_wavefunction(angular_mode(p, n_theta, m), theta) at THETA_SETS[i]
+# and theta = 0.05, 0.7, 1.5, as float.hex: frozen values that pin the norm
+# and the Jacobi recurrence bit for bit up to degree 40
+THETA_SETS = [COUPLED, PotentialParams(hbar=1.3, mu=0.7, alpha=-0.9, beta=2.0, gamma=1.0)]
+THETA_HEX = {
+    (0, 0, 0): ('0x1.b9baf0ac60f1cp-2', '0x1.8acf466fe3443p+0', '0x1.266e66c001783p-6'),
+    (0, 0, 3): ('0x1.bb35f414199f1p-11', '0x1.4f5c131848a29p+0', '0x1.613aa3c50f3d2p-5'),
+    (0, 7, 0): ('0x1.963c8c4b75aaep+1', '-0x1.17f10ab659ca2p+0', '-0x1.ead52c8e838a2p-2'),
+    (0, 7, 3): ('0x1.89a065c835485p-4', '-0x1.48f64ad60c02ap-1', '-0x1.2bbab34620d6fp-1'),
+    (0, 40, 0): ('-0x1.ac82d26d2843cp+1', '0x1.602e16935c5dcp+0', '-0x1.1e00ea07b98bep+0'),
+    (0, 40, 3): ('0x1.68f8eb64e6651p+2', '-0x1.afe978f7a8c2ap-1', '-0x1.24a1ba63c0337p+0'),
+    (1, 0, 0): ('0x1.fa6a235cf1714p-5', '0x1.7deb64356f681p+0', '0x1.e1a4c7400eac8p-5'),
+    (1, 0, 3): ('0x1.725cc322b9392p-12', '0x1.1a80a7bd1b65ap+0', '0x1.993c1e6fd5b69p-4'),
+    (1, 7, 0): ('0x1.5a60a8c9ccf6dp+0', '-0x1.66deb767e641cp+0', '-0x1.732341587105fp-1'),
+    (1, 7, 3): ('0x1.ddd165d135249p-5', '-0x1.79754bb500bb1p-4', '-0x1.a05e4c5797469p-1'),
+    (1, 40, 0): ('0x1.01da6b3c04311p+0', '0x1.562911c2e6cc2p-1', '-0x1.15177eae47f71p+0'),
+    (1, 40, 3): ('0x1.5a8af9c8a6a89p+2', '-0x1.40e05ec38f8b5p+0', '-0x1.0738a11dad291p+0'),
+}
 
 
 def test_degenerate_ladder_is_exact():
@@ -141,6 +162,60 @@ def test_factor_orthonormality():
             lambda t, b=aj: angular_wavefunction(b, t),
         ).value
         assert aval == pytest.approx(want, abs=1e-11)
+
+
+def test_angular_wavefunctions_are_pinned_bit_for_bit_to_degree_40():
+    for (i, n_theta, m), want in THETA_HEX.items():
+        for sm in (m, -m):
+            mode = angular_mode(THETA_SETS[i], n_theta, sm)
+            got = tuple(angular_wavefunction(mode, th).hex() for th in (0.05, 0.7, 1.5))
+            assert got == want, (i, n_theta, sm)
+
+
+def test_angular_orthonormality_at_degree_40():
+    # Gauss panels, with narrow end panels for the (sin theta)^{2 lam + 1}
+    # and (cos theta)^{2k + 1} ends of the integrand
+    parts = [oracle.gauss_panels(0.0, 0.01, 1, 40), oracle.gauss_panels(0.01, math.pi / 2 - 0.01, 16, 40),
+             oracle.gauss_panels(math.pi / 2 - 0.01, math.pi / 2, 1, 40)]
+    th = np.concatenate([x for x, _ in parts])
+    weight = np.concatenate([w for _, w in parts]) * np.sin(th)
+    for p in THETA_SETS:
+        for m in (0, 3):
+            prof = angular_profiles([angular_mode(p, nt, m) for nt in (38, 39, 40)], th)
+            gram = (prof * weight) @ prof.T
+            assert np.max(np.abs(gram - np.eye(3))) <= 1e-12, (p, m)
+
+
+def test_angular_norms_are_formed_only_for_profiled_modes(monkeypatch):
+    # a mode holds no norm and a norm takes four lgamma calls: the sector
+    # scan forms none, so the enumeration calls lgamma never, and the full
+    # kernel forms one norm per mode it profiles (the radial sums' own
+    # lgamma calls are counted apart)
+    assert AngularMode._fields == ("lam", "k", "n_theta", "eps")
+    p = PotentialParams(alpha=-0.9, beta=2, gamma=1)
+    calls = {"all": 0, "radial": 0}
+    lgamma, sums = math.lgamma, propagator._spectral_sums
+
+    def counted_lgamma(x):
+        calls["all"] += 1
+        return lgamma(x)
+
+    def counted_sums(*args):
+        before = calls["all"]
+        out = sums(*args)
+        calls["radial"] += calls["all"] - before
+        return out
+
+    monkeypatch.setattr(math, "lgamma", counted_lgamma)
+    monkeypatch.setattr(propagator, "_spectral_sums", counted_sums)
+    assert len(enumerate_states(p, 30, 200)) > 0
+    assert calls["all"] == 0
+    profiled = sum(len(modes) for _, modes, _ in propagator._sector_blocks(p, 8, 6))
+    assert profiled == 63 and calls["all"] == 0
+    q = PropagatorQuery(ra=1.1, rb=0.9, theta_a=0.6, theta_b=0.8, phi_a=0.1, phi_b=0.4, tau=0.5,
+                        n_cut=25, ntheta_cut=8, m_cut=6)
+    assert full_kernel_spectral(p, q).real > 0
+    assert calls["radial"] > 0 and calls["all"] - calls["radial"] == 4 * profiled
 
 
 def test_eigenstate_rejects_inadmissible_sector():
