@@ -14,7 +14,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import os
 import sys
 from datetime import datetime, timezone
@@ -52,6 +51,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+class _Rendered(str):
+    """A finite float that _fmt has already rendered: a table cell that
+    repeats (a grid coordinate, a sector constant) is formatted once and
+    printed as it stands, in CSV and in JSON alike."""
+
+
 def _json_value(obj, indent: int) -> str:
     # hand-rolled so floats keep the 17-significant-digit contract
     pad = " " * indent
@@ -76,6 +81,8 @@ def _json_value(obj, indent: int) -> str:
         return _fmt(obj) if math.isfinite(obj) else "null"
     if obj is None:
         return "null"
+    if isinstance(obj, _Rendered):
+        return obj
     escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
@@ -85,6 +92,7 @@ def _timestamp() -> str:
 
 
 def _cell(v) -> str:
+    # a _Rendered cell is a str, printed as it stands
     if isinstance(v, bool):
         return "true" if v else "false"
     return _fmt(v) if isinstance(v, float) else str(v)
@@ -95,7 +103,11 @@ _BLOCK = 4096
 
 # the % conversion that prints a cell of exactly this type as _cell and
 # _json_value do; JSON strings are quoted and escaped, so only CSV has one
-_MARKS = {"csv": {int: "%d", float: "%.17g", str: "%s"}, "json": {int: "%d", float: "%.17g"}}
+# for str, while a _Rendered number is printed as it stands in both
+_MARKS = {
+    "csv": {int: "%d", float: "%.17g", str: "%s", _Rendered: "%s"},
+    "json": {int: "%d", float: "%.17g", _Rendered: "%s"},
+}
 
 
 def _json_row(columns: Sequence[str], cells: Iterable[str]) -> str:
@@ -225,6 +237,21 @@ def _derive_m_max(p: PotentialParams, e_max: float) -> int:
     return max(0, first_above - 1)
 
 
+def _spectrum_rows(states: Iterable[spectrum.EigenState]) -> Iterator[tuple]:
+    """One (n, n_theta, m, lambda, k, ell_tilde, energy) row per state.
+
+    The three sector constants are rendered once per sector, keyed by the
+    AngularMode that its states share. They are finite: a sector with an
+    infinite ell_tilde has no state below a finite cutoff.
+    """
+    sectors: dict[int, tuple] = {}
+    for s in states:
+        if (fixed := sectors.get(id(s.angular))) is None:
+            fixed = sectors[id(s.angular)] = tuple(
+                _Rendered(_fmt(v)) for v in (s.angular.lam, s.angular.k, s.ell_tilde))
+        yield (*s.qn, *fixed, s.energy)
+
+
 def cmd_spectrum(args: argparse.Namespace, p: PotentialParams) -> int:
     m_max = args.m if args.m is not None else _derive_m_max(p, args.emax)
     states = spectrum.enumerate_states(p, e_max=args.emax, m_max=m_max)
@@ -235,8 +262,7 @@ def cmd_spectrum(args: argparse.Namespace, p: PotentialParams) -> int:
         [f"# emax={_fmt(args.emax)} mmax={m_max}"],
         {"emax": args.emax, "mmax": m_max},
         ["n", "n_theta", "m", "lambda", "k", "ell_tilde", "energy"],
-        map(operator.attrgetter("qn.n", "qn.n_theta", "qn.m", "angular.lam", "angular.k", "ell_tilde", "energy"),
-            states),
+        _spectrum_rows(states),
     )
     return 0
 
@@ -257,7 +283,16 @@ def cmd_wavefunction(args: argparse.Namespace, p: PotentialParams) -> int:
     rs = np.linspace(ra, rb, args.points)
     ths = math.pi / 2 * np.arange(1, 10) / 10.0
     phs = 2 * math.pi * np.arange(8) / 8.0
-    psi = spectrum.full_wavefunction(p, qn, rs[:, None, None], ths[None, :, None], phs[None, None, :])
+    # psi is evaluated a block of radii at a time, so its memory stays bounded
+    radii = max(1, _BLOCK // (ths.size * phs.size))
+    starts = range(0, args.points, radii)
+
+    def block_psi(i: int) -> np.ndarray:
+        return spectrum.full_wavefunction(p, qn, rs[i:i + radii, None, None], ths[None, :, None], phs[None, None, :])
+
+    # the largest radii first: the Laguerre polynomials leave the float range
+    # there first, and such an error then stops the table before its head
+    last = block_psi(starts[-1])
 
     # norm by independent quadrature out to radial_extent; the phi factor integrates to 1 exactly
     radial = functools.partial(spectrum.radial_wavefunction, p, qn.n, state.ell_tilde)
@@ -266,17 +301,25 @@ def cmd_wavefunction(args: argparse.Namespace, p: PotentialParams) -> int:
     ang = oracle.inner_product_angular(angular, angular).value
     norm = math.sqrt(rad * ang)
 
-    # one row per grid point, r slowest and phi fastest, listed a block of radii at a time
-    cols = np.broadcast_arrays(rs[:, None, None], ths[None, :, None], phs[None, None, :], psi.real, psi.imag)
-    radii = max(1, _BLOCK // (ths.size * phs.size))
+    # one row per grid point, r slowest and phi fastest; each coordinate is
+    # rendered once, and only psi per row
+    th_cells, ph_cells = ([_Rendered(_fmt(v)) for v in axis.tolist()] for axis in (ths, phs))
+    th_col, ph_col = [t for t in th_cells for _ in ph_cells], ph_cells * len(th_cells)
+
+    def rows() -> Iterator[tuple]:
+        for i in starts:
+            psi = last if i == starts[-1] else block_psi(i)
+            r_cells = [_Rendered(_fmt(v)) for v in rs[i:i + radii].tolist()]
+            yield from zip([r for r in r_cells for _ in th_col], th_col * len(r_cells), ph_col * len(r_cells),
+                           psi.real.ravel().tolist(), psi.imag.ravel().tolist())
+
     _emit(
         args,
         p,
         [f"# state n={qn.n} ntheta={qn.n_theta} m={qn.m} energy={_fmt(state.energy)}", f"# norm {_fmt(norm)}"],
         {"state": {"n": qn.n, "n_theta": qn.n_theta, "m": qn.m, "energy": state.energy}, "norm": norm},
         ["r", "theta", "phi", "re_psi", "im_psi"],
-        itertools.chain.from_iterable(zip(*(c[i:i + radii].ravel().tolist() for c in cols))
-                                      for i in range(0, args.points, radii)),
+        rows(),
     )
     return 0
 
@@ -459,13 +502,19 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+@functools.cache
+def _pre_parser() -> argparse.ArgumentParser:
+    """main's --config pre-parser, built once per process like _parser."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def main(argv: list[str] | None = None) -> int:
     # --config is taken out first, wherever it stands, and every other
     # token is left in order for the full parser
-    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
-    pre.add_argument("--config")
     try:
-        known, rest = pre.parse_known_args(sys.argv[1:] if argv is None else argv)
+        known, rest = _pre_parser().parse_known_args(sys.argv[1:] if argv is None else argv)
         if known.config is not None:
             if not rest:
                 raise CliError("--config given without a subcommand")

@@ -19,16 +19,18 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import unittest.mock
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ncosc
 from ncosc import cli
 from ncosc.model import PotentialParams, QuantumNumbers, admissible_ell
-from ncosc.spectrum import energy, enumerate_states
+from ncosc.spectrum import energy, enumerate_states, full_wavefunction
 
 try:
     import tomllib
@@ -317,6 +319,14 @@ def test_wavefunction_outside_the_float_range_exits_2(capsys, argv, reason):
     assert err.startswith("error: ") and reason in err and "Traceback" not in err
 
 
+def test_wavefunction_overflow_at_the_far_radii_prints_no_rows(capsys):
+    # psi comes a block of radii at a time; L_150 overflows only in the last
+    # of the four blocks (r past about 72), which is evaluated before the head
+    code, out, err = run_cli(capsys, "wavefunction", "--n", "150", "--points", "200", "--rb", "100", "--no-timestamp")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a Laguerre polynomial") and "Traceback" not in err
+
+
 def test_wavefunction_rejects_infinite_radial_range(capsys):
     code, out, err = run_cli(capsys, "wavefunction", "--rb", "inf", "--no-timestamp")
     assert (code, out) == (2, "")
@@ -327,6 +337,42 @@ def test_wavefunction_rejects_inadmissible_sector(capsys):
     code, _, err = run_cli(capsys, "wavefunction", "--beta", "-2", "--m", "1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wavefunction_rows_equal_the_table_of_plain_floats(capsys, fmt):
+    # 70 radii fill two row blocks (56 and 14 radii); Theta of n_theta = 1
+    # changes sign, so re_psi has a negative lobe, and at m = 0 im_psi is 0
+    code, out, _ = run_cli(capsys, "wavefunction", "--points", "70", "--m", "0", "--ntheta", "1",
+                           "--format", fmt, "--no-timestamp")
+    assert code == 0
+    p = PotentialParams()
+    sigma = math.sqrt(p.hbar / (p.mu * p.omega))
+    grid = (np.linspace(0.1 * sigma, 5.0 * sigma, 70)[:, None, None],
+            (math.pi / 2 * np.arange(1, 10) / 10.0)[None, :, None], (2 * math.pi * np.arange(8) / 8.0)[None, None, :])
+    psi = full_wavefunction(p, QuantumNumbers(0, 1, 0), *grid)
+    rows = list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*grid, psi.real, psi.imag))))
+    assert min(row[3] for row in rows) < 0 < max(row[3] for row in rows)
+    assert {row[4] for row in rows} == {0.0}
+    want = _reference_table(fmt, ["r", "theta", "phi", "re_psi", "im_psi"], rows, [], {})
+    assert out.endswith("\n" + want if fmt == "csv" else want[want.index('  "rows": ['):])
+
+
+def test_wavefunction_working_set_does_not_grow_with_points():
+    # psi is evaluated 56 radii at a time: at 2000 points the peak stays
+    # within 2 MB of the 16-point one, about 1 MB of it one _BLOCK of CSV
+    # lines; psi of the whole grid, 2000 x 72 complex values and a product
+    # of the same size, took the peak 3.8 MB above it
+    def peak(points):
+        tracemalloc.start()
+        try:
+            assert cli.main(["wavefunction", "--points", str(points), "--output", os.devnull]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # first-call caches
+    assert peak(2000) - peak(16) < 2_000_000
 
 
 def test_wavefunction_energy_matches_spectrum_row(capsys):
@@ -754,6 +800,33 @@ def test_writer_matches_the_per_cell_rules(table, fmt, block):
     assert got == want
 
 
+@st.composite
+def rendered_tables(draw):
+    """(columns, rows, picks): float rows, some with a bool cell (and inf or
+    nan from the floats), and per cell whether to hand it over pre-rendered."""
+    columns = draw(st.lists(st.sampled_from(COLUMN_NAMES), min_size=1, max_size=4, unique=True))
+    width = len(columns)
+    floats = CELLS["float"]
+    rows = draw(st.lists(st.tuples(*[floats] * width) | st.tuples(*[floats | CELLS["bool"]] * width), max_size=12))
+    picks = draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                          min_size=len(rows), max_size=len(rows)))
+    return columns, rows, picks
+
+
+@given(table=rendered_tables(), fmt=st.sampled_from(["csv", "json"]), block=st.sampled_from([1, 5, 4096]))
+@settings(max_examples=300, deadline=None)
+def test_writer_prints_rendered_cells_as_their_floats(table, fmt, block):
+    # a finite float handed over as _Rendered(_fmt(v)) prints as v would,
+    # on the template path and on the per-cell one, -0.0 included
+    columns, rows, picks = table
+    given_rows = [tuple(cli._Rendered(cli._fmt(v)) if pick and type(v) is float and math.isfinite(v) else v
+                        for v, pick in zip(row, row_picks))
+                  for row, row_picks in zip(rows, picks)]
+    with unittest.mock.patch.object(cli, "_BLOCK", block):
+        got = _emitted(fmt, columns, iter(given_rows))
+    assert got == _reference_table(fmt, columns, rows, [], {})
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_writer_reads_rows_once_from_a_generator(fmt):
     # 10000 rows cross two block boundaries; a nan row and a bool row in
@@ -823,3 +896,14 @@ def test_main_reuses_its_parser_without_carrying_state(capsys):
     assert runs[2][1].encode("utf-8") == runs[0][1].encode("utf-8")
     assert cli._parser() is cli._parser()
     assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_builds_no_parser_after_its_first_call(tmp_path, capsys):
+    # both the --config pre-parser and the full parser are built once per process
+    config = tmp_path / "run.cfg"
+    config.write_text("emax = 8\n")
+    argv = ["spectrum", "--config", str(config), "--no-timestamp"]
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    with unittest.mock.patch.object(argparse, "ArgumentParser", side_effect=AssertionError("main built a parser")):
+        assert run_cli(capsys, *argv) == first

@@ -3,7 +3,8 @@ module's __all__ defined by that module, no scipy import at module level,
 scipy's Bessel ive reached from specfun alone, sector admissibility and the
 angular mode formula reached from model alone, propagator's sector box walked
 once, in _sector_blocks, float overflow of the polynomial recurrences
-silenced and reported by the two profiles alone, and every function the
+silenced and reported by the two profiles alone, the CLI's 17-digit
+float format written in _fmt and _MARKS alone, and every function the
 benchmark's traced run wraps still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
@@ -183,3 +184,34 @@ def test_the_one_global_statement_is_the_closed_kernel_memo():
                           if isinstance(node, ast.Global)]
     assert found == [("propagator", "radial_kernel_closed", ("_closed_memo",))], (
         f"global statements under src/ncosc: {found}")
+
+
+def test_cli_renders_floats_in_fmt_alone():
+    # the 17-digit format is written in _fmt, for one value, and in _MARKS,
+    # for the row templates; a _Rendered cell holds _fmt's own text
+    tree = ast.parse((ROOT / "src" / "ncosc" / "cli.py").read_text())
+
+    def owner(node):
+        if isinstance(node, ast.Assign):
+            return ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        return getattr(node, "name", "")
+
+    owners = {owner(node) for node in tree.body for sub in ast.walk(node)
+              if isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "17g" in sub.value}
+    assert owners == {"_fmt", "_MARKS"}, f"the 17-digit format is written in {sorted(owners)}"
+
+    marks = next(node for node in tree.body if owner(node) == "_MARKS")
+    allowed = {id(sub) for sub in ast.walk(marks)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            allowed |= {id(arg) for arg in node.args[1:]}
+        if isinstance(node.func, ast.Name) and node.func.id == "_Rendered":
+            (arg,) = node.args
+            assert isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "_fmt", (
+                f"cli.py line {node.lineno}: _Rendered wraps {ast.unparse(arg)}, not a _fmt call")
+            allowed.add(id(node.func))
+    stray = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "_Rendered" and id(node) not in allowed]
+    assert not stray, f"cli.py names _Rendered outside a _Rendered(_fmt(...)) call, _MARKS or isinstance: lines {stray}"
