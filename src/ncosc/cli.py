@@ -58,20 +58,17 @@ class _Rendered(str):
 
 
 def _json_value(obj, indent: int) -> str:
-    # hand-rolled so floats keep the 17-significant-digit contract
+    # hand-rolled so floats keep the 17-significant-digit contract; no payload
+    # holds None, an empty dict or a list but the empty "rows" that
+    # _table_text splits on
     pad = " " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         inner = ",\n".join(
             f'{pad}  "{k}": {_json_value(v, indent + 2)}' for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_json_value(v, indent + 2)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, list) and not obj:
+        return "[]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
@@ -79,8 +76,6 @@ def _json_value(obj, indent: int) -> str:
     if isinstance(obj, float):
         # JSON has no inf or nan
         return _fmt(obj) if math.isfinite(obj) else "null"
-    if obj is None:
-        return "null"
     if isinstance(obj, _Rendered):
         return obj
     escaped = str(obj).replace("\\", "\\\\").replace('"', '\\"')

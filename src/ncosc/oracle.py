@@ -87,21 +87,25 @@ def default_angular_grid(n_points: int = 2000) -> GridSpec:
     return GridSpec(math.pi / 2, n_points)
 
 
+def _fd_hamiltonian(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
+                    hbar: float, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, off-diagonal) of -(hbar^2/2mu) u'' + V u by second-order
+    central differences on the interior nodes, Dirichlet ends: a symmetric
+    tridiagonal matrix."""
+    h = grid.h
+    kin = hbar * hbar / (2 * mu * h * h)
+    return 2 * kin + v_of_x(grid.nodes()), np.full(grid.n_points - 1, -kin)
+
+
 def _sturm_liouville_eigs(v_of_x: Callable[[np.ndarray], np.ndarray], grid: GridSpec,
                           count: int, hbar: float, mu: float) -> np.ndarray:
-    """Lowest eigenvalues of -(hbar^2/2mu) u'' + V u = E u, Dirichlet ends.
-
-    Second-order central differences on the interior nodes give a symmetric
-    tridiagonal matrix; eigenvalues come from bisection with Sturm counts,
+    """Lowest eigenvalues of -(hbar^2/2mu) u'' + V u = E u, Dirichlet ends,
+    on _fd_hamiltonian's matrix; they come from bisection with Sturm counts,
     which is deterministic and cheap for the leading part of the spectrum.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    h = grid.h
-    x = grid.nodes()
-    kin = hbar * hbar / (2 * mu * h * h)
-    diag = 2 * kin + v_of_x(x)
-    off = np.full(grid.n_points - 1, -kin)
+    diag, off = _fd_hamiltonian(v_of_x, grid, hbar, mu)
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, count - 1), eigvals_only=True)
 
 

@@ -399,11 +399,12 @@ def check_variational_bound() -> Outcome:
         x = grid.nodes()
         ell = effective_ell(p, 0, 0)
         u = x * spectrum.radial_wavefunction(p, 0, ell, x)
-        kin = p.hbar**2 / (2 * p.mu * grid.h**2)
-        v = _radial_potential(p, ell * (ell + 1), x)
-        hu = (2 * kin + v) * u
-        hu[:-1] -= kin * u[1:]
-        hu[1:] -= kin * u[:-1]
+        # the matrix that radial_eigenvalues_fd diagonalises, or the bound is unsound
+        diag, off = oracle._fd_hamiltonian(functools.partial(_radial_potential, p, ell * (ell + 1)),
+                                           grid, p.hbar, p.mu)
+        hu = diag * u
+        hu[:-1] += off * u[1:]
+        hu[1:] += off * u[:-1]
         rayleigh = float(u @ hu) / float(u @ u)
         ground = oracle.radial_eigenvalues_fd(p, 0, 0, grid, 1)[0]
         worst = max(worst, ground - rayleigh)

@@ -253,6 +253,11 @@ def test_wavefunction_matches_golden_table(capsys, name, fmt):
     assert out.encode("utf-8") == (GOLDEN / f"wavefunction_{name}.{fmt}").read_bytes()
 
 
+def test_wavefunction_with_one_point_exits_2(capsys):
+    code, out, err = run_cli(capsys, "wavefunction", "--points", "1", "--no-timestamp")
+    assert (code, out, err) == (2, "", "error: --points must be >= 2, got 1\n")
+
+
 def test_wavefunction_norm_and_phase_structure(capsys):
     code, out, _ = run_cli(capsys, "wavefunction", "--n", "0", "--ntheta", "0",
                            "--m", "1", "--beta", "0.5", "--format", "json",
@@ -463,13 +468,13 @@ def test_cutoff_below_its_floor_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def test_propagator_past_the_bessel_series_cap_exits_2(capsys):
-    # nu = 40001.5 at x = 8.5e5: ive underflows and the ascending series
-    # needs more than 200000 terms, so an error line, not a traceback
+def test_propagator_where_ive_underflows_at_large_order_exits_0(capsys):
+    # nu = 40001.5 at x = 8.5e5: ive underflows, and the uniform expansion
+    # gives a kernel of about e^-4.6e5, which rounds to 0 on both routes
     code, out, err = run_cli(capsys, "propagator", "--m", "40000", "--ra", "1000", "--rb", "1000",
                              "--tau", "1", "--no-timestamp")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "nu=40001.5, x=850918." in err
+    assert (code, err) == (0, "")
+    assert "closed,0\n" in out
 
 
 def test_propagator_reports_unreached_tolerance(capsys):
@@ -653,6 +658,33 @@ def test_config_empty_value_rejected(tmp_path, capsys, line):
     assert code == 2
     assert out == ""
     assert err == f"error: {cfg}:2: key {key} has an empty value\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("emax 4", "expected key=value, got 'emax 4'"),
+    ("= 4", "empty key"),
+    ("no-timestamp = maybe", "boolean key no-timestamp got 'maybe'"),
+])
+def test_config_malformed_line_rejected(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"emax = 1\n{line}\n")
+    code, out, err = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}:2: {message}\n")
+
+
+def test_config_bool_key_off_leaves_the_flag_unset(tmp_path, capsys):
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text("emax = 1\nno-timestamp = off\n")
+    code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+    assert code == 0
+    assert out.startswith("# generated ")
+
+
+def test_config_without_a_subcommand_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("emax = 1\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: --config given without a subcommand\n")
 
 
 def test_bool_keys_are_the_parsers_switches():

@@ -42,6 +42,12 @@ def test_import_loads_every_submodule_but_not_scipy():
     assert not any(loaded[m] for m in WATCHED)
 
 
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Bessel fallback's U_k table is formed in plain floats at import,
+    # so it adds no module to the cold start
+    loaded_after("import sys\nimport ncosc\nassert 'numpy.polynomial' not in sys.modules\n")
+
+
 @pytest.mark.parametrize("command, needs_special", [("spectrum", False), ("wavefunction", False),
                                                     ("propagator", True)])
 def test_subcommands_load_only_the_scipy_they_need(command, needs_special):

@@ -110,6 +110,13 @@ def test_potential_domain():
         potential_cartesian(COUPLED, math.nan, 1.0, 1.0)
 
 
+def test_negative_n_theta_and_the_origin_are_refused():
+    with pytest.raises(ValueError, match=r"^n_theta must be >= 0, got -1$"):
+        effective_ell(PotentialParams(), -1, 0)
+    with pytest.raises(ValueError, match=r"^potential_cartesian requires \(x,y,z\) != 0$"):
+        potential_cartesian(PotentialParams(), 0.0, 0.0, 0.0)
+
+
 def test_potential_where_r_squared_underflows():
     # r * r is 0 below r of about 1.5e-162: with no coupling the centrifugal
     # term is 0, not 0 * inf, and with couplings it is the barrier's +inf

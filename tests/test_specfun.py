@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from ncosc import specfun
 from ncosc.specfun import (
     _FLOAT_COLUMNS,
-    _log_bessel_series,
     bessel_i,
     jacobi,
     jacobi_all,
@@ -110,12 +109,12 @@ def _mp_log_bessel_ie(nu, x):
 
 
 def test_log_bessel_ie_where_ive_cannot_answer():
-    # ive underflows to 0 here while ln I fits: the ascending series answers
+    # ive underflows to 0 here while ln I fits: the fallback answers
     for nu, x in [(1.5, 1e-300), (12.3, 1e-30), (500.0, 100.0), (40.0, 1e-8), (0.5, 1e-320)]:
         assert scipy.special.ive(nu, x) == 0.0
         assert log_bessel_ie(nu, x) == pytest.approx(_mp_log_bessel_ie(nu, x), rel=1e-14), (nu, x)
     # Amos's argument limit is x = 2^30 - 1/2; past it ive is nan and the
-    # 1/x expansion answers
+    # fallback answers
     for nu in (0.0, 0.5, 5.5, 20.5, 100.0):
         for x in (1e9, 1.07e9, 2e9, 1e12):
             assert log_bessel_ie(nu, x) == pytest.approx(_mp_log_bessel_ie(nu, x), rel=1e-14), (nu, x)
@@ -136,7 +135,8 @@ def test_log_bessel_ie_continuous_at_each_handoff_and_never_nan():
 
     # where ive underflows: bisect over the bit patterns of positive floats,
     # which order like the floats, for the first argument ive answers
-    for nu in (1.5, 12.3, 40.0, 500.0):
+    # (just below nu = 20 ive fails up to x = 1.00003e-14)
+    for nu in (1.5, 12.3, math.nextafter(20.0, 0.0), 20.0, 20.5, 40.0, 500.0):
         lo, hi = 0, int(np.float64(1e6).view(np.int64))  # ive(nu, 0) = 0; ive(nu, 1e6) is normal
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -148,30 +148,77 @@ def test_log_bessel_ie_continuous_at_each_handoff_and_never_nan():
     last = 2.0**30 - 0.5
     beyond = math.nextafter(last, math.inf)
     assert ive_normal(0.5, last) and math.isnan(scipy.special.ive(0.5, beyond))
-    for nu in (0.0, 0.5, 20.5, 100.0):
+    for nu in (0.0, 0.5, 20.5, 100.0, 1e3):
         assert abs(log_bessel_ie(nu, beyond) - log_bessel_ie(nu, last)) <= 1e-14 * abs(log_bessel_ie(nu, last))
     for nu in (0.0, 0.5, 5.5, 20.5, 60.0):
         for x in np.logspace(-320, 300, 125):
             assert math.isfinite(log_bessel_ie(nu, float(x))), (nu, x)
 
 
-def test_log_bessel_ie_past_the_series_cap_raises_value_error():
-    # ive underflows at (4e4, 1e6) and the ascending series needs more than
-    # its 200000 terms there: a promised error naming the point
-    with pytest.raises(ValueError, match=r"nu=40000\.0, x=1000000\.0"):
-        log_bessel_ie(4e4, 1e6)
+def test_log_bessel_ie_at_large_order_matches_the_miller_recurrence():
+    # ive underflows at (4e4, 1e6), where mpmath's besseli does not converge;
+    # the reference is Miller's downward recurrence in mpmath at 420 digits
+    # from k = 60000, normalised by e^x = I_0 + 2 sum_k I_k
+    assert scipy.special.ive(4e4, 1e6) == 0.0
+    assert log_bessel_ie(4e4, 1e6) == pytest.approx(-807.72047786475381863, rel=1e-14)
 
 
-def test_log_bessel_series_agrees_with_ive():
-    # the series was the main path over x < 36 and x < 4.5 nu^2 + 25; it
-    # stays an independent route checking Amos there (past x of about 100
-    # its own rounding grows: 1.7e-12 at nu=60, x=16000)
+def test_log_bessel_ie_agrees_with_mpmath_at_moderate_arguments():
+    # Amos's path at small and moderate arguments, x < 36 or x < 4.5 nu^2 + 25;
+    # it is 2 ulp off at (26, 1e-3), where ln I - x is -259
     for nu in (0.0, 0.5, 1.5, 2.7841336613988075, 5.5, 10.0, 20.5, 26.0):
         for x in np.logspace(-3, 2, 41):
             if x >= 36.0 and x >= 4.5 * nu * nu + 25.0:
                 continue
-            ref = math.log(scipy.special.ive(nu, x))
-            assert abs(_log_bessel_series(nu, float(x)) - ref) <= 1e-13, (nu, x)
+            ref = _mp_log_bessel_ie(nu, x)
+            assert abs(log_bessel_ie(nu, float(x)) - ref) <= 1e-13 * max(1.0, abs(ref)), (nu, x)
+
+
+@pytest.mark.parametrize("nu, x", [(0.5, 1e-320), (12.3, 1e-30), (19.99, 5e-15), (20.5, 1e-300), (4e4, 1e-20)])
+def test_log_bessel_ie_takes_the_leading_power_where_ive_returns_0(nu, x):
+    assert scipy.special.ive(nu, x) == 0.0
+    ref = _mp_log_bessel_ie(nu, x)
+    assert abs(log_bessel_ie(nu, x) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_log_bessel_fallback_matches_mpmath_from_tiny_to_huge_arguments():
+    # the fallback on its own, also where ive answers; mpmath's besseli does
+    # not converge at nu = 4e4 for x between 1e5 and 1e8
+    for nu in (20.0, 20.5, 40.0, 500.0, 4e4):
+        for x in np.logspace(-14, 12, 27):
+            if nu == 4e4 and 1e5 <= x <= 1e8:
+                continue
+            with mpmath.workdps(40 + max(0, int(math.log10(x)))):
+                ref = float(mpmath.log(mpmath.besseli(nu, mpmath.mpf(x))) - mpmath.mpf(x))
+            got = specfun._log_bessel_fallback(nu, float(x))
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (nu, x)
+
+
+def test_log_bessel_ie_near_the_float_maximum_of_order_and_argument():
+    # hypot(nu, x) overflows here, and used to give -inf; at nu = x the sum
+    # over U_k is 1 to within 1/nu, so ln I - x = nu (eta(1) - 1) - ln(2 pi nu sqrt 2)/2
+    nu = x = 1.5e308
+    with mpmath.workdps(40):
+        big = mpmath.mpf(nu)
+        ref = float(big * (mpmath.sqrt(2) - mpmath.asinh(1) - 1) - mpmath.log(2 * mpmath.pi * big * mpmath.sqrt(2)) / 2)
+    assert log_bessel_ie(nu, x) == pytest.approx(ref, rel=1e-14)
+
+
+def test_log_bessel_fallback_continuous_where_the_leading_power_hands_off():
+    # the leading power serves while x^2 < 1e-28 (nu + 1), the uniform
+    # expansion from the first float past that
+    for nu in (20.0, 20.5, 40.0):
+        edge = 1e-28 * (nu + 1)
+        above = math.sqrt(edge)
+        while above * above < edge:
+            above = math.nextafter(above, math.inf)
+        below = math.nextafter(above, 0.0)
+        while below * below >= edge:
+            below = math.nextafter(below, 0.0)
+        lead = specfun._log_bessel_fallback(nu, below)
+        assert lead == nu * (math.log(below) - math.log(2.0)) - math.lgamma(nu + 1) - below
+        gap = abs(specfun._log_bessel_fallback(nu, above) - lead)
+        assert gap <= 1e-14 * abs(lead), (nu, gap)
 
 
 def test_batch_evaluators_match_scalar_exactly():
@@ -349,8 +396,8 @@ def test_log_bessel_ie_from_log_at_zero_argument():
 @pytest.mark.filterwarnings("error")
 def test_log_bessel_ie_from_log_arrays_match_the_float_path():
     # a log_x grid that crosses every handoff: x = 0, the leading power below
-    # the normal range, where ive underflows (the series), Amos's argument
-    # limit (the 1/x expansion) and the leading term above the float range
+    # the normal range, where ive underflows and past Amos's argument limit
+    # (the fallback) and the leading term above the float range
     points = [-math.inf, -1000.0, 1000.0]
     for edge in (specfun._LOG_TINY, math.log(2.0**30 - 0.5), specfun._LOG_HUGE):
         points += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
@@ -423,8 +470,7 @@ def test_nan_or_infinite_order_is_rejected(call, monkeypatch):
     def reached(*args):
         raise AssertionError(f"fallback reached with {args}")
 
-    monkeypatch.setattr(specfun, "_log_bessel_series", reached)
-    monkeypatch.setattr(specfun, "_log_bessel_asymptotic", reached)
+    monkeypatch.setattr(specfun, "_log_bessel_fallback", reached)
     with pytest.raises(ValueError, match="> -1|>= 0"):
         call()
 

@@ -42,6 +42,12 @@ def test_run_check_rejects_unknown_checks(suite, name):
         run_check(suite, name)
 
 
+def test_run_suite_rejects_an_unknown_suite():
+    message = "unknown suite 'nonsense'; choose from ('all', 'specfun', 'spectrum', 'oracle', 'propagator')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("nonsense")
+
+
 def test_radial_spectrum_agreement_fails_on_a_2e_6_energy_shift(monkeypatch):
     # the check must see closed energies that are 2e-6 off, twice its 1e-6
     # tolerance
