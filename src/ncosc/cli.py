@@ -111,33 +111,37 @@ def _json_row(columns: Sequence[str], cells: Iterable[str]) -> str:
 
 
 def _row_lines(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    """Each row rendered in fmt, as _cell or _json_value renders its cells.
+    """Each row rendered in fmt cell by cell, as _cell or _json_value
+    renders its cells: the path of the blocks that _block_text cannot
+    render at once."""
+    for row in rows:
+        if fmt == "csv":
+            yield ",".join(map(_cell, row))
+        else:
+            yield _json_row(columns, [_json_value(v, 6) for v in row])
 
-    One % template serves every row whose cells have the types of the row
-    before it. A row with a cell that no template prints exactly (a bool, a
-    JSON string) or that JSON writes as null (inf, nan) is rendered cell by
-    cell instead.
+
+def _block_text(fmt: str, columns: Sequence[str], block: list[Sequence], sep: str) -> str:
+    """The rows of block rendered in fmt and joined by sep.
+
+    Where every row has a cell per column and each column holds cells of
+    one type that a % conversion prints exactly, one template per row,
+    repeated, renders the whole block at once with one %; every other
+    block, and a JSON block whose text has an inf or nan, is rendered by
+    _row_lines.
     """
     marks = _MARKS[fmt]
-    kinds = template = None
-    for row in rows:
-        row = tuple(row)
-        if (row_kinds := tuple(map(type, row))) != kinds:
-            kinds = row_kinds
-            try:
-                cells = [marks[t] for t in kinds]
-            except KeyError:
-                template = None
-            else:
-                template = (",".join(cells) if fmt == "csv"
-                            else _json_row([c.replace("%", "%%") for c in columns], cells))
-        line = None if template is None else template % row
-        if fmt == "csv":
-            yield line if line is not None else ",".join(map(_cell, row))
-        elif line is None or "inf" in line or "nan" in line:
-            yield _json_row(columns, [_json_value(v, 6) for v in row])
-        else:
-            yield line
+    if set(map(len, block)) == {len(columns)}:
+        # one type per column exactly when there are as many types as columns
+        kinds = [kind for col in zip(*block) for kind in set(map(type, col))]
+        if len(kinds) == len(columns) and all(kind in marks for kind in kinds):
+            cells = [marks[kind] for kind in kinds]
+            template = (",".join(cells) if fmt == "csv"
+                        else _json_row([c.replace("%", "%%") for c in columns], cells))
+            text = sep.join([template] * len(block)) % tuple(itertools.chain.from_iterable(block))
+            if fmt == "csv" or not ("inf" in text or "nan" in text):
+                return text
+    return sep.join(_row_lines(fmt, columns, block))
 
 
 def _table_text(
@@ -163,10 +167,10 @@ def _table_text(
         tail = ""
         lead, sep, end, empty = "", "\n", "\n", ""
     yield head
-    lines = _row_lines(args.format, columns, rows)
+    rows = iter(rows)  # each block resumes where the last one ended
     first = True
-    for block in iter(lambda: list(itertools.islice(lines, _BLOCK)), []):
-        yield (lead if first else sep) + sep.join(block)
+    for block in iter(lambda: list(itertools.islice(rows, _BLOCK)), []):
+        yield (lead if first else sep) + _block_text(args.format, columns, block, sep)
         first = False
     yield (empty if first else end) + tail
 
@@ -180,9 +184,10 @@ def _emit(
 
     CSV gets the comment lines, the header and one line per row; JSON gets
     the meta fields and "rows", one object per row keyed by columns. rows
-    may be any iterable and is read once: each row is rendered from one
-    % template per table (see _row_lines) and written, to stdout or to
-    --output, in blocks of _BLOCK rows, so neither the whole text nor the
+    may be any iterable and is read once, in blocks of _BLOCK rows: each
+    block is rendered with one % template where its columns allow, and
+    cell by cell otherwise (see _block_text), and written to stdout or to
+    --output, so neither the whole text nor the
     whole row list is held.
     """
     pieces = _table_text(args, p, comments, meta, columns, rows)
@@ -240,11 +245,10 @@ def _spectrum_rows(states: Iterable[spectrum.EigenState]) -> Iterator[tuple]:
     infinite ell_tilde has no state below a finite cutoff.
     """
     sectors: dict[int, tuple] = {}
-    for s in states:
-        if (fixed := sectors.get(id(s.angular))) is None:
-            fixed = sectors[id(s.angular)] = tuple(
-                _Rendered(_fmt(v)) for v in (s.angular.lam, s.angular.k, s.ell_tilde))
-        yield (*s.qn, *fixed, s.energy)
+    for qn, ang, ell, energy in states:
+        if (fixed := sectors.get(id(ang))) is None:
+            fixed = sectors[id(ang)] = tuple(_Rendered(_fmt(v)) for v in (ang.lam, ang.k, ell))
+        yield (*qn, *fixed, energy)
 
 
 def cmd_spectrum(args: argparse.Namespace, p: PotentialParams) -> int:

@@ -25,7 +25,8 @@ or x is past Amos's argument limit 2^30 - 1/2, where it returns nan), one
 fallback answers on floats, one array entry at a time, with a fixed sum:
 the leading power of the ascending series at tiny x, and the uniform
 expansion in the order elsewhere. Log-space variants exist where the
-linear value can leave the floating range.
+linear value can leave the floating range; where the logarithm itself
+is below it, OverflowError names the order and the argument.
 """
 
 from __future__ import annotations
@@ -227,6 +228,22 @@ def _debye_polynomials(count: int) -> list[tuple[float, ...]]:
 _DEBYE = _debye_polynomials(12)
 
 
+def _below_range(nu: float, x: str) -> OverflowError:
+    """The error for a ln I_nu(x) - x below the float range, naming nu and x."""
+    return OverflowError(f"ln I_nu(x) - x at nu={nu}, x={x} is below the float range")
+
+
+def _log_leading_power(nu: float, log_x: float) -> float:
+    """ln of (x/2)^nu / Gamma(nu + 1), the leading power of the ascending
+    series, from ln x. Where lgamma overflows, from nu of about 2.56e305,
+    ln Gamma(nu + 1) is Stirling's nu ln nu - nu + (ln nu + ln 2 pi)/2, whose
+    next term 1/(12 nu) is far below its last bit."""
+    try:
+        return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
+    except OverflowError:
+        return nu * (log_x - math.log(2.0) - math.log(nu) + 1) - 0.5 * (math.log(nu) + math.log(2 * math.pi))
+
+
 def _log_bessel_fallback(nu: float, x: float) -> float:
     """ln I_nu(x) - x at x > 0 where ive returns no normal float, as a fixed sum.
 
@@ -241,7 +258,7 @@ def _log_bessel_fallback(nu: float, x: float) -> float:
     where the leading power serves.
     """
     if x * x < 1e-28 * (nu + 1):
-        return nu * (math.log(x) - math.log(2.0)) - math.lgamma(nu + 1) - x
+        return _log_leading_power(nu, math.log(x)) - x
     # nu eta - x = nu (t - log1p(nu (1 + t)/x)) with t = nu/(R + x) = (R - x)/nu,
     # which keeps out the cancellation of R against x; no step divides by
     # nu, which may be 0, or squares it, and R/2 and (R + x)/4 are finite
@@ -267,7 +284,8 @@ def log_bessel_ie(nu: float, x: float) -> float:
     Where I_nu(x) is multiplied by a Gaussian of order e^-x, as in the
     closed radial kernel, the two exponents cancel; this form keeps the
     difference without forming either. It is ln ive(nu, x) wherever ive
-    returns a normal float, and elsewhere _log_bessel_fallback's fixed sum.
+    returns a normal float, and elsewhere _log_bessel_fallback's fixed sum;
+    where that is below the float range, OverflowError is raised.
     """
     if not (0 <= nu < math.inf and 0 <= x < math.inf):
         raise ValueError(f"log_bessel_ie requires finite nu >= 0 and finite x >= 0, got nu={nu}, x={x}")
@@ -277,16 +295,20 @@ def log_bessel_ie(nu: float, x: float) -> float:
         return math.log(scaled)
     if x == 0:  # and nu > 0: ive(0, 0) = 1 returned above
         return -math.inf
-    return _log_bessel_fallback(nu, x)
+    value = _log_bessel_fallback(nu, x)
+    if value == -math.inf:
+        raise _below_range(nu, repr(x))
+    return value
 
 
 def log_bessel_ie_from_log(nu: float, log_x):
     """ln I_nu(x) - x at x = e^log_x, also where x is outside the normal
     float range: below it I_nu(x) is its leading power (x/2)^nu / Gamma(nu + 1),
     above it the leading term e^x / sqrt(2 pi x) of its expansion. log_x =
-    -inf is x = 0 itself, where I_0 is 1 and every other order is 0. On an
-    array log_x, scipy's `ive` ufunc serves the normal range and the float
-    path every other entry."""
+    -inf is x = 0 itself, where I_0 is 1 and every other order is 0. Where
+    ln I_nu(x) - x at x > 0 is below the float range, OverflowError is
+    raised. On an array log_x, scipy's `ive` ufunc serves the normal range
+    and the float path every other entry."""
     if not 0 <= nu < math.inf:
         raise ValueError(f"log_bessel_ie_from_log requires finite nu >= 0, got nu={nu}")
     # floats skip the isinstance test, which would add about 2% to a closed-kernel call
@@ -300,7 +322,10 @@ def log_bessel_ie_from_log(nu: float, log_x):
             out.flat[i] = log_bessel_ie_from_log(nu, float(log_x.flat[i]))
         return out
     if -math.inf < log_x < _LOG_TINY:
-        return nu * (log_x - math.log(2.0)) - math.lgamma(nu + 1)
+        value = _log_leading_power(nu, log_x)
+        if value == -math.inf:
+            raise _below_range(nu, f"e^{log_x!r}")
+        return value
     if log_x > _LOG_HUGE:
         return -0.5 * (math.log(2 * math.pi) + log_x)
     x = math.exp(log_x)
@@ -312,7 +337,8 @@ def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x) for finite nu >= 0 and finite x >= 0.
 
     exp(log_bessel_ie(nu, x) + x); results exceeding the floating range
-    raise OverflowError rather than returning inf.
+    raise OverflowError rather than returning inf, as does an order and
+    argument whose ln I_nu(x) - x is itself below it.
     """
     lg = log_bessel_ie(nu, x) + x
     if lg > _LOG_HUGE:

@@ -146,8 +146,10 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     or |m|, so skipping never ends a scan early. The scan evaluates each
     sector once and yields its ell_tilde and angular mode, which sectors +m
     and -m share; each level's energy is computed once, serves as the loop
-    bound and is stored in both of its states, and the sort reads keys made
-    alongside the states.
+    bound and is stored in both of its states. The sort reads one key per
+    level, made alongside it, and the records are then built in their
+    final order; only where two levels tie on (energy, n, n_theta) are they
+    sorted again, by (energy, n, n_theta, m).
     The records are made with tuple.__new__, which skips QuantumNumbers'
     checks: the scan takes n, n_theta and m from range() and
     admissible_sectors, so they are valid integers already.
@@ -155,27 +157,41 @@ def enumerate_states(p: PotentialParams, e_max: float, m_max: int) -> list[Eigen
     if not math.isfinite(e_max):
         raise ValueError(f"e_max must be finite, got {e_max}")
     _check_count("m_max", m_max, 0)
-    # (energy, n, n_theta, m, state): the first four never tie, so the sort
-    # never compares states
-    keyed: list[tuple] = []
-    new = tuple.__new__
+    # one key per level, (energy, n, n_theta, -|m|, mode, ell_tilde), which
+    # both signs of m share: the first four never tie, so the sort never
+    # compares modes
+    levels: list[tuple] = []
     for m in range(0, m_max + 1):
         if energy_floor(p, m) > e_max:
             break
-        signed = (m, -m) if m else (0,)
         for n_theta, ell, ang in admissible_sectors(p, m):
             e = ladder_energy(p, 0, ell)
             if e > e_max:
                 break
             n = 0
             while e <= e_max:
-                for sm in signed:
-                    qn = new(QuantumNumbers, (n, n_theta, sm))
-                    keyed.append((e, n, n_theta, sm, new(EigenState, (qn, ang, ell, e))))
+                levels.append((e, n, n_theta, -m, ang, ell))
                 n += 1
                 e = ladder_energy(p, n, ell)
-    keyed.sort()
-    return [row[4] for row in keyed]
+    levels.sort()
+    # each level gives its -|m| state, then its +|m| one: the order of
+    # (energy, n, n_theta, m) unless levels at two |m| tie on (energy, n,
+    # n_theta), as where their ell_tilde round to one float
+    states: list[EigenState] = []
+    append = states.append
+    new = tuple.__new__
+    tied = False
+    last_e = last_n = last_t = None
+    for e, n, n_theta, neg, ang, ell in levels:
+        if e == last_e and n == last_n and n_theta == last_t:
+            tied = True
+        last_e, last_n, last_t = e, n, n_theta
+        append(new(EigenState, (new(QuantumNumbers, (n, n_theta, neg)), ang, ell, e)))
+        if neg:
+            append(new(EigenState, (new(QuantumNumbers, (n, n_theta, -neg)), ang, ell, e)))
+    if tied:
+        states.sort(key=lambda s: (s.energy, *s.qn))
+    return states
 
 
 def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, np.ndarray]:

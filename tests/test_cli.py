@@ -879,6 +879,50 @@ def test_writer_reads_rows_once_from_a_generator(fmt):
     assert _emitted(fmt, columns, iter([])) == _reference_table(fmt, columns, [], [], {})
 
 
+# tables whose blocks leave the one-% block path: a type change inside a
+# column, a bool column, rows of other lengths, JSON column names holding
+# the letters of inf or nan, and -0.0, inf and nan cells; "plain" keeps it
+BLOCK_CASES = {
+    "int-then-float": (["i", "x"], [(k, 0.5 * k) for k in range(6)] + [(0.25 * k, k) for k in range(6)]),
+    "bool-column": (["n", "ok"], [(k, k % 3 == 0) for k in range(12)]),
+    "shorter-rows": (["a", "b", "c"], [(1, 2.0, 3), (4, 5.5), (6,), (1, 2.0, 3)] * 3),
+    "longer-rows": (["a", "b"], [(1, 2.0), (4, 5.5, 6), (7, 8.0, 9, 1.5)] * 4),
+    "info-column": (["info", "y"], [(k, k / 3) for k in range(12)]),
+    "nan_count-column": (["nan_count", "y"], [(k, -k / 7) for k in range(12)]),
+    "special-floats": (["r", "v"], [(0.5 * k, [-0.0, math.inf, -math.inf, math.nan, 1e-300, 2.0][k % 6])
+                                    for k in range(12)]),
+    "plain": (["n", "r", "energy"], [(k, cli._Rendered(cli._fmt(k / 9)), k + 0.1) for k in range(12)]),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 4096])
+@pytest.mark.parametrize("case, fmt", [
+    # JSON keys each cell by its column, so a row longer than the columns has no JSON form
+    (case, fmt) for case in sorted(BLOCK_CASES) for fmt in ("csv", "json") if (case, fmt) != ("longer-rows", "json")
+])
+def test_writer_blocks_print_as_the_per_row_rules(case, fmt, block):
+    columns, rows = BLOCK_CASES[case]
+    # _Rendered cells stand for the floats they print
+    plain = [tuple(float(v) if type(v) is cli._Rendered else v for v in row) for row in rows]
+    with unittest.mock.patch.object(cli, "_BLOCK", block):
+        got = _emitted(fmt, columns, iter(rows))
+    assert got == _reference_table(fmt, columns, plain, [], {})
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["wavefunction", "--no-timestamp"], "wavefunction_default.csv"),
+    (["spectrum", "--format", "json", "--no-timestamp"], "spectrum_default.json"),
+])
+def test_default_tables_are_rendered_a_block_at_a_time(capsys, argv, golden):
+    # the default wavefunction and spectrum tables never reach the per-row path
+    def per_row(*_):
+        raise AssertionError("a row was rendered on its own")
+
+    with unittest.mock.patch.object(cli, "_row_lines", per_row):
+        code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
 def _child_env() -> dict:
     # child processes import the ncosc under test, whatever the working dir
     env = dict(os.environ)

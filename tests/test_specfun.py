@@ -221,6 +221,52 @@ def test_log_bessel_fallback_continuous_where_the_leading_power_hands_off():
         assert gap <= 1e-14 * abs(lead), (nu, gap)
 
 
+def _mp_leading_power(nu, x):
+    # ln I_nu(x) - x from the first two terms of the ascending series, which
+    # leave out less than (x^2/(4 (nu + 1)))^2 of I
+    with mpmath.workdps(40):
+        nu, x = mpmath.mpf(nu), mpmath.mpf(x)
+        return float(nu * mpmath.log(x / 2) - mpmath.loggamma(nu + 1) - x + mpmath.log1p(x * x / (4 * (nu + 1))))
+
+
+@pytest.mark.parametrize("nu, x", [(3e305, 1e138), (2.6e305, 1e100), (2.6e305, 1e130), (4e305, 1e120)])
+def test_log_bessel_ie_at_orders_past_the_lgamma_limit(nu, x):
+    # math.lgamma(nu + 1) overflows from nu of about 2.56e305, while ln I - x still fits
+    with pytest.raises(OverflowError):
+        math.lgamma(nu + 1)
+    ref = _mp_leading_power(nu, x)
+    assert abs(log_bessel_ie(nu, x) - ref) <= 1e-15 * abs(ref), (nu, x)
+    assert abs(log_bessel_ie_from_log(nu, math.log(x)) - ref) <= 1e-15 * abs(ref), (nu, x)
+
+
+def test_leading_power_continuous_at_the_lgamma_limit():
+    # bisect for the last order lgamma answers; the Stirling form takes over
+    # from the next float
+    lo, hi = 2.5e305, 2.6e305
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        try:
+            math.lgamma(mid + 1)
+        except OverflowError:
+            hi = mid
+        else:
+            lo = mid
+    below, above = specfun._log_leading_power(lo, 300.0), specfun._log_leading_power(hi, 300.0)
+    assert below == lo * (300.0 - math.log(2.0)) - math.lgamma(lo + 1)
+    assert abs(above - below) <= 1e-15 * abs(below)
+
+
+@pytest.mark.parametrize("call, nu, x", [
+    (lambda: log_bessel_ie(1e307, 1e-10), "1e\\+307", "1e-10"),
+    (lambda: log_bessel_ie(5e306, 1e150), "5e\\+306", "1e\\+150"),
+    (lambda: log_bessel_ie_from_log(1e307, -800.0), "1e\\+307", "e\\^-800.0"),
+    (lambda: bessel_i(1e307, 1e-10), "1e\\+307", "1e-10"),
+])
+def test_bessel_logarithms_below_the_float_range_raise(call, nu, x):
+    # ln I - x is about -7.3e309 at (1e307, 1e-10) and -1.8e309 at (5e306, 1e150)
+    with pytest.raises(OverflowError, match=f"nu={nu}, x={x}.* below the float range"):
+        call()
+
 def test_batch_evaluators_match_scalar_exactly():
     x = np.linspace(0.0, 15.0, 11)
     stack = laguerre_all(9, 1.5, x)

@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncosc import oracle, propagator
-from ncosc.model import AngularMode, PotentialParams, QuantumNumbers, angular_mode, effective_ell, radial_log_norm
+from ncosc.model import (
+    AngularMode,
+    PotentialParams,
+    QuantumNumbers,
+    angular_mode,
+    effective_ell,
+    ladder_energy,
+    radial_log_norm,
+)
 from ncosc.propagator import PropagatorQuery, full_kernel_spectral
 from ncosc.spectrum import (
     EigenState,
@@ -304,6 +312,60 @@ def test_enumerate_states_stops_at_the_first_m_above_emax():
     assert time.perf_counter() - t0 < 1.0
     assert states == enumerate_states(PotentialParams(), 3.0, 2)
 
+
+def _brute_force_states(p, e_max, m_max, n_top=12, n_theta_top=16):
+    """Every admissible state with |m| <= m_max and energy <= e_max from a
+    triple loop over eigenstate, sorted by (energy, n, n_theta, m)."""
+    found = []
+    for m in range(-m_max, m_max + 1):
+        for n_theta in range(n_theta_top):
+            for n in range(n_top):
+                try:
+                    s = eigenstate(p, n, n_theta, m)
+                except ValueError:  # inadmissible sector
+                    continue
+                if s.energy <= e_max:
+                    found.append(s)
+    # the loop bounds are not what ends the list: energy rises with n and n_theta
+    assert all(s.qn.n < n_top - 1 and s.qn.n_theta < n_theta_top - 1 for s in found)
+    return sorted(found, key=lambda s: (s.energy, *s.qn))
+
+
+@st.composite
+def level_setups(draw):
+    """(p, e_max, m_max) with random, equal or zero couplings, the last two
+    with exact energy ties across n and n_theta, at unit or other scales."""
+    kind = draw(st.sampled_from(["random", "equal", "zero"]))
+    alpha = draw(st.floats(-2.0, 3.0))
+    beta = alpha if kind == "equal" else draw(st.floats(-1.0, 3.0))
+    gamma = draw(st.floats(-0.2, 3.0))
+    if kind == "zero":
+        alpha = beta = gamma = 0.0
+    scales = draw(st.fixed_dictionaries({k: st.floats(0.7, 1.5) for k in ("hbar", "mu", "omega")})
+                  | st.just({}))
+    v0 = draw(st.floats(-3.0, 3.0) | st.just(0.0))
+    p = PotentialParams(v0=v0, alpha=alpha, beta=beta, gamma=gamma, **scales)
+    e_max = -v0 + p.hbar * p.omega * draw(st.floats(0.0, 9.0))
+    return p, e_max, draw(st.integers(0, 5))
+
+
+@given(setup=level_setups())
+@settings(max_examples=60, deadline=None)
+def test_enumerate_states_equals_the_sorted_brute_force(setup):
+    p, e_max, m_max = setup
+    assert enumerate_states(p, e_max, m_max) == _brute_force_states(p, e_max, m_max)
+
+
+def test_enumerate_states_orders_levels_that_tie_across_m():
+    # at alpha = beta = 1e32, lambda rounds to 1e16 for every small |m|, so
+    # levels at different |m| tie on (energy, n, n_theta): each such group
+    # lists every -|m| state before every +|m| one
+    p = PotentialParams(alpha=1e32, beta=1e32)
+    e_max = ladder_energy(p, 0, effective_ell(p, 0, 0)) + 12
+    states = enumerate_states(p, e_max, 3)
+    assert len(states) == 175
+    assert [tuple(s.qn) for s in states[:7]] == [(0, 0, m) for m in range(-3, 4)]
+    assert states == _brute_force_states(p, e_max, 3)
 
 def test_enumerate_states_argument_validation():
     with pytest.raises(ValueError, match="e_max must be finite"):
