@@ -87,7 +87,8 @@ def _timestamp() -> str:
 
 
 def _cell(v) -> str:
-    # a _Rendered cell is a str, printed as it stands
+    # the CSV text of a cell in a column that no % conversion prints (a bool,
+    # or a mix of types); a _Rendered cell is a str, printed as it stands
     if isinstance(v, bool):
         return "true" if v else "false"
     return _fmt(v) if isinstance(v, float) else str(v)
@@ -98,50 +99,44 @@ _BLOCK = 4096
 
 # the % conversion that prints a cell of exactly this type as _cell and
 # _json_value do; JSON strings are quoted and escaped, so only CSV has one
-# for str, while a _Rendered number is printed as it stands in both
+# for str, JSON has none for inf or nan, and a _Rendered number is printed
+# as it stands in both
 _MARKS = {
     "csv": {int: "%d", float: "%.17g", str: "%s", _Rendered: "%s"},
     "json": {int: "%d", float: "%.17g", _Rendered: "%s"},
 }
 
 
-def _json_row(columns: Sequence[str], cells: Iterable[str]) -> str:
-    """One object of the "rows" list, from its cells as already rendered."""
-    return "    {\n" + ",\n".join(f'      "{k}": {c}' for k, c in zip(columns, cells)) + "\n    }"
-
-
-def _row_lines(fmt: str, columns: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
-    """Each row rendered in fmt cell by cell, as _cell or _json_value
-    renders its cells: the path of the blocks that _block_text cannot
-    render at once."""
-    for row in rows:
-        if fmt == "csv":
-            yield ",".join(map(_cell, row))
-        else:
-            yield _json_row(columns, [_json_value(v, 6) for v in row])
-
-
 def _block_text(fmt: str, columns: Sequence[str], block: list[Sequence], sep: str) -> str:
-    """The rows of block rendered in fmt and joined by sep.
+    """The rows of block rendered in fmt and joined by sep, with one % over
+    a row template repeated per row.
 
-    Where every row has a cell per column and each column holds cells of
-    one type that a % conversion prints exactly, one template per row,
-    repeated, renders the whole block at once with one %; every other
-    block, and a JSON block whose text has an inf or nan, is rendered by
-    _row_lines.
+    Each column picks its conversion: a column whose cells all have one
+    type that _MARKS[fmt] prints (in JSON, floats only where all are
+    finite) takes that one, and any other column has its cells rendered
+    by _cell or _json_value and printed with %s. A row without one cell
+    per column raises ValueError.
     """
+    if set(map(len, block)) != {len(columns)}:
+        raise ValueError(f"a table row does not have one cell per column of {list(columns)}")
     marks = _MARKS[fmt]
-    if set(map(len, block)) == {len(columns)}:
-        # one type per column exactly when there are as many types as columns
-        kinds = [kind for col in zip(*block) for kind in set(map(type, col))]
-        if len(kinds) == len(columns) and all(kind in marks for kind in kinds):
-            cells = [marks[kind] for kind in kinds]
-            template = (",".join(cells) if fmt == "csv"
-                        else _json_row([c.replace("%", "%%") for c in columns], cells))
-            text = sep.join([template] * len(block)) % tuple(itertools.chain.from_iterable(block))
-            if fmt == "csv" or not ("inf" in text or "nan" in text):
-                return text
-    return sep.join(_row_lines(fmt, columns, block))
+    cols = list(zip(*block))
+    cells, rendered = [], False
+    for i, col in enumerate(cols):
+        kind, *mixed = set(map(type, col))
+        if not mixed and kind in marks and (kind is not float or fmt == "csv" or all(map(math.isfinite, col))):
+            cells.append(marks[kind])
+        else:
+            cols[i] = list(map(_cell, col)) if fmt == "csv" else [_json_value(v, 6) for v in col]
+            cells.append("%s")
+            rendered = True
+    if fmt == "csv":
+        template = ",".join(cells)
+    else:
+        keys = [c.replace("%", "%%") for c in columns]
+        template = "    {\n" + ",\n".join(f'      "{k}": {c}' for k, c in zip(keys, cells)) + "\n    }"
+    rows = zip(*cols) if rendered else block
+    return sep.join([template] * len(block)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def _table_text(
@@ -185,10 +180,10 @@ def _emit(
     CSV gets the comment lines, the header and one line per row; JSON gets
     the meta fields and "rows", one object per row keyed by columns. rows
     may be any iterable and is read once, in blocks of _BLOCK rows: each
-    block is rendered with one % template where its columns allow, and
-    cell by cell otherwise (see _block_text), and written to stdout or to
-    --output, so neither the whole text nor the
-    whole row list is held.
+    block is rendered by _block_text, where each column picks its %
+    conversion, and written to stdout or to --output, so neither the whole
+    text nor the whole row list is held. A row without one cell per column
+    raises ValueError.
     """
     pieces = _table_text(args, p, comments, meta, columns, rows)
     if not args.output:

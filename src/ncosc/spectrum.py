@@ -213,9 +213,11 @@ def radial_factors(p: PotentialParams, ell, n_max: int, r) -> tuple[np.ndarray, 
         raise ValueError("radial_factors requires finite r > 0")
     norm = np.exp(radial_log_norm(p, n_max, ell))
     c = p.mu * p.omega / p.hbar
-    x = c * ra * ra
-    log_env = ell[..., None] * (0.5 * math.log(c) + np.log(ra)) - 0.5 * x
+    # x overflows to inf at huge r: the envelope is then 0 and a Laguerre
+    # polynomial past degree 0 infinite, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
+        x = c * ra * ra
+        log_env = ell[..., None] * (0.5 * math.log(c) + np.log(ra)) - 0.5 * x
         poly = norm[..., None] * laguerre_all(n_max, ell + 0.5, x)
     if not np.isfinite(poly).all():
         raise OverflowError(f"a Laguerre polynomial L_n(mu omega r^2/hbar), n = {n_max}, is beyond the float range")

@@ -879,14 +879,12 @@ def test_writer_reads_rows_once_from_a_generator(fmt):
     assert _emitted(fmt, columns, iter([])) == _reference_table(fmt, columns, [], [], {})
 
 
-# tables whose blocks leave the one-% block path: a type change inside a
-# column, a bool column, rows of other lengths, JSON column names holding
-# the letters of inf or nan, and -0.0, inf and nan cells; "plain" keeps it
+# tables whose columns leave their own % conversion: a type change inside a
+# column, a bool column, JSON column names holding the letters of inf or
+# nan, and -0.0, inf and nan cells; "plain" keeps them all
 BLOCK_CASES = {
     "int-then-float": (["i", "x"], [(k, 0.5 * k) for k in range(6)] + [(0.25 * k, k) for k in range(6)]),
     "bool-column": (["n", "ok"], [(k, k % 3 == 0) for k in range(12)]),
-    "shorter-rows": (["a", "b", "c"], [(1, 2.0, 3), (4, 5.5), (6,), (1, 2.0, 3)] * 3),
-    "longer-rows": (["a", "b"], [(1, 2.0), (4, 5.5, 6), (7, 8.0, 9, 1.5)] * 4),
     "info-column": (["info", "y"], [(k, k / 3) for k in range(12)]),
     "nan_count-column": (["nan_count", "y"], [(k, -k / 7) for k in range(12)]),
     "special-floats": (["r", "v"], [(0.5 * k, [-0.0, math.inf, -math.inf, math.nan, 1e-300, 2.0][k % 6])
@@ -896,10 +894,7 @@ BLOCK_CASES = {
 
 
 @pytest.mark.parametrize("block", [1, 5, 4096])
-@pytest.mark.parametrize("case, fmt", [
-    # JSON keys each cell by its column, so a row longer than the columns has no JSON form
-    (case, fmt) for case in sorted(BLOCK_CASES) for fmt in ("csv", "json") if (case, fmt) != ("longer-rows", "json")
-])
+@pytest.mark.parametrize("case, fmt", [(case, fmt) for case in sorted(BLOCK_CASES) for fmt in ("csv", "json")])
 def test_writer_blocks_print_as_the_per_row_rules(case, fmt, block):
     columns, rows = BLOCK_CASES[case]
     # _Rendered cells stand for the floats they print
@@ -909,19 +904,73 @@ def test_writer_blocks_print_as_the_per_row_rules(case, fmt, block):
     assert got == _reference_table(fmt, columns, plain, [], {})
 
 
+# rows with fewer or more cells than the table has columns
+MISFIT_CASES = {
+    "shorter-rows": (["a", "b", "c"], [(1, 2.0, 3), (4, 5.5), (6,), (1, 2.0, 3)] * 3),
+    "longer-rows": (["a", "b"], [(1, 2.0), (4, 5.5, 6), (7, 8.0, 9, 1.5)] * 4),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 4096])
+@pytest.mark.parametrize("case, fmt", [(case, fmt) for case in sorted(MISFIT_CASES) for fmt in ("csv", "json")])
+def test_writer_refuses_rows_that_do_not_fit_the_columns(case, fmt, block):
+    # neither printed as they stand nor cut to the columns
+    columns, rows = MISFIT_CASES[case]
+    with unittest.mock.patch.object(cli, "_BLOCK", block), pytest.raises(ValueError, match=re.escape(str(columns))):
+        _emitted(fmt, columns, iter(rows))
+
+
+@contextlib.contextmanager
+def _per_cell_calls(limit=None):
+    """Count the cells that _cell and _json_value at row indent render, and
+    fail once either count passes limit."""
+    calls = {"_cell": 0, "_json_value": 0}
+    cell, json_value = cli._cell, cli._json_value
+
+    def counted_cell(v):
+        calls["_cell"] += 1
+        assert limit is None or calls["_cell"] <= limit, "_cell rendered a row cell"
+        return cell(v)
+
+    def counted_json_value(obj, indent):
+        if indent == 6:
+            calls["_json_value"] += 1
+            assert limit is None or calls["_json_value"] <= limit, "_json_value rendered a row cell"
+        return json_value(obj, indent)
+
+    with unittest.mock.patch.object(cli, "_cell", counted_cell), \
+            unittest.mock.patch.object(cli, "_json_value", counted_json_value):
+        yield calls
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["wavefunction", "--no-timestamp"], "wavefunction_default.csv"),
     (["spectrum", "--format", "json", "--no-timestamp"], "spectrum_default.json"),
 ])
 def test_default_tables_are_rendered_a_block_at_a_time(capsys, argv, golden):
-    # the default wavefunction and spectrum tables never reach the per-row path
-    def per_row(*_):
-        raise AssertionError("a row was rendered on its own")
-
-    with unittest.mock.patch.object(cli, "_row_lines", per_row):
+    # no cell of the default wavefunction and spectrum tables is rendered on its own
+    with _per_cell_calls(limit=0):
         code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, counts, golden", [
+    # the bool passed column of the 30 checks, and in JSON the two str columns too
+    pytest.param(["verify", "--suite", "all"], {"_cell": 30, "_json_value": 0}, "verify_all.csv", id="verify-csv"),
+    pytest.param(["verify", "--suite", "all", "--format", "json"], {"_cell": 0, "_json_value": 90}, None,
+                 id="verify-json"),
+    # the str quantity column of the four rows
+    pytest.param(["propagator", "--format", "json"], {"_cell": 0, "_json_value": 4}, "propagator_default.json",
+                 id="propagator-json"),
+])
+def test_only_the_columns_without_a_conversion_are_rendered_per_cell(capsys, argv, counts, golden):
+    with _per_cell_calls() as calls:
+        code, out, _ = run_cli(capsys, *argv, "--no-timestamp")
+    assert (code, calls) == (0, counts)
+    if golden is not None:
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
 
 def _child_env() -> dict:
     # child processes import the ncosc under test, whatever the working dir

@@ -4,8 +4,9 @@ scipy's Bessel ive reached from specfun alone, sector admissibility and the
 angular mode formula reached from model alone, propagator's sector box walked
 once, in _sector_blocks, float overflow of the polynomial recurrences
 silenced and reported by the two profiles alone, the CLI's 17-digit
-float format written in _fmt and _MARKS alone, and every function the
-benchmark's traced run wraps still present.
+float format written in _fmt and _MARKS alone, table row cells rendered
+in _block_text alone, and every function the benchmark's traced run wraps
+still present.
 
 A small stand-in for pyflakes' F401 and F822, built on ast alone.
 """
@@ -215,3 +216,15 @@ def test_cli_renders_floats_in_fmt_alone():
     stray = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Name) and node.id == "_Rendered" and id(node) not in allowed]
     assert not stray, f"cli.py names _Rendered outside a _Rendered(_fmt(...)) call, _MARKS or isinstance: lines {stray}"
+
+
+def test_only_the_block_writer_renders_row_cells():
+    # the per-cell rules render a row cell only inside _block_text, for a
+    # column that no % conversion prints; _json_value also renders the
+    # table head in _table_text and its own nested values
+    tree = ast.parse((ROOT / "src" / "ncosc" / "cli.py").read_text())
+    owners = {rule: sorted({getattr(top, "name", f"line {top.lineno}") for top in tree.body for node in ast.walk(top)
+                            if isinstance(node, ast.Name) and node.id == rule})
+              for rule in ("_cell", "_json_value")}
+    assert owners == {"_cell": ["_block_text"], "_json_value": ["_block_text", "_json_value", "_table_text"]}, (
+        f"cli.py names the per-cell rules in {owners}; render row cells in _block_text")

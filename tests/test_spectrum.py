@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncosc import oracle, propagator
+from ncosc import cli, oracle, propagator
 from ncosc.model import (
     AngularMode,
     PotentialParams,
@@ -426,6 +426,27 @@ def test_radial_functions_where_r_squared_underflows():
     stack = radial_profiles(p, np.array([0.0, 0.5, 3.0]), 4, [r])
     assert np.all(np.isfinite(stack)) and np.all(stack[:, :2] > 0) and np.all(stack[:, 2] == 0)
     assert np.allclose(stack[:, 0, 0], norms * lag_at_0, rtol=1e-14, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_radial_functions_where_r_squared_overflows(capsys):
+    # at r = 1e200, x = mu omega r^2/hbar is inf: R_0 is 0, and a Laguerre
+    # polynomial past degree 0 is infinite, which raises OverflowError
+    p = PotentialParams()
+    for ell in (0.0, 3.5):
+        assert radial_wavefunction(p, 0, ell, 1e200) == 0.0
+        assert np.all(radial_profiles(p, ell, 0, [1e160, 1e200]) == 0.0)
+    with pytest.raises(OverflowError, match="n = 1, is beyond the float range"):
+        radial_wavefunction(p, 1, 0.0, 1e200)
+    with pytest.raises(OverflowError, match="n = 3, is beyond the float range"):
+        radial_profiles(p, 0.0, 3, [1e160])
+    with pytest.raises(OverflowError, match="n = 60, is beyond the float range"):
+        propagator.radial_kernel_spectral(p, 0, 0, 1e308, 1e308, 1.0, 60)
+    # the command says so in its error line alone, with no numpy warning before it
+    assert cli.main(["propagator", "--ra", "1e308", "--rb", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: a Laguerre polynomial L_n(mu omega r^2/hbar), n = 60, is beyond the float range\n")
 
 
 def test_wavefunction_domain_validation():
